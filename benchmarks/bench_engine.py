@@ -1,55 +1,36 @@
 """Execution-engine speedups over the legacy dispatch interpreter.
 
 Not a paper figure — this tracks the simulator's own hot path across
-all four engines on the Olden sweep (plain + HardBound per
+all three engines on the Olden sweep (plain + HardBound per
 workload):
 
 * the pre-decoded closure engine must stay at least 2x faster than
   the legacy dispatch loop on the functional sweep;
-* the basic-block fusion engine (with the fused memory templates
-  over the flat-bytearray heap and the inlined fast memory-timing
-  charges) must be at least 1.5x faster than the decoded engine on
-  the timed sweep, and at least 1.3x faster than the PR 2 blocks
-  engine on the timed sweep — the acceptance bar for the flat-heap
-  + memory-fusion work;
-* the array-backed cache-set layout (flat recency-ordered way
-  tables replacing the recency-stamped dict sets) must be at least
-  1.15x faster than the PR 3 blocks engine on the timed sweep — the
-  acceptance bar for the PR 4 timing-model work;
-* the superblock trace engine (now the default: cross-block trace
-  closures over profiled hot paths, full-coverage instruction
-  templates, fast-local rebinding of bound names, program-keyed
-  fusion plans) must be at least 1.15x faster than the blocks
-  engine on the timed sweep — the acceptance bar for the PR 5 trace
-  tier — and at least 1.15x faster than the PR 4 blocks engine on
-  the record host (``REPRO_ASSERT_PR4``);
-* the whole-function trace tier (PR 6: call/ret chaining with
-  return-address-prediction guards) must clear the committed
-  superblocks-vs-decoded floor on the timed sweep and push the
-  Olden-aggregate mean trace length past
-  ``FLOOR_MEAN_TRACE_BLOCKS`` basic blocks, without regressing the
-  PR 5 superblock engine on the record host (``REPRO_ASSERT_PR5``);
-  the minic optimizer's dynamic instruction savings are recorded
-  per workload (``optimizer_instructions``), while the engine
-  ladder itself runs ``optimize=False`` binaries so its seconds
-  stay comparable with every earlier PR baseline;
-* the observability layer (PR 7) must be effectively free: with
-  ``obs_events`` on, the timed superblocks sweep must stay within
+* the basic-block fusion engine (full-coverage instruction templates
+  over the flat-bytearray heap, the inlined fast memory-timing
+  charges, fast-local rebinding of bound names, program-keyed fusion
+  plans) must not regress the functional sweep against the decoded
+  engine and must clear ``FLOOR_TIMED_BLOCKS_VS_DECODED`` on the
+  timed sweep; the minic optimizer's dynamic instruction savings are
+  recorded per workload (``optimizer_instructions``), while the
+  engine ladder itself runs ``optimize=False`` binaries so its
+  seconds stay comparable with earlier records;
+* the observability layer must be effectively free: with
+  ``obs_events`` on, the timed blocks sweep must stay within
   ``FLOOR_OBS_OVERHEAD_RATIO`` (events-off/events-on seconds ≥
-  0.98, i.e. <2% slowdown) — the always-on counters themselves ride
-  inside the engine and are covered by the ladder floors above;
-* the service layer (PR 9) must make persistence pay: mapping the
-  timed Olden sweep through a *warm* spawn-context worker fleet
-  (program + fusion-plan caches resident) must beat a freshly
-  spawned fleet by ``FLOOR_SERVICE_WARM_VS_COLD`` (recorded as
+  0.98, i.e. <2% slowdown);
+* the service layer must make persistence pay: mapping the timed
+  Olden sweep through a *warm* spawn-context worker fleet (program +
+  fusion-plan caches resident) must beat a freshly spawned fleet by
+  ``FLOOR_SERVICE_WARM_VS_COLD`` (recorded as
   ``service_warm_vs_cold``);
 * every engine stays bit-identical to the others (enforced by
   ``tests/machine/test_engine_differential.py`` and
-  ``tests/machine/test_superblocks.py``).
+  ``tests/machine/test_blocks.py``).
 
 The events-on sweep also leaves CI-uploadable artifacts behind:
 ``results/obs_olden.jsonl`` (the full Olden event stream) and
-``results/obs_report.txt`` (the rendered hot-trace/side-exit/phase
+``results/obs_report.txt`` (the rendered per-run and phase-time
 report of ``python -m repro.obs.report``).
 
 The measured seconds and speedups are written to
@@ -57,17 +38,6 @@ The measured seconds and speedups are written to
 and CI's ``bench-gate`` step fails the build if the freshly emitted
 ``timed.blocks_vs_decoded`` falls below the committed floor (see
 ``benchmarks/check_bench_gate.py``).
-
-The PR 2, PR 3 and PR 4 baselines below were re-measured on the
-same host that produced the committed ``BENCH_engine.json`` (git
-worktrees of commits ``e0292d8`` / ``80f9c25`` for PR 2/3, the PR 4
-blocks engine of commit ``89681ce`` for PR 4, best of 3 rounds, same
-protocol as this benchmark).  Cross-machine ratios against them are
-meaningless, so the ≥1.3x / ≥1.15x / ≥1.15x assertions only fire
-when ``REPRO_ASSERT_PR2`` / ``REPRO_ASSERT_PR3`` /
-``REPRO_ASSERT_PR4`` are set in the environment (the
-record-generating host sets them); the ratios themselves are always
-recorded.
 """
 
 import json
@@ -76,12 +46,9 @@ import tempfile
 import time
 
 from check_bench_gate import (
-    FLOOR_MEAN_TRACE_BLOCKS,
     FLOOR_OBS_OVERHEAD_RATIO,
     FLOOR_SERVICE_WARM_VS_COLD,
     FLOOR_TIMED_BLOCKS_VS_DECODED,
-    FLOOR_TIMED_SUPERBLOCKS_VS_BLOCKS,
-    FLOOR_TIMED_SUPERBLOCKS_VS_DECODED,
 )
 from conftest import RESULTS_DIR, write_result
 
@@ -91,42 +58,16 @@ from repro.machine.config import MachineConfig
 from repro.minic.driver import mode_for_config
 from repro.workloads.registry import WORKLOADS
 
-ENGINES = ("legacy", "decoded", "blocks", "superblocks")
+ENGINES = ("legacy", "decoded", "blocks")
 
 #: timing-noise guard: each sweep is repeated and the minimum kept
 ROUNDS = 3
 
-#: the engine-ladder sweeps compile with ``optimize=False``: every
-#: committed PR 2-5 baseline second was measured on unoptimized
-#: binaries, so the ladder must keep executing the same programs for
-#: the cross-PR ratios to stay meaningful.  The optimizer's own
-#: effect is reported separately (``optimizer_instructions``).
+#: the engine-ladder sweeps compile with ``optimize=False``, the
+#: binaries every earlier record timed, so seconds stay comparable
+#: across records.  The optimizer's own effect is reported
+#: separately (``optimizer_instructions``).
 LADDER_OPTIMIZE = False
-
-#: PR 2 blocks engine (commit e0292d8) re-measured on the record host
-PR2_BLOCKS_COMMIT = "e0292d8"
-PR2_BLOCKS_TIMED_SECONDS = 3.358
-PR2_BLOCKS_FUNCTIONAL_SECONDS = 1.770
-
-#: PR 3 blocks engine (commit 80f9c25, stamped-dict LRU sets)
-#: re-measured on the record host
-PR3_BLOCKS_COMMIT = "80f9c25"
-PR3_BLOCKS_TIMED_SECONDS = 2.920
-PR3_BLOCKS_FUNCTIONAL_SECONDS = 1.160
-
-#: PR 4 blocks engine (commit 89681ce, array-backed cache sets —
-#: behaviourally identical to this tree's ``blocks`` engine)
-#: measured on the record host
-PR4_BLOCKS_COMMIT = "89681ce"
-PR4_BLOCKS_TIMED_SECONDS = 2.45
-PR4_BLOCKS_FUNCTIONAL_SECONDS = 1.27
-
-#: PR 5 superblock engine (commit ce7d71c, call/ret-bounded traces)
-#: on the record host — the committed ``BENCH_engine.json`` of that
-#: PR, same sweep protocol
-PR5_SUPERBLOCKS_COMMIT = "ce7d71c"
-PR5_SUPERBLOCKS_TIMED_SECONDS = 1.923
-PR5_SUPERBLOCKS_FUNCTIONAL_SECONDS = 0.877
 
 
 def _warm_compile_cache(timing):
@@ -136,46 +77,6 @@ def _warm_compile_cache(timing):
             compile_cached(WORKLOADS[name].source,
                            mode_for_config(config),
                            optimize=LADDER_OPTIMIZE)
-
-
-def _engine_introspection():
-    """Trace-tier introspection of one representative timed run."""
-    result = run_workload("health", MachineConfig.hardbound(
-        encoding="intern11", engine="superblocks", timing=True),
-        optimize=LADDER_OPTIMIZE)
-    return result.engine_stats
-
-
-def _trace_stats_sweep():
-    """Cross-call trace statistics aggregated over the timed Olden
-    sweep (the ``mean_trace_blocks`` acceptance target)."""
-    formed = blocks = cross = mispredicts = dispatches = 0
-    per_workload = {}
-    for name in WORKLOADS:
-        stats = run_workload(name, MachineConfig.hardbound(
-            encoding="intern11", engine="superblocks", timing=True),
-            optimize=LADDER_OPTIMIZE).engine_stats
-        per_workload[name] = {
-            "traces_formed": stats["traces_formed"],
-            "mean_trace_blocks": stats["mean_trace_blocks"],
-            "cross_call_traces": stats["cross_call_traces"],
-            "ret_mispredict_rate": stats["ret_mispredict_rate"],
-        }
-        n = stats["traces_formed"]
-        formed += n
-        blocks += stats["mean_trace_blocks"] * n
-        cross += stats["cross_call_traces"]
-        mispredicts += stats["ret_mispredicts"]
-        dispatches += stats["trace_dispatches"]
-    return {
-        "traces_formed": formed,
-        "mean_trace_blocks": blocks / formed if formed else 0.0,
-        "cross_call_traces": cross,
-        "ret_mispredicts": mispredicts,
-        "ret_mispredict_rate": (mispredicts / dispatches
-                                if dispatches else 0.0),
-        "per_workload": per_workload,
-    }
 
 
 def _optimizer_instruction_counts():
@@ -211,7 +112,7 @@ def _sweep_seconds(engine, timing, obs=None):
 
 
 def _obs_overhead():
-    """Events-on vs events-off seconds on the timed superblocks sweep.
+    """Events-on vs events-off seconds on the timed blocks sweep.
 
     Interleaved min-of-``ROUNDS`` like the ladder itself; the
     events-on rounds append to a throwaway file so the measurement
@@ -225,11 +126,9 @@ def _obs_overhead():
     try:
         best_off = best_on = float("inf")
         for _ in range(ROUNDS):
-            best_off = min(best_off,
-                           _sweep_seconds("superblocks", True))
+            best_off = min(best_off, _sweep_seconds("blocks", True))
             best_on = min(best_on,
-                          _sweep_seconds("superblocks", True,
-                                         obs=scratch))
+                          _sweep_seconds("blocks", True, obs=scratch))
         return {
             "events_off_seconds": best_off,
             "events_on_seconds": best_on,
@@ -253,30 +152,28 @@ def _obs_artifacts():
     path = os.path.join(RESULTS_DIR, "obs_olden.jsonl")
     if os.path.exists(path):
         os.remove(path)
-    _sweep_seconds("superblocks", True, obs=path)
+    _sweep_seconds("blocks", True, obs=path)
     report = render_summary(list(read_events(path)))
     write_result("obs_report.txt", report)
     return path
 
 
 def _service_warm_vs_cold():
-    """Warm persistent workers vs. a freshly spawned fleet (PR 9).
+    """Warm persistent workers vs. a freshly spawned fleet.
 
     Both passes map the same timed Olden sweep (plain + HardBound per
     workload) through :class:`repro.service.dispatch.Service` with
     spawn-context workers, so the cold pass honestly pays process
     start + compile + CFG/fusion-plan formation.  The warm fleet is
-    primed twice first — the superblock plan cache converges over the
-    first runs of a program, exactly like the ladder's own warm-up —
-    then timed for min-of-``ROUNDS``; the cold side is min of two
-    full spawn-map-shutdown cycles.  No result store is attached:
-    every job must execute on a worker, so the ratio measures warm
-    *processes*, not cache hits.
+    primed with two passes first, then timed for min-of-``ROUNDS``;
+    the cold side is min of two full spawn-map-shutdown cycles.  No
+    result store is attached: every job must execute on a worker, so
+    the ratio measures warm *processes*, not cache hits.
     """
     from repro.harness.parallel import run_cell
     from repro.service import Service
 
-    jobs = [(name, kind, True, "superblocks")
+    jobs = [(name, kind, True, "blocks")
             for name in sorted(WORKLOADS)
             for kind in ("base", "intern11")]
     service_workers = 2
@@ -316,15 +213,11 @@ def test_engine_speedups(benchmark):
         seconds = {}
         for timing in (False, True):
             _warm_compile_cache(timing)
-            # the superblock tier's fusion-plan cache converges over
-            # the first few runs of a program (traces recorded in
-            # run N install at table-build time in run N+1, and the
-            # generated trace fusers compile once per process), so
-            # warm it to steady state first — the rounds below
-            # measure the engine, not the convergence transient.
-            # The other engines carry no cross-run state.
-            for _ in range(3):
-                _sweep_seconds("superblocks", timing)
+            # the first run of a program records its fusion plan and
+            # compiles its fusers; warm both so the rounds below
+            # measure the engine, not the cold build.  The other
+            # engines carry no cross-run state.
+            _sweep_seconds("blocks", timing)
             best = {engine: float("inf") for engine in ENGINES}
             # interleave rounds so machine-load drift hits every
             # engine equally
@@ -345,35 +238,13 @@ def test_engine_speedups(benchmark):
             "decoded_vs_legacy": best["legacy"] / best["decoded"],
             "blocks_vs_legacy": best["legacy"] / best["blocks"],
             "blocks_vs_decoded": best["decoded"] / best["blocks"],
-            "superblocks_vs_blocks": (best["blocks"]
-                                      / best["superblocks"]),
-            "superblocks_vs_decoded": (best["decoded"]
-                                       / best["superblocks"]),
         }
         rows.append(
             ["timing=%s" % timing]
             + ["%.2fs" % best[engine] for engine in ENGINES]
-            + ["%.2fx" % speedups[timing]["superblocks_vs_blocks"]])
-    speedups[True]["blocks_vs_pr2_blocks"] = \
-        PR2_BLOCKS_TIMED_SECONDS / seconds[True]["blocks"]
-    speedups[False]["blocks_vs_pr2_blocks"] = \
-        PR2_BLOCKS_FUNCTIONAL_SECONDS / seconds[False]["blocks"]
-    speedups[True]["blocks_vs_pr3_blocks"] = \
-        PR3_BLOCKS_TIMED_SECONDS / seconds[True]["blocks"]
-    speedups[False]["blocks_vs_pr3_blocks"] = \
-        PR3_BLOCKS_FUNCTIONAL_SECONDS / seconds[False]["blocks"]
-    speedups[True]["superblocks_vs_pr4_blocks"] = \
-        PR4_BLOCKS_TIMED_SECONDS / seconds[True]["superblocks"]
-    speedups[False]["superblocks_vs_pr4_blocks"] = \
-        PR4_BLOCKS_FUNCTIONAL_SECONDS / seconds[False]["superblocks"]
-    speedups[True]["superblocks_vs_pr5_superblocks"] = \
-        PR5_SUPERBLOCKS_TIMED_SECONDS / seconds[True]["superblocks"]
-    speedups[False]["superblocks_vs_pr5_superblocks"] = \
-        (PR5_SUPERBLOCKS_FUNCTIONAL_SECONDS
-         / seconds[False]["superblocks"])
+            + ["%.2fx" % speedups[timing]["blocks_vs_decoded"]])
     table = format_table(
-        ["sweep", "legacy", "decoded", "blocks", "superblocks",
-         "superblocks/blocks"],
+        ["sweep", "legacy", "decoded", "blocks", "blocks/decoded"],
         rows, "Engine speedups (Olden sweep)")
     print("\n" + table)
     write_result("engine_speedup.txt", table)
@@ -386,7 +257,6 @@ def test_engine_speedups(benchmark):
              service_warm["warm_seconds"], service_warm["ratio"],
              service_warm["jobs"], service_warm["workers"]))
     _obs_artifacts()
-    trace_stats = _trace_stats_sweep()
     optimizer = _optimizer_instruction_counts()
     opt_rows = [[name,
                  "%d" % cell["instructions_unoptimized"],
@@ -410,49 +280,6 @@ def test_engine_speedups(benchmark):
             "functional": speedups[False],
             "timed": speedups[True],
         },
-        "pr2_blocks_baseline": {
-            "commit": PR2_BLOCKS_COMMIT,
-            "timed_seconds": PR2_BLOCKS_TIMED_SECONDS,
-            "functional_seconds": PR2_BLOCKS_FUNCTIONAL_SECONDS,
-            "note": "same-host re-measurement of the PR 2 blocks "
-                    "engine; blocks_vs_pr2_blocks compares against "
-                    "it and is only asserted on the record host "
-                    "(REPRO_ASSERT_PR2)",
-        },
-        "pr3_blocks_baseline": {
-            "commit": PR3_BLOCKS_COMMIT,
-            "timed_seconds": PR3_BLOCKS_TIMED_SECONDS,
-            "functional_seconds": PR3_BLOCKS_FUNCTIONAL_SECONDS,
-            "note": "same-host re-measurement of the PR 3 blocks "
-                    "engine (stamped-dict LRU sets); "
-                    "blocks_vs_pr3_blocks compares against it and "
-                    "is only asserted on the record host "
-                    "(REPRO_ASSERT_PR3)",
-        },
-        "pr4_blocks_baseline": {
-            "commit": PR4_BLOCKS_COMMIT,
-            "timed_seconds": PR4_BLOCKS_TIMED_SECONDS,
-            "functional_seconds": PR4_BLOCKS_FUNCTIONAL_SECONDS,
-            "note": "same-host measurement of the PR 4 blocks "
-                    "engine (behaviourally identical to this "
-                    "tree's blocks engine); "
-                    "superblocks_vs_pr4_blocks compares against it "
-                    "and is only asserted on the record host "
-                    "(REPRO_ASSERT_PR4)",
-        },
-        "pr5_superblocks_baseline": {
-            "commit": PR5_SUPERBLOCKS_COMMIT,
-            "timed_seconds": PR5_SUPERBLOCKS_TIMED_SECONDS,
-            "functional_seconds": PR5_SUPERBLOCKS_FUNCTIONAL_SECONDS,
-            "note": "record-host seconds of the PR 5 superblock "
-                    "engine (call/ret-bounded traces), from that "
-                    "PR's committed BENCH_engine.json; "
-                    "superblocks_vs_pr5_superblocks compares "
-                    "against it and is only asserted on the record "
-                    "host (REPRO_ASSERT_PR5)",
-        },
-        "superblocks_stats": _engine_introspection(),
-        "trace_stats": trace_stats,
         "optimizer_instructions": optimizer,
         "obs_overhead": obs_overhead,
         "service_warm_vs_cold": service_warm,
@@ -460,7 +287,7 @@ def test_engine_speedups(benchmark):
     }
     write_result("BENCH_engine.json", json.dumps(record, indent=2))
 
-    # the decoded engine's original bar (PR 1)
+    # the decoded engine's original bar
     assert speedups[False]["decoded_vs_legacy"] >= 2.0, speedups
     assert speedups[True]["decoded_vs_legacy"] >= 1.2, speedups
     # the blocks engine must not regress the functional sweep...
@@ -470,51 +297,12 @@ def test_engine_speedups(benchmark):
     # CI's bench-gate step can never disagree)
     assert (speedups[True]["blocks_vs_decoded"]
             >= FLOOR_TIMED_BLOCKS_VS_DECODED), speedups
-    # flat-heap + memory-fusion acceptance bar (PR 3): ≥1.3x over
-    # the PR 2 blocks engine, same host only
-    if os.environ.get("REPRO_ASSERT_PR2"):
-        assert speedups[True]["blocks_vs_pr2_blocks"] >= 1.3, speedups
-    # array-backed cache-set acceptance bar (PR 4): ≥1.15x over the
-    # PR 3 blocks engine, same host only (cloud-runner noise must
-    # not flake PRs, so CI leaves this knob unset)
-    if os.environ.get("REPRO_ASSERT_PR3"):
-        assert speedups[True]["blocks_vs_pr3_blocks"] >= 1.15, \
-            speedups
-    # superblock trace-tier acceptance bar (PR 5): the trace engine
-    # must not regress the functional sweep, must clear the
-    # committed timed floor vs the blocks engine (host-independent,
-    # CI-gated via check_bench_gate), and ≥1.15x over the PR 4
-    # blocks engine on the record host
-    assert speedups[False]["superblocks_vs_blocks"] >= 1.0, speedups
-    assert (speedups[True]["superblocks_vs_blocks"]
-            >= FLOOR_TIMED_SUPERBLOCKS_VS_BLOCKS), speedups
-    if os.environ.get("REPRO_ASSERT_PR4"):
-        assert speedups[True]["superblocks_vs_pr4_blocks"] >= 1.15, \
-            speedups
-    # whole-function trace acceptance (PR 6): the cross-call trace
-    # tier must clear the committed superblocks-vs-decoded floor and
-    # the Olden-aggregate mean trace length floor, and must not
-    # regress the PR 5 superblock engine on the record host (the
-    # tentpole's win is trace length/coverage; wall-clock is pinned
-    # to the shared timing-model floor, so the same-host bar is
-    # no-regression-within-noise, not a speedup)
-    assert (speedups[True]["superblocks_vs_decoded"]
-            >= FLOOR_TIMED_SUPERBLOCKS_VS_DECODED), speedups
-    assert (trace_stats["mean_trace_blocks"]
-            >= FLOOR_MEAN_TRACE_BLOCKS), trace_stats
-    if os.environ.get("REPRO_ASSERT_PR5"):
-        assert (speedups[True]["superblocks_vs_pr5_superblocks"]
-                >= 0.95), speedups
-    # observability acceptance (PR 7): event tracing must cost under
-    # ~2% on the timed superblocks sweep (host-independent — both
-    # sweeps run in the same process; the floor lives in
-    # check_bench_gate so CI's gate step can never disagree)
+    # event tracing must cost under ~2% on the timed blocks sweep
+    # (host-independent — both sweeps run in the same process)
     assert obs_overhead["ratio"] >= FLOOR_OBS_OVERHEAD_RATIO, \
         obs_overhead
-    # simulation-as-a-service acceptance (PR 9): a warm persistent
-    # worker fleet must beat a freshly spawned one on the timed Olden
-    # sweep (host-independent — both passes run back to back on the
-    # same machine; the floor lives in check_bench_gate so CI's gate
-    # step can never disagree)
+    # a warm persistent worker fleet must beat a freshly spawned one
+    # on the timed Olden sweep (host-independent — both passes run
+    # back to back on the same machine)
     assert service_warm["ratio"] >= FLOOR_SERVICE_WARM_VS_COLD, \
         service_warm

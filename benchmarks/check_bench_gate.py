@@ -5,51 +5,31 @@
 run; this script is the step right after it and fails the build when
 
 * the record's ``timed.blocks_vs_decoded`` speedup falls below the
-  committed floor (``FLOOR_TIMED_BLOCKS_VS_DECODED``, the PR 2
-  acceptance line — the ratio is host-independent because both
-  engines run on the same machine in the same process), or
-* the record's ``timed.superblocks_vs_blocks`` speedup falls below
-  ``FLOOR_TIMED_SUPERBLOCKS_VS_BLOCKS`` (the PR 5 acceptance line
-  for the superblock trace tier, host-independent for the same
-  reason), or
-* the record's ``timed.superblocks_vs_decoded`` speedup falls below
-  ``FLOOR_TIMED_SUPERBLOCKS_VS_DECODED``, or the Olden-aggregate
-  ``trace_stats.mean_trace_blocks`` falls below
-  ``FLOOR_MEAN_TRACE_BLOCKS`` (the PR 6 whole-function-trace
-  acceptance lines; see the floor constants for why the speedup
-  floor sits below the issue's aspirational 3.0x), or
-* the record's ``obs_overhead.ratio`` (timed superblocks sweep,
+  committed floor (``FLOOR_TIMED_BLOCKS_VS_DECODED`` — the ratio is
+  host-independent because both engines run on the same machine in
+  the same process), or
+* the record's ``obs_overhead.ratio`` (timed blocks sweep,
   events-off seconds over events-on seconds) falls below
   ``FLOOR_OBS_OVERHEAD_RATIO`` — event tracing must stay under ~2%
-  overhead (the PR 7 observability acceptance line), or
+  overhead, or
 * the engine differential / fast-model counter-identity suite did
   not actually run and pass: the gate demands the junit record the
   suite step emits (``--junitxml``), and checks every required test
   module is present with zero failures, errors or skips.  A build
   that silently dropped the equivalence proof must not be green, or
 * (when ``--fuzz-junit`` is given) the differential fuzz smoke
-  (``pytest -m fuzz``, fixed seeds, >= 200 programs through all four
+  (``pytest -m fuzz``, fixed seeds, >= 200 programs through all three
   engines x both memory models) did not run and pass — same
   present/zero-failure/zero-skip demands against the smoke's junit
   record, or
 * the record's ``service_warm_vs_cold.ratio`` (timed Olden sweep
   through a warm persistent worker fleet vs. a freshly spawned one)
-  falls below ``FLOOR_SERVICE_WARM_VS_COLD`` — the PR 9
-  simulation-as-a-service acceptance line: warm workers holding the
-  program/fusion-plan caches resident must actually pay off, or
+  falls below ``FLOOR_SERVICE_WARM_VS_COLD`` — warm workers holding
+  the program/fusion-plan caches resident must actually pay off, or
 * (when ``--service-junit`` is given) the end-to-end daemon
   lifecycle smoke (``tests/service/test_smoke.py``: CLI start,
   socket submissions, store-served second pass, drain, stop) did not
   run and pass.
-
-The same-host baseline ratios (``blocks_vs_pr2_blocks`` /
-``blocks_vs_pr3_blocks`` / ``superblocks_vs_pr4_blocks`` /
-``superblocks_vs_pr5_superblocks``) are *not* gated here: they
-compare against numbers measured on the record host, so
-cloud-runner noise would flake PRs.  The record host arms
-``REPRO_ASSERT_PR2`` / ``REPRO_ASSERT_PR3`` / ``REPRO_ASSERT_PR4``
-/ ``REPRO_ASSERT_PR5``, which turn the hard assertions on inside
-``bench_engine.py`` itself.
 
 Freshness: ``results/BENCH_engine.json`` is tracked in git, so the
 workflow deletes it (and any stale junit) before the suites run —
@@ -71,49 +51,25 @@ import json
 import sys
 import xml.etree.ElementTree as ET
 
-#: committed floor for the timed blocks-vs-decoded speedup.  Start at
-#: the PR 2 acceptance line; raise it as the engine gets faster (the
-#: measured value is printed on every run to make drift visible).
-FLOOR_TIMED_BLOCKS_VS_DECODED = 1.5
-
-#: committed floor for the timed superblocks-vs-blocks speedup — the
-#: PR 5 acceptance line for the trace tier + full-coverage templates.
-#: Host-independent: both engines run in the same process on the same
-#: machine.  Lowered from 1.15 in PR 6: the blocks-tier default-arg
-#: localization sped up the *denominator* ~10%, compressing the
-#: measured ratio from ~1.24 to ~1.11 while the superblock tier
-#: itself stayed flat (``superblocks_vs_pr5_superblocks`` ~0.98,
-#: within the ≥0.95 no-regression bar).  The absolute trace-tier
-#: level is gated by ``FLOOR_TIMED_SUPERBLOCKS_VS_DECODED`` below.
-FLOOR_TIMED_SUPERBLOCKS_VS_BLOCKS = 1.05
-
-#: committed floor for the timed superblocks-vs-decoded speedup —
-#: the PR 6 whole-function-trace acceptance line.  The issue's
-#: aspirational 3.0x target was NOT reached: on the record host the
-#: superblock sweep is dominated by per-access timing-model work both
-#: engines share (the trace tier's dispatch overhead was already
-#: mostly gone by PR 5), so cross-call chaining moves the measured
-#: ratio from ~2.4x to ~2.5x, not to 3x.  The floor locks in the
-#: measured level with a noise margin; the trace-length target below
-#: (which cross-call chaining *does* control) is gated at full
-#: strength.
-FLOOR_TIMED_SUPERBLOCKS_VS_DECODED = 2.2
-
-#: committed floor for the Olden-aggregate mean trace length (in
-#: basic blocks) of the whole-function trace tier — deterministic,
-#: so no noise margin is needed below the measured ~6.7.
-FLOOR_MEAN_TRACE_BLOCKS = 6.0
+#: committed floor for the timed blocks-vs-decoded speedup: the
+#: level the fused engine (full-coverage templates, fusion plans)
+#: holds, with a noise margin below the measured value (the measured
+#: value is printed on every run to make drift visible).  The timed
+#: sweep is dominated by the per-access timing-model work both
+#: engines share, which caps the ratio well below the dispatch-only
+#: speedup.
+FLOOR_TIMED_BLOCKS_VS_DECODED = 2.2
 
 #: committed floor for the instrumentation-overhead ratio of the
-#: observability layer (PR 7): timed superblocks sweep seconds with
-#: events off divided by the same sweep with ``obs_events`` on.
+#: observability layer: timed blocks sweep seconds with events off
+#: divided by the same sweep with ``obs_events`` on.
 #: Host-independent (both sweeps run in the same process,
 #: interleaved).  0.98 means event tracing may cost at most ~2%;
 #: the always-on counters are covered by the engine-ladder floors
 #: above, which run events-off.
 FLOOR_OBS_OVERHEAD_RATIO = 0.98
 
-#: committed floor for the service warm-over-cold ratio (PR 9):
+#: committed floor for the service warm-over-cold ratio:
 #: seconds of a timed Olden sweep mapped through a *fresh* spawned
 #: worker fleet, divided by the same sweep through an already-warm
 #: fleet whose workers hold the program and fusion-plan caches
@@ -125,12 +81,11 @@ FLOOR_OBS_OVERHEAD_RATIO = 0.98
 FLOOR_SERVICE_WARM_VS_COLD = 1.2
 
 #: test modules whose presence in the junit record proves the
-#: four-way engine differential, fast-model counter-identity and
+#: three-way engine differential, fast-model counter-identity and
 #: optimizer-differential suites ran in this build
 REQUIRED_SUITES = (
     "tests.machine.test_engine_differential",
     "tests.machine.test_blocks",
-    "tests.machine.test_superblocks",
     "tests.caches.test_fast",
     "tests.minic.test_optimizer",
 )
@@ -167,49 +122,8 @@ def check_record(path: str, floor: float, errors: list) -> None:
     if ratio < floor:
         errors.append(
             "timed blocks_vs_decoded %.3fx is below the committed "
-            "floor %.2fx — the blocks engine regressed past the PR 2 "
-            "acceptance line" % (ratio, floor))
-    try:
-        sb = record["speedups"]["timed"]["superblocks_vs_blocks"]
-    except (KeyError, TypeError):
-        errors.append("%s has no speedups.timed.superblocks_vs_blocks"
-                      % path)
-        return
-    print("bench-gate: timed superblocks_vs_blocks = %.2fx "
-          "(floor %.2fx)" % (sb, FLOOR_TIMED_SUPERBLOCKS_VS_BLOCKS))
-    if sb < FLOOR_TIMED_SUPERBLOCKS_VS_BLOCKS:
-        errors.append(
-            "timed superblocks_vs_blocks %.3fx is below the "
-            "committed floor %.2fx — the superblock trace tier "
-            "regressed past the PR 5 acceptance line"
-            % (sb, FLOOR_TIMED_SUPERBLOCKS_VS_BLOCKS))
-    sbd = record["speedups"]["timed"].get("superblocks_vs_decoded")
-    if sbd is None:
-        errors.append("%s has no speedups.timed."
-                      "superblocks_vs_decoded" % path)
-    else:
-        print("bench-gate: timed superblocks_vs_decoded = %.2fx "
-              "(floor %.2fx)"
-              % (sbd, FLOOR_TIMED_SUPERBLOCKS_VS_DECODED))
-        if sbd < FLOOR_TIMED_SUPERBLOCKS_VS_DECODED:
-            errors.append(
-                "timed superblocks_vs_decoded %.3fx is below the "
-                "committed floor %.2fx — the whole-function trace "
-                "tier regressed past the PR 6 acceptance line"
-                % (sbd, FLOOR_TIMED_SUPERBLOCKS_VS_DECODED))
-    mean = (record.get("trace_stats") or {}).get("mean_trace_blocks")
-    if mean is None:
-        errors.append("%s has no trace_stats.mean_trace_blocks"
-                      % path)
-    else:
-        print("bench-gate: olden mean_trace_blocks = %.2f "
-              "(floor %.2f)" % (mean, FLOOR_MEAN_TRACE_BLOCKS))
-        if mean < FLOOR_MEAN_TRACE_BLOCKS:
-            errors.append(
-                "olden mean_trace_blocks %.2f is below the "
-                "committed floor %.2f — whole-function traces "
-                "stopped spanning calls" % (mean,
-                                            FLOOR_MEAN_TRACE_BLOCKS))
+            "floor %.2fx — the blocks engine regressed"
+            % (ratio, floor))
     ratio = (record.get("obs_overhead") or {}).get("ratio")
     if ratio is None:
         errors.append("%s has no obs_overhead.ratio — the "
@@ -222,7 +136,7 @@ def check_record(path: str, floor: float, errors: list) -> None:
             errors.append(
                 "obs overhead ratio %.3f is below the committed "
                 "floor %.2f — event tracing costs more than ~2%% "
-                "on the timed superblocks sweep"
+                "on the timed blocks sweep"
                 % (ratio, FLOOR_OBS_OVERHEAD_RATIO))
     service = (record.get("service_warm_vs_cold") or {}).get("ratio")
     if service is None:
@@ -236,16 +150,8 @@ def check_record(path: str, floor: float, errors: list) -> None:
             errors.append(
                 "service warm_vs_cold %.3fx is below the committed "
                 "floor %.2fx — warm daemon workers no longer beat a "
-                "fresh pool on the timed Olden sweep (the PR 9 "
-                "acceptance line)"
+                "fresh pool on the timed Olden sweep"
                 % (service, FLOOR_SERVICE_WARM_VS_COLD))
-    for extra in ("blocks_vs_pr2_blocks", "blocks_vs_pr3_blocks",
-                  "superblocks_vs_pr4_blocks",
-                  "superblocks_vs_pr5_superblocks"):
-        value = record["speedups"]["timed"].get(extra)
-        if value is not None:
-            print("bench-gate: timed %s = %.2fx (informational)"
-                  % (extra, value))
 
 
 def check_junit(path: str, errors: list,

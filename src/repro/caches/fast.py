@@ -209,7 +209,7 @@ def word_probe_lines(tlb_assoc: int, l1_assoc: int, tag_assoc: int,
     Consumed both by the closure compiler here and, verbatim, by the
     block-fusion templates.
 
-    With ``skip_cell`` (the superblock tier's variant) the composite
+    With ``skip_cell`` (the block-fusion templates' variant) the composite
     hit bumps the shared ``_wsk`` cell once instead of the data and
     tag access counters twice; :attr:`FastMemorySystem.stats`
     materializes the cell back into both counts, so the two variants
@@ -489,7 +489,7 @@ class FastMemorySystem:
         # other probe therefore invalidates these on its full path
         self._wp_mru = [-1]
         self._dp_mru = [-1]
-        # composite-hit batch counter (superblock-tier word probes):
+        # composite-hit batch counter (fused-template word probes):
         # one bump per composite hit, materialized into both the data
         # and tag access counts when stats are read
         self._wp_skip = [0]

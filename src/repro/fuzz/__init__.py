@@ -1,8 +1,8 @@
 """Differential fuzzing at scale (the ROADMAP's crown-jewel item).
 
-The four-way engine-equivalence contract — legacy / decoded / blocks /
-superblocks, under both the functional and the timed memory model —
-is this repo's strongest correctness property.  This package
+The three-way engine-equivalence contract — legacy / decoded /
+blocks, under both the functional and the timed memory model — is
+this repo's strongest correctness property.  This package
 weaponizes it:
 
 * :mod:`repro.fuzz.isagen` — random well-formed assembly over the
@@ -11,7 +11,7 @@ weaponizes it:
   termination);
 * :mod:`repro.fuzz.minicgen` — random typed, pointer-heavy MiniC
   source, so the compiler and its peephole optimizer are fuzzed too;
-* :mod:`repro.fuzz.oracle` — runs one program through all four
+* :mod:`repro.fuzz.oracle` — runs one program through all three
   engines × both memory models (× ``optimize`` on/off for MiniC) and
   diffs everything observable;
 * :mod:`repro.fuzz.attacks` — randomized violation corpus (sub-object,

@@ -173,7 +173,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.fuzz",
         description="Differential fuzzing: random programs through "
-                    "all four engines under both memory models")
+                    "all three engines under both memory models")
     parser.add_argument("--level", choices=LEVELS, default="both",
                         help="generator level (default: both)")
     parser.add_argument("--seeds", type=int, default=100,

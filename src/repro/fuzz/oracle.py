@@ -10,21 +10,21 @@ mismatches as data (:class:`Divergence`) instead of assertion text.
 
 Two entry points:
 
-* :func:`diff_engines` — one assembled program through all four
+* :func:`diff_engines` — one assembled program through all three
   engines under both memory models (``timing=False`` functional /
   ``timing=True`` cache+TLB, which also swaps the fast memory system
-  in under the block tiers);
+  in under the blocks engine);
 * :func:`diff_minic` — one MiniC source, compiled with the peephole
-  optimizer off and on; each binary goes through the four-engine
+  optimizer off and on; each binary goes through the three-engine
   diff, then the two binaries are compared against each other on the
   *observable* subset (exit, output, trap class, live heap/global
   pages — counters and stack residue legitimately differ between
   different instruction streams).
 
-On top of the cross-engine diff, every run is checked against the
-frozen ``engine_stats`` schema (:mod:`repro.obs.schema`) and the
-full-coverage-template invariant: the superblock tier must never
-fall back to decoded closures for memory-path shapes.
+On top of the cross-engine diff, every blocks run is checked
+against the template-coverage invariant: the blocks engine must never
+leave a memory-path shape to its decoded closure, as tallied when it
+builds its block table (``CPU.closure_fallbacks``).
 """
 
 from __future__ import annotations
@@ -38,17 +38,16 @@ from repro.machine.config import MachineConfig
 from repro.machine.cpu import CPU
 from repro.machine.errors import InstructionLimitExceeded, Trap
 from repro.minic.driver import compile_program, mode_for_config
-from repro.obs.schema import validate_engine_stats
 
-ENGINES = ("legacy", "decoded", "blocks", "superblocks")
+ENGINES = ("legacy", "decoded", "blocks")
 
 #: first page of the stack region; pages at or above it hold dead
 #: call residue and are excluded from optimize-pair comparisons
 STACK_PAGE = (STACK_TOP - STACK_SIZE) >> PAGE_SHIFT
 
-#: instruction shapes the superblock tier fuses with full-coverage
-#: templates — seeing one in ``closure_fallback_ops`` means the
-#: memory path regressed to closure dispatch
+#: instruction shapes the blocks engine always fuses — seeing one in
+#: ``closure_fallbacks`` means the memory path regressed to closure
+#: dispatch
 FUSED_MEMORY_OPS = frozenset({
     "load", "loadh", "loadb", "store", "storeh", "storeb",
     "setbound", "sbrk",
@@ -72,7 +71,7 @@ class Outcome:
     mem: Optional[dict] = None
     trap: Optional[Tuple[str, str, Optional[int]]] = None
     image: Optional[tuple] = None   # (nonzero_pages, brk, glob_limit)
-    engine_stats: Optional[dict] = None
+    closure_fallbacks: Optional[dict] = None
 
     def key(self) -> tuple:
         """The cross-engine comparison tuple (order = field order)."""
@@ -136,10 +135,12 @@ def run_once(program, config: MachineConfig) -> Outcome:
     except Trap as exc:
         return Outcome(status="trap", output="".join(cpu.output),
                        icount=cpu.icount, pc=cpu.pc,
-                       trap=(type(exc).__name__, str(exc), exc.pc))
+                       trap=(type(exc).__name__, str(exc), exc.pc),
+                       closure_fallbacks=cpu.closure_fallbacks)
     except InstructionLimitExceeded:
         return Outcome(status="limit", output="".join(cpu.output),
-                       icount=cpu.icount, pc=cpu.pc)
+                       icount=cpu.icount, pc=cpu.pc,
+                       closure_fallbacks=cpu.closure_fallbacks)
     return Outcome(
         status="exit", output=r.output, icount=cpu.icount, pc=cpu.pc,
         exit_code=r.exit_code, uops=r.uops,
@@ -149,44 +150,37 @@ def run_once(program, config: MachineConfig) -> Outcome:
         mem=r.mem_stats.as_dict() if r.mem_stats else None,
         image=(cpu.memory.nonzero_pages(), cpu.memory.brk,
                cpu.memory.globals_limit),
-        engine_stats=r.engine_stats)
+        closure_fallbacks=cpu.closure_fallbacks)
 
 
 def check_invariants(engine: str, outcome: Outcome, timing: bool,
                      temporal: bool = False) -> List[Divergence]:
-    """Frozen-schema and template-coverage checks for one run.
+    """Template-coverage check for one run.
 
     ``temporal`` runs insert a per-access freed-word check that the
-    fuse templates don't model, so their memory ops legitimately run
-    as closures — the coverage invariant only applies without it.
+    word templates don't model, so their word memory ops
+    legitimately run as closures — the coverage invariant only
+    applies without it.
     """
-    out: List[Divergence] = []
-    if outcome.status != "exit":
-        return out
-    try:
-        validate_engine_stats(engine, outcome.engine_stats)
-    except ValueError as exc:
-        out.append(Divergence("invariant", engine, timing,
-                              ["engine_stats"], str(exc)))
-    stats = outcome.engine_stats
-    if stats and not temporal:
-        bad = FUSED_MEMORY_OPS & set(stats["closure_fallback_ops"])
-        if bad:
-            out.append(Divergence(
-                "invariant", engine, timing,
-                ["closure_fallback_ops"],
-                "memory-path ops fell back to closures: %s"
-                % sorted(bad)))
-    return out
+    fallbacks = outcome.closure_fallbacks
+    if outcome.status != "exit" or not fallbacks or temporal:
+        return []
+    bad = FUSED_MEMORY_OPS & set(fallbacks)
+    if not bad:
+        return []
+    return [Divergence("invariant", engine, timing,
+                       ["closure_fallbacks"],
+                       "memory-path ops fell back to closures: %s"
+                       % sorted(bad))]
 
 
 def diff_engines(program, config_kw: Optional[dict] = None,
                  timings: Tuple[bool, ...] = (False, True),
                  ) -> List[Divergence]:
-    """All four engines × both memory models over one program.
+    """All three engines × both memory models over one program.
 
     ``config_kw`` are :class:`MachineConfig` keywords shared by every
-    run (mode, encoding, temporal, superblock knobs, ...); ``engine``
+    run (mode, encoding, temporal, ...); ``engine``
     and ``timing`` are supplied by the sweep itself.
     """
     config_kw = dict(config_kw or {})
@@ -230,7 +224,7 @@ def diff_minic(source: str,
                config_kw: Optional[dict] = None,
                timings: Tuple[bool, ...] = (False, True),
                ) -> List[Divergence]:
-    """Optimize-off and optimize-on binaries, each four-way diffed,
+    """Optimize-off and optimize-on binaries, each three-way diffed,
     then compared against each other on the observable subset."""
     config_kw = dict(config_kw or {})
     probe = MachineConfig(engine="legacy", **config_kw)
@@ -279,16 +273,14 @@ def config_for_seed(seed: int, level: str) -> dict:
     """The :class:`MachineConfig` keywords one fuzz seed runs under.
 
     Deterministic in the seed (independent of ``REPRO_FUZZ_SEED``,
-    which only overrides *program* generation).  A low superblock
-    threshold makes even small generated programs form traces.
+    which only overrides *program* generation).
     """
     import random
     rng = random.Random(seed * 2654435761 % (1 << 32))
     factory, kw = _variants()[rng.randrange(len(_variants()))]
     config = factory(timing=False, **kw)
     out = {"mode": config.mode, "encoding": config.encoding,
-           "temporal": config.temporal,
-           "superblock_threshold": 4}
+           "temporal": config.temporal}
     if level == "minic" and config.mode.value == "malloc-only":
         # minic instrumentation has no malloc-only flavour worth
         # fuzzing separately; fold into the full-safety draw

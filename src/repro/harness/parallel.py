@@ -40,7 +40,7 @@ from repro.harness.runner import (
     source_digest,
 )
 from repro.machine.config import (
-    ENGINE_SUPERBLOCKS,
+    ENGINE_BLOCKS,
     ENGINES,
     MachineConfig,
     SafetyMode,
@@ -235,20 +235,6 @@ def _cell_config(kind: str, timing: bool, engine: str) -> MachineConfig:
                                    engine=engine)
 
 
-def _knob_descriptor(config: MachineConfig,
-                     optimize: bool = True) -> dict:
-    """Compile/trace knobs that change a cell's results: the
-    ``optimize=`` compiler pass and the superblock trace-formation
-    knobs.  Part of every cache key so a cached cell can never be
-    served across knob (or knob-*default*) changes."""
-    return {
-        "optimize": optimize,
-        "superblock_threshold": config.superblock_threshold,
-        "superblock_max_blocks": config.superblock_max_blocks,
-        "superblock_call_depth": config.superblock_call_depth,
-    }
-
-
 def cell_descriptor(workload: str, kind: str, timing: bool,
                     engine: str) -> dict:
     """JSON-serializable identity of one matrix cell (the cache key)."""
@@ -261,8 +247,9 @@ def cell_descriptor(workload: str, kind: str, timing: bool,
         # key on what actually runs so both sweeps share the entry
         "timing": False if kind == KIND_OBJTABLE else timing,
         "engine": engine,
+        # cells compile with the default optimizer pass
+        "optimize": True,
     }
-    descr.update(_knob_descriptor(_cell_config(kind, timing, engine)))
     return descr
 
 
@@ -284,7 +271,7 @@ def run_benchmark_matrix_parallel(
         timing: bool = True,
         workers: int = 2,
         cache: Optional[ResultCache] = None,
-        engine: str = ENGINE_SUPERBLOCKS,
+        engine: str = ENGINE_BLOCKS,
         service=None) -> Dict[str, BenchmarkRun]:
     """Sharded, cached equivalent of
     :func:`repro.harness.runner.run_benchmark_matrix`.
@@ -391,8 +378,8 @@ def _objtable_descriptor(name: str, fraction: Optional[float],
         "workload": name,
         "fraction": fraction,
         "engine": engine,
+        "optimize": True,
     }
-    descr.update(_knob_descriptor(MachineConfig(engine=engine)))
     return descr
 
 
@@ -401,7 +388,7 @@ def sweep_objtable_elision_parallel(
         fractions: Iterable[float],
         workers: int = 2,
         cache: Optional[ResultCache] = None,
-        engine: str = ENGINE_SUPERBLOCKS) -> Dict[float, float]:
+        engine: str = ENGINE_BLOCKS) -> Dict[float, float]:
     """Deprecated wrapper for :func:`repro.harness.run_sweep` with a
     ``kind="objtable"`` :class:`~repro.harness.sweep_api.SweepSpec`."""
     from repro.harness.sweep_api import SweepSpec
@@ -432,8 +419,8 @@ def _tag_cache_descriptor(name: str, size: int, encoding: str,
         "tag_cache_size": size,
         "encoding": encoding,
         "engine": engine,
+        "optimize": True,
     }
-    descr.update(_knob_descriptor(MachineConfig(engine=engine)))
     return descr
 
 
@@ -443,7 +430,7 @@ def sweep_tag_cache_parallel(
         encoding: str = "extern4",
         workers: int = 2,
         cache: Optional[ResultCache] = None,
-        engine: str = ENGINE_SUPERBLOCKS
+        engine: str = ENGINE_BLOCKS
 ) -> Dict[Tuple[str, int], Dict[str, float]]:
     """Deprecated wrapper for :func:`repro.harness.run_sweep` with a
     ``kind="tagcache"`` :class:`~repro.harness.sweep_api.SweepSpec`."""
@@ -521,9 +508,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="on-disk result cache directory")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk cache")
-    parser.add_argument("--engine", default=ENGINE_SUPERBLOCKS,
+    parser.add_argument("--engine", default=ENGINE_BLOCKS,
                         help="execution engine "
-                             "(superblocks|blocks|decoded|legacy)")
+                             "(blocks|decoded|legacy)")
     parser.add_argument("--sweep",
                         choices=("ccured", "objtable", "tagcache"),
                         default=None,

@@ -36,7 +36,6 @@ from repro.harness.parallel import (
     CACHE_SCHEMA,
     ResultCache,
     _ccured_fraction_cell,
-    _knob_descriptor,
     _objtable_descriptor,
     _objtable_elision_cell,
     _run_cached_jobs,
@@ -44,8 +43,7 @@ from repro.harness.parallel import (
     _tag_cache_descriptor,
 )
 from repro.harness.runner import source_digest
-from repro.machine.config import (ENGINE_SUPERBLOCKS, ENGINES,
-                                  MachineConfig)
+from repro.machine.config import ENGINE_BLOCKS, ENGINES
 from repro.workloads.registry import WORKLOADS
 
 #: registered sweep kinds (the validation error lists these)
@@ -76,7 +74,7 @@ class SweepSpec:
     workloads: Tuple[str, ...]
     grid: Tuple = field(default_factory=tuple)
     encoding: str = "extern4"
-    engine: str = ENGINE_SUPERBLOCKS
+    engine: str = ENGINE_BLOCKS
 
     def __post_init__(self):
         object.__setattr__(self, "workloads", tuple(self.workloads))
@@ -109,8 +107,8 @@ def _ccured_descriptor(name: str, fraction: Optional[float]) -> dict:
         "source": source_digest(WORKLOADS[name].source),
         "workload": name,
         "fraction": fraction,
+        "optimize": True,
     }
-    descr.update(_knob_descriptor(MachineConfig()))
     return descr
 
 

@@ -18,7 +18,6 @@ from repro.machine.config import (
     ENGINE_BLOCKS,
     ENGINE_DECODED,
     ENGINE_LEGACY,
-    ENGINE_SUPERBLOCKS,
     ENGINES,
     MachineConfig,
     SafetyMode,
@@ -43,7 +42,6 @@ __all__ = [
     "ENGINE_BLOCKS",
     "ENGINE_DECODED",
     "ENGINE_LEGACY",
-    "ENGINE_SUPERBLOCKS",
     "ENGINES",
     "MachineConfig",
     "SafetyMode",

@@ -15,72 +15,43 @@ runs:
 
 2. **Superinstruction fusion** — each block is compiled into one
    *block closure*: a generated function executing the whole block
-   in a single call.  Hot handler shapes (``mov``, ``add``/``sub``,
-   compares, non-propagating ALU, branches, ``call``/``callr``/
-   ``ret``, and word ``load``/``store``) are inlined as source
-   templates with their operands passed in as closure cells;
-   everything else (sub-word memory operations, ablated or
-   substituted metadata engines, HardBound primitives, environment
-   calls) calls the instruction's decoded closure from
+   in a single call.  Every instruction shape with a template —
+   ``mov``, ``add``/``sub``, compares, the non-propagating ALU ops,
+   branches, ``call``/``callr``/``ret``, every ``load``/``store``
+   form and size, ``setbound`` and ``sbrk`` — is inlined as source
+   with its operands bound as fast locals; the rest (printing,
+   ``halt``/``abort``, the rarer metadata ops, division by a zero
+   immediate) calls the instruction's decoded closure from
    :func:`repro.machine.decode.decode_program` unchanged.  Generated
    code objects are cached by the block's *shape signature*, so two
    blocks with the same instruction shapes share one compilation.
 
-   The fused memory templates inline the whole load/store body:
-   effective-address arithmetic, the HardBound bounds check, the
-   flat-heap segment check (which doubles as arena routing — see
-   :mod:`repro.machine.memory`), the word-view access, the
-   :class:`~repro.caches.fast.FastMemorySystem` word+tag probe with
-   its composite-MRU short circuit, and the pointer-metadata
-   load/store.  **Template invariant:** every template is a
-   source-level copy of the corresponding decoded closure body —
-   same statement order, same counter increments, same trap types
-   and messages — so fused and single-stepped execution are
-   indistinguishable; the engine differential suite enforces this.
-   Memory templates are only emitted when the decoded engine would
-   take its own inline fast path (stock HardBound engine and
-   encoding, word access, no temporal tracker, no observer, timing
-   either off or on the fast memory model); every other
-   configuration falls back to the decoded closure, which keeps the
-   equivalence contract trivially.
+   The word memory templates inline the whole load/store body of
+   the decoded engine's own fast path: effective-address arithmetic,
+   the HardBound bounds check, the flat-heap segment check (which
+   doubles as arena routing — see :mod:`repro.machine.memory`), the
+   word-view access, the :class:`~repro.caches.fast.FastMemorySystem`
+   word+tag probe with its composite-MRU short circuit, and the
+   pointer-metadata load/store.  Every other memory shape — sub-word
+   sizes, index-only and absolute forms, ablated or substituted
+   metadata engines, the classic timing model, observers, the
+   temporal tracker — fuses as a mirror of the decoded *generic*
+   closure, calling the same env-bound entry points in the same
+   order.  **Template invariant:** every template is a source-level
+   copy of the corresponding decoded closure body — same statement
+   order, same counter increments, same trap types and messages — so
+   fused and single-stepped execution are indistinguishable; the
+   engine differential suite and the fuzz oracle enforce this.
 
-3. **Block-threaded dispatch** — the run loop executes one block per
+3. **Fusion plans** — CFG discovery, template selection and source
+   assembly depend only on the program and the template-selection
+   context, so their outcome is recorded in a program-keyed
+   :class:`_Plan`; a later run of the same program re-binds the
+   recorded closure-argument vectors instead of rebuilding.
+
+4. **Block-threaded dispatch** — the run loop executes one block per
    iteration: one table lookup, one limit compare against the whole
    block length, one call.
-
-4. **Superblock traces** (``engine="superblocks"``) — the trace tier
-   profiles block-entry counts in its run loop and, when a block
-   crosses the hotness threshold
-   (``MachineConfig.superblock_threshold``), chains it with its
-   dominant successors — fallthrough edges, unconditional jumps,
-   the majority side of profiled conditional edges, and direct
-   ``call``/``ret`` edges up to ``superblock_call_depth`` inlined
-   frames (whole-function traces; indirect calls, returns without an
-   inlined matching call and back-edges — including direct
-   recursion — still stop the chain) — into one generated *trace
-   closure* holding the fused templates of every constituent block.
-   An inlined call keeps its full link-register write; the matching
-   inlined return performs the stock code-pointer checks and then
-   guards the *predicted* return address, side-exiting through the
-   fuser's ``_xpc`` cell when the live link register disagrees.
-   Off-trace branch directions compile to early returns carrying an
-   encoded side-exit index; the dispatch loop maps the index to the
-   exit pc and refunds the unexecuted tail of the up-front
-   instruction-count charge.  A hot loop body spanning
-   several blocks thus pays the table-lookup/limit-check/call tax
-   once per iteration instead of once per block.  The tier also
-   turns on the *full-coverage* instruction templates: sub-word and
-   generic-form load/store bodies and the ``setbound``/``sbrk``
-   environment ops fuse into the generated source (mirroring the
-   decoded closures statement for statement), so hot code no longer
-   leaves the generated code for those shapes.  Traces that could
-   bust the instruction limit mid-flight demote to their underlying
-   basic block for that dispatch; entries into the middle of a trace
-   simply dispatch the interior block (the block table is never
-   displaced).  Per-run introspection (traces formed, mean trace
-   length, side-exit rate, fallback single-steps, closure-fallback
-   shapes) lands in ``cpu.engine_stats`` and travels on
-   :class:`~repro.machine.cpu.RunResult`.
 
 Trap semantics stay **bit-identical** to the other engines without
 slowing the happy path: the generator records which source line
@@ -141,25 +112,6 @@ _TARGETED = frozenset({Op.JMP, Op.BEQZ, Op.BNEZ, Op.CALL})
 #: cap on fused block length; the capped tail simply becomes the next
 #: block, entered by fallthrough
 MAX_BLOCK_LEN = 64
-
-#: bias multiple for growing a trace through a conditional branch:
-#: the chain continues along the hotter side only when its entry
-#: count is at least this multiple of the colder side's (a cold side
-#: counts as 1).  ``1`` is simple-majority growth — the minority
-#: direction becomes a side exit; both sides cold stops the chain.
-#: The Olden knob sweep picked majority growth + a minimum formation
-#: length over stronger bias requirements: long traces amortize the
-#: trace entry cost even at higher side-exit rates.
-TRACE_BIAS = 1
-
-#: minimum chain length (in basic blocks) worth fusing into a trace:
-#: shorter chains stay on the block tier, where per-dispatch cost is
-#: lower than a trace's entry/refund overhead.  Formation runs once
-#: per head (at the threshold crossing), so a declined head is a
-#: permanent block-tier resident.  Also the lever that keeps the
-#: formed-trace population long: declining 2-block chains lifts the
-#: Olden aggregate ``mean_trace_blocks`` from ~5 to ~6.7.
-TRACE_MIN_BLOCKS = 3
 
 
 class BasicBlock:
@@ -318,9 +270,9 @@ _SIGNED_CMPS = frozenset({Op.SLT, Op.SLE, Op.SGT, Op.SGE})
 _NONPROP = frozenset({Op.MUL, Op.DIV, Op.MOD, Op.AND, Op.OR, Op.XOR,
                       Op.SHL, Op.SHR, Op.SRA})
 
-#: superblock-tier inline bodies for the non-propagating ALU ops
-#: whose semantics are pure expressions (div/mod keep the closure —
-#: they raise).  The register forms mirror the ``_NONPROP_FNS``
+#: inline bodies for the non-propagating ALU ops whose semantics are
+#: pure expressions (div/mod have their own templates — they raise).
+#: The register forms mirror the ``_NONPROP_FNS``
 #: bodies over masked register values (``to_signed(a)`` is
 #: ``(a ^ MSB) - MSB`` for masked ``a``); the immediate forms bake
 #: the constant's transformation (sign-extension, shift masking) in
@@ -389,10 +341,9 @@ class _FuseCtx:
     way scans over it, so it is part of the memory templates' shape
     identity.
 
-    ``fuse_generic`` turns on the full-coverage templates of the
-    superblock tier: generic-form/sub-word load/store bodies and the
-    ``setbound``/``sbrk`` environment ops fuse as source-level
-    mirrors of the decoded *generic* closures (which call the same
+    The remaining facts select the generic memory templates and the
+    ``setbound``/``sbrk`` templates, which fuse as source-level
+    mirrors of the decoded *generic* closures (calling the same
     env-bound engine entry points in the same order, so the
     equivalence holds for every configuration, ablations and
     substituted engines included).
@@ -400,24 +351,23 @@ class _FuseCtx:
 
     __slots__ = ("observer_none", "full_mode", "fuse_hb_mem",
                  "hb_timing", "fuse_plain_mem", "plain_timing",
-                 "assoc_sig", "assoc_tag", "fuse_generic",
+                 "assoc_sig", "assoc_tag",
                  "hb_present", "inline_check", "use_words",
                  "has_temporal", "timing", "comp_expr", "comp_tag")
 
-    def __init__(self, env, fuse_generic=False):
+    def __init__(self, env):
         self.observer_none = env.observer is None
         self.full_mode = env.full_mode
-        self.fuse_generic = fuse_generic
         self.hb_present = env.hb is not None
         self.inline_check = env.inline_check
         self.use_words = env.use_words
         self.has_temporal = env.temporal_check is not None
-        # superblock tier: splice the stock encodings' compressibility
-        # decision straight into the metadata templates (subclassed
-        # encodings return None and keep the _isc call)
+        # splice the stock encodings' compressibility decision
+        # straight into the metadata templates (subclassed encodings
+        # return None and keep the _isc call)
         self.comp_expr = None
         self.comp_tag = ""
-        if fuse_generic and env.hb is not None:
+        if env.hb is not None:
             from repro.metadata.encodings import inline_compressible_expr
             expr = inline_compressible_expr(env.hb.encoding,
                                             "v", "mb", "mbd")
@@ -447,7 +397,7 @@ class _FuseCtx:
         """Everything template selection depends on (the plan key)."""
         return (self.observer_none, self.full_mode, self.fuse_hb_mem,
                 self.hb_timing, self.fuse_plain_mem,
-                self.plain_timing, self.assoc_sig, self.fuse_generic,
+                self.plain_timing, self.assoc_sig,
                 self.hb_present, self.inline_check, self.use_words,
                 self.has_temporal, self.timing, self.comp_tag)
 
@@ -475,14 +425,14 @@ _STOP = str(STACK_TOP)
 # the generated source.
 
 
-def _word_read_lines(acc: str, stack_first: bool = False) -> List[str]:
+def _word_read_lines(acc: str, stack_first: bool) -> List[str]:
     """Merged segment check + flat-arena word read into ``v``.
 
     The three segment ranges are disjoint, so the check order is
-    unobservable (same value, same ``MemoryFault`` otherwise); the
-    superblock tier therefore probes the stack arena first for
-    frame-register addressing (``stack_first``), where the heap and
-    globals compares would almost always fail.
+    unobservable (same value, same ``MemoryFault`` otherwise);
+    frame-register addressing therefore probes the stack arena first
+    (``stack_first``), where the heap and globals compares would
+    almost always fail.
     """
     heap = [
         "if %s <= ea and end <= _mem.brk:" % _HEAP,
@@ -509,7 +459,7 @@ def _word_read_lines(acc: str, stack_first: bool = False) -> List[str]:
     return lines
 
 
-def _word_write_lines(acc: str, stack_first: bool = False) -> List[str]:
+def _word_write_lines(acc: str, stack_first: bool) -> List[str]:
     """Merged segment check + flat-arena word write of ``v``."""
     heap = [
         "if %s <= ea and end <= _mem.brk:" % _HEAP,
@@ -573,9 +523,9 @@ def _hb_check_lines(acc: str, si: bool, frame: bool,
 def _load_meta_lines(timing: bool, comp: str) -> List[str]:
     """HardBound word-load metadata path (load_word_meta inlined).
 
-    ``comp`` is the compressibility test: the ``_isc`` closure call,
-    or (superblock tier, stock encodings) the decision spliced in as
-    an inline expression.
+    ``comp`` is the compressibility test: the decision spliced in as
+    an inline expression (stock encodings), or the ``_isc`` closure
+    call.
     """
     lines = [
         "meta = _mg(ea & -4)",
@@ -643,53 +593,48 @@ def _mem_part(instr, i: int, ctx: _FuseCtx) -> Optional[_Part]:
         ea_line = "ea = (value[rs{i}] + k{i}) & %s" % _M32
     params.append(("k%d" % i, instr.disp))
     frame = instr.rs in (REG_SP, REG_FP)
-    stack_first = frame and ctx.fuse_generic
     if ctx.fuse_hb_mem:
         timing = ctx.hb_timing
         comp = ctx.comp_expr or "_isc(v, mb, mbd)"
-        shape = "%shb_%s%d%d%d%s%s" % ("ld" if load else "st",
-                                       "si" if si else "s",
-                                       frame, ctx.full_mode, timing,
-                                       ctx.comp_tag,
-                                       "sf" if stack_first else "")
+        shape = "%shb_%s%d%d%d%s" % ("ld" if load else "st",
+                                     "si" if si else "s",
+                                     frame, ctx.full_mode, timing,
+                                     ctx.comp_tag)
         if timing:
             shape += ctx.assoc_tag
-            wprobe = list(word_probe_lines(
-                *ctx.assoc_sig, skip_cell=ctx.fuse_generic))
-            if ctx.fuse_generic:
-                shape += "_wsk"
+            wprobe = list(word_probe_lines(*ctx.assoc_sig,
+                                           skip_cell=True))
         lines = [ea_line]
         lines += _hb_check_lines(acc, si, frame, ctx.full_mode)
         if load:
-            lines += _word_read_lines(acc, stack_first)
+            lines += _word_read_lines(acc, frame)
             if timing:
                 lines += wprobe
             lines += _load_meta_lines(timing, comp)
         else:
-            lines += _word_write_lines(acc, stack_first)
+            lines += _word_write_lines(acc, frame)
             if timing:
                 lines += wprobe
             lines += _store_meta_lines(timing, comp)
         return _Part(shape, params, lines)
     if ctx.fuse_plain_mem:
         timing = ctx.plain_timing
-        shape = "%spl_%s%d%s" % ("ld" if load else "st",
-                                 "si" if si else "s", timing,
-                                 "sf" if stack_first else "")
+        shape = "%spl_%s%d%d" % ("ld" if load else "st",
+                                 "si" if si else "s", frame, timing)
         if timing:
             shape += ctx.assoc_tag
             sig = ctx.assoc_sig
             dprobe = list(data_probe_lines(sig[0], sig[1], sig[3]))
         lines = [ea_line]
         if load:
-            lines += _word_read_lines(acc, stack_first)
+            lines += _word_read_lines(acc, frame)
             if timing:
                 lines += dprobe
             lines += ["value[rd{i}] = v",
                       "rbase[rd{i}] = 0",
                       "rbound[rd{i}] = 0"]
         else:
-            lines += _word_write_lines(acc, stack_first)
+            lines += _word_write_lines(acc, frame)
             if timing:
                 lines += dprobe
         return _Part(shape, params, lines)
@@ -873,14 +818,13 @@ def _template_part(instr, i: int, pc: int,
     rd, rs, rt = instr.rd, instr.rs, instr.rt
     if op in (Op.LOAD, Op.STORE):
         part = _mem_part(instr, i, ctx)
-        if part is None and ctx.fuse_generic:
+        if part is None:
             part = _memgen_part(instr, i, ctx)
         return part
-    if ctx.fuse_generic:
-        if op is Op.SETBOUND:
-            return _setbound_part(instr, i, ctx)
-        if op is Op.SBRK:
-            return _sbrk_part(instr, i)
+    if op is Op.SETBOUND:
+        return _setbound_part(instr, i, ctx)
+    if op is Op.SBRK:
+        return _sbrk_part(instr, i)
     if op is Op.MOV:
         if rs is not None:
             return _Part("movrr", [("rd%d" % i, rd), ("rs%d" % i, rs)],
@@ -946,7 +890,7 @@ def _template_part(instr, i: int, pc: int,
                       "rbase[rd{i}] = 0",
                       "rbound[rd{i}] = 0"])
     if op in _NONPROP:
-        if ctx.fuse_generic and op in _NP_RR_EXPR:
+        if op in _NP_RR_EXPR:
             if rt is not None:
                 expr = _NP_RR_EXPR[op]
                 params = [("rd%d" % i, rd), ("rs%d" % i, rs),
@@ -961,7 +905,7 @@ def _template_part(instr, i: int, pc: int,
                          ["value[rd{i}] = (" + expr + ") & %s" % _M32,
                           "rbase[rd{i}] = 0",
                           "rbound[rd{i}] = 0"])
-        if ctx.fuse_generic and op in (Op.DIV, Op.MOD):
+        if op in (Op.DIV, Op.MOD):
             # inline C truncating division/remainder: a source-level
             # copy of decode._div/_mod (closure-call free).  Register
             # values are always in [0, 2**32), so the sign test is
@@ -1009,23 +953,7 @@ def _template_part(instr, i: int, pc: int,
                      ("ka%d" % i, abs(sk)), ("kn%d" % i, sk < 0)],
                     head + ri_lines
                     + ["rbase[rd{i}] = 0", "rbound[rd{i}] = 0"])
-        from repro.machine.decode import _NONPROP_FNS
-        fn = _NONPROP_FNS[op]
-        if rt is not None:
-            return _Part("np_rr",
-                         [("fn%d" % i, fn), ("rd%d" % i, rd),
-                          ("rs%d" % i, rs), ("rt%d" % i, rt)],
-                         ["value[rd{i}] = fn{i}(value[rs{i}], "
-                          "value[rt{i}]) & %s" % _M32,
-                          "rbase[rd{i}] = 0",
-                          "rbound[rd{i}] = 0"])
-        return _Part("np_ri",
-                     [("fn%d" % i, fn), ("rd%d" % i, rd),
-                      ("rs%d" % i, rs), ("k%d" % i, instr.imm or 0)],
-                     ["value[rd{i}] = fn{i}(value[rs{i}], k{i}) & %s"
-                      % _M32,
-                      "rbase[rd{i}] = 0",
-                      "rbound[rd{i}] = 0"])
+        return None
     if op is Op.JMP:
         return _Part("jmp", [("t%d" % i, instr.target)],
                      ["return t{i}"])
@@ -1091,26 +1019,24 @@ class _CodeRef:
 
 
 class _Plan:
-    """Program-keyed fusion plan (superblock tier).
+    """Program-keyed fusion plan.
 
     The expensive parts of fusing a program — CFG discovery,
-    template selection, source assembly, chain growth — depend only
-    on the program and the template-selection context, not on the
-    run.  A plan records their outcome as ``(signature, spec)``
-    pairs: the signature keys the compiled fuser in ``_fuse_cache``,
+    template selection, source assembly — depend only on the program
+    and the template-selection context, not on the run.  A plan
+    records their outcome per block as ``(start, length, signature,
+    spec)``: the signature keys the compiled fuser in ``_fuse_cache``,
     the spec is the flat closure-argument vector with per-run decoded
     closures marked by :class:`_CodeRef`.  Re-running the same
     program (the sharded harness and the benchmarks do, constantly)
-    then reduces fusion to re-binding — and recorded traces install
-    at table-build time, so warm runs start fully trace-covered with
-    no profiling warm-up.
+    then reduces fusion to re-binding.  ``fallback`` is the build's
+    tally of instructions left to their decoded closures, by op name.
     """
 
-    __slots__ = ("blocks", "traces", "fallback")
+    __slots__ = ("blocks", "fallback")
 
     def __init__(self):
         self.blocks = None
-        self.traces: Dict[int, tuple] = {}
         self.fallback: Dict[str, int] = {}
 
 
@@ -1158,12 +1084,12 @@ _MI_PARAMS = (
 #: the memory environment (arena cells, segment bounds, raw spill
 #: entry points), the HardBound metadata environment, the fast
 #: memory-model inline environment, the trap constructors the
-#: memory templates raise, and the generic entry points the
-#: full-coverage templates of the superblock tier call (the cpu,
-#: ``to_signed``, ``sbrk``, the byte-level memory accessors, the
-#: timing/temporal/observer hooks and the metadata-engine methods)
+#: memory templates raise, and the generic entry points the generic
+#: templates call (the cpu, ``to_signed``, ``sbrk``, the byte-level
+#: memory accessors, the timing/temporal/observer hooks and the
+#: metadata-engine methods)
 _ENV_PARAMS = (
-    "value", "rbase", "rbound", "_n", "_icpe", "_xpc",
+    "value", "rbase", "rbound", "_n", "_icpe",
     "_mem", "_heap", "_glob", "_stk", "_gl", "_sb", "_rr", "_rw",
     "_hbs", "_meta", "_mg", "_mp", "_isc", "_sp",
 ) + tuple(name for name, _ in _MI_PARAMS) + (
@@ -1180,11 +1106,7 @@ def _compile_fuser(signature: Tuple[str, ...],
     Every bound name the body references is re-bound as a
     default-valued parameter of the generated function: CPython then
     reads it as a fast local instead of a closure cell on every
-    access, at the cost of one default copy per call.  PR 5 measured
-    the trick on the superblock tier only; it now covers both tiers,
-    whose cache keys carry distinct version markers (``"SB"`` /
-    ``"BL"``) so the tiers never share a code object and stale
-    unlocalized shapes can't alias the localized ones.
+    access, at the cost of one default copy per call.
     """
     cached = _fuse_cache.get(signature)
     if cached is not None:
@@ -1221,40 +1143,28 @@ def _compile_fuser(signature: Tuple[str, ...],
 
 
 class _Fuser:
-    """Per-run fusion state shared by the block and superblock tiers.
+    """Per-run fusion state.
 
     Holds the decoded closures, the template-selection context and
-    the bound environment value vector, and turns pc ranges into
-    parts and parts into compiled, bound closures.  The superblock
-    tier enables the full-coverage templates (``fuse_generic``) and
-    counts the instruction shapes that still fall back to decoded
-    closures in ``fallback_ops``.
+    the bound environment value vector, and turns blocks into parts
+    and parts into compiled, bound closures.
     """
 
-    __slots__ = ("cpu", "code", "instrs", "ctx", "env_vals",
-                 "fallback_ops", "cfg", "xpc")
+    __slots__ = ("cpu", "code", "instrs", "ctx", "env_vals")
 
-    def __init__(self, cpu, code: list, env, fuse_generic=False,
-                 fallback_ops: Optional[Dict[str, int]] = None):
+    def __init__(self, cpu, code: list, env):
         self.cpu = cpu
         self.code = code
         self.instrs = cpu.program.instrs
-        self.ctx = _FuseCtx(env, fuse_generic)
-        self.fallback_ops = fallback_ops
-        #: CFG blocks, retained by a cold block_table() build so
-        #: trace formation reuses them instead of re-discovering
-        self.cfg: Optional[List[BasicBlock]] = None
+        self.ctx = _FuseCtx(env)
         if isinstance(env.memsys, FastMemorySystem):
             mi = env.memsys.inline_env(env.tag_base, env.tag_shift)
         else:
             mi = SimpleNamespace(**{field: None
                                     for _, field in _MI_PARAMS})
-        #: one-slot cell through which an inlined-``ret`` guard hands
-        #: the mispredicted return target back to the dispatch loop
-        self.xpc = [0]
         env_map = {
             "value": env.value, "rbase": env.rbase,
-            "rbound": env.rbound, "_xpc": self.xpc,
+            "rbound": env.rbound,
             "_n": len(self.instrs), "_icpe": InvalidCodePointerError,
             "_mem": env.memory, "_heap": env.heap_cell,
             "_glob": env.glob_cell, "_stk": env.stack_cell,
@@ -1277,53 +1187,25 @@ class _Fuser:
             env_map[name] = getattr(mi, field)
         self.env_vals = tuple(env_map[name] for name in _ENV_PARAMS)
 
-    def make_parts(self, start: int, count: int, base: int,
-                   last_is_term: bool,
-                   count_fallbacks: bool = True) -> List[_Part]:
-        """Parts for ``count`` instructions from ``start``.
-
-        ``base`` offsets the closure-parameter indices so parts of
-        several blocks can concatenate into one trace;
-        ``last_is_term`` marks whether the final instruction's
-        closure fallback may transfer control (block/trace tails do,
-        mid-trace bodies never).  Trace formation re-fuses pcs the
-        block table already counted, so it disables
-        ``count_fallbacks`` — the tally stays one entry per static
-        instruction site.
-        """
+    def make_parts(self, block: BasicBlock,
+                   fallback: Dict[str, int]) -> List[_Part]:
+        """Parts for one block; closure fallbacks are tallied by op
+        name into ``fallback``."""
         instrs, code, ctx = self.instrs, self.code, self.ctx
-        fallback = self.fallback_ops if count_fallbacks else None
+        last = block.end - 1
         parts: List[_Part] = []
-        for off in range(count):
-            pc = start + off
+        for i, pc in enumerate(range(block.start, block.end)):
             instr = instrs[pc]
-            i = base + off
             part = _template_part(instr, i, pc, ctx)
             if part is None:
-                if fallback is not None:
-                    key = instr.op.value
-                    fallback[key] = fallback.get(key, 0) + 1
-                part = _closure_part(
-                    i, code[pc], last_is_term and off == count - 1, pc)
+                key = instr.op.value
+                fallback[key] = fallback.get(key, 0) + 1
+                part = _closure_part(i, code[pc], pc == last, pc)
             parts.append(part)
         return parts
 
-    def signature(self, parts: List[_Part]) -> Tuple[str, ...]:
-        """Fuser cache key; versioned per tier (``"SB"``: superblock
-        full-coverage templates, ``"BL"``: localized block tier) so
-        the tiers never share a code object (see
-        :func:`_compile_fuser`)."""
-        shapes = tuple(part.shape for part in parts)
-        return (("SB",) if self.ctx.fuse_generic else ("BL",)) + shapes
-
-    def bind(self, parts: List[_Part]):
-        """Compile (or fetch) the parts' fuser and bind the operands."""
-        fuse, _block_code = _compile_fuser(self.signature(parts), parts)
-        args = [value for part in parts for _, value in part.params]
-        return fuse(*(args + list(self.env_vals)))
-
     def bind_spec(self, signature: Tuple[str, ...], spec: list):
-        """Re-bind a recorded ``(signature, spec)`` plan entry.
+        """Bind a compiled fuser to a ``(signature, spec)`` entry.
 
         Only valid for signatures this process already compiled
         (plans are only recorded after successful compilation, and
@@ -1339,13 +1221,13 @@ class _Fuser:
                 for value in spec]
         return cached[0](*(args + list(self.env_vals)))
 
-    def block_table(self, plan: Optional[_Plan] = None) -> list:
+    def block_table(self, plan: _Plan) -> list:
         """Fuse every CFG block; pc-indexed ``(fn, len, fall, last)``
-        table (``None`` at non-block pcs).  With a ``plan``, re-bind
-        its recorded entries when present, else build from the CFG
-        and record."""
+        table (``None`` at non-block pcs).  Re-binds the plan's
+        recorded entries when present, else builds from the CFG and
+        records."""
         n = len(self.code)
-        if plan is not None and plan.blocks is not None:
+        if plan.blocks is not None:
             table = [None] * n
             for start, length, signature, spec in plan.blocks:
                 fn = self.bind_spec(signature, spec)
@@ -1356,40 +1238,20 @@ class _Fuser:
             else:
                 return table
         table = [None] * n
-        records = [] if plan is not None else None
-        if self.fallback_ops is not None:
-            # a (re)build recounts every closure-fallback site from
-            # scratch; without this a shared plan tally would inflate
-            self.fallback_ops.clear()
-        self.cfg = build_cfg(self.cpu.program)
-        for block in self.cfg:
+        records = []
+        # a (re)build recounts every closure-fallback site from scratch
+        plan.fallback.clear()
+        for block in build_cfg(self.cpu.program):
             start, length = block.start, block.length
-            parts = self.make_parts(start, length, 0, True)
-            fn = self.bind(parts)
-            table[start] = (fn, length, start + length,
-                            start + length - 1)
-            if records is not None:
-                records.append((start, length, self.signature(parts),
-                                _part_spec(parts)))
-        if plan is not None:
-            plan.blocks = records
+            parts = self.make_parts(block, plan.fallback)
+            signature = tuple(part.shape for part in parts)
+            _compile_fuser(signature, parts)
+            spec = _part_spec(parts)
+            table[start] = (self.bind_spec(signature, spec), length,
+                            start + length, start + length - 1)
+            records.append((start, length, signature, spec))
+        plan.blocks = records
         return table
-
-
-def build_block_table(cpu, code: list, env=None) -> list:
-    """Fuse every CFG block of the cpu's program over its closures.
-
-    Returns a pc-indexed table: ``None`` at non-block pcs, else
-    ``(block_closure, length, fallthrough_pc, last_pc)``.  Pass the
-    ``env`` the closures were decoded with (see
-    :func:`repro.machine.decode.bind_env`) so fused memory templates
-    share the decoded closures' probe and counter state.
-    """
-    from repro.machine.decode import bind_env
-
-    if env is None:
-        env = bind_env(cpu)
-    return _Fuser(cpu, code, env).block_table()
 
 
 def _trap_offset(exc: BaseException) -> Optional[int]:
@@ -1411,24 +1273,20 @@ def _trap_offset(exc: BaseException) -> Optional[int]:
     return offset
 
 
-def _rewind(exc: BaseException, icount: int, lpc: int, blen: int,
-            tpcs: Optional[tuple]):
-    """Map a mid-dispatch exception to ``(icount, pc)``.
+def _rewind(exc: BaseException, icount: int, lpc: int, blen: int):
+    """Map a mid-block exception to ``(icount, pc)``.
 
-    The dispatch loops charge a whole block or trace up front; when
-    an exception maps to an instruction offset inside the generated
+    The dispatch loop charges a whole block up front; when an
+    exception maps to an instruction offset inside the generated
     frame, the unexecuted tail is refunded and the faulting pc
-    recovered — positionally for contiguous blocks, through the
-    trace's offset→pc table (``tpcs``) otherwise.  Returns ``None``
-    when the exception did not pass through a generated frame
-    (single-step dispatch or the driver itself); both run loops
-    share this so the attribution arithmetic exists exactly once.
+    recovered.  Returns ``None`` when the exception did not pass
+    through a generated frame (single-step dispatch or the driver
+    itself).
     """
     offset = _trap_offset(exc)
     if offset is None:
         return None
-    pc = tpcs[offset] if tpcs is not None else lpc - blen + 1 + offset
-    return icount - (blen - offset - 1), pc
+    return icount - (blen - offset - 1), lpc - blen + 1 + offset
 
 
 # -- block-threaded run loop -------------------------------------------------
@@ -1441,15 +1299,22 @@ def execute_blocks(cpu):
     same faulting pc and instruction count on every exit path.  The
     fast path dispatches whole blocks; control transfers into
     non-leader pcs and blocks that could cross the instruction limit
-    are single-stepped on the underlying decoded closures.
+    are single-stepped on the underlying decoded closures.  The
+    build's closure-fallback tally is left in
+    ``cpu.closure_fallbacks``.
     """
     from repro.machine.cpu import RunResult
     from repro.machine.decode import bind_env, decode_program
 
     env = bind_env(cpu)
-    code = decode_program(cpu, env)
+    # lazy: the templates leave most closures to the single-step path
+    code = decode_program(cpu, env, lazy=True)
     t0 = perf_counter()
-    table = build_block_table(cpu, code, env)
+    fuser = _Fuser(cpu, code, env)
+    plans = _plan_cache.setdefault(cpu.program, {})
+    plan = plans.setdefault(fuser.ctx.key(), _Plan())
+    table = fuser.block_table(plan)
+    cpu.closure_fallbacks = dict(plan.fallback)
     cpu.timers.add("cfg_fusion", perf_counter() - t0)
     n = len(code)
     limit = cpu.config.max_instructions
@@ -1483,7 +1348,7 @@ def execute_blocks(cpu):
         # the phase must land before RunResult snapshots it
         cpu.timers.add("execute", perf_counter() - t0)
         timed = True
-        state = _rewind(halt, icount, lpc, blen, None)
+        state = _rewind(halt, icount, lpc, blen)
         if state is None:
             cpu.icount = icount
             cpu.pc = pc
@@ -1491,7 +1356,7 @@ def execute_blocks(cpu):
             cpu.icount, cpu.pc = state
         return RunResult(cpu, halt.code)
     except IndexError as exc:
-        state = _rewind(exc, icount, lpc, blen, None)
+        state = _rewind(exc, icount, lpc, blen)
         if state is not None:
             # genuine IndexError inside a fused instruction
             cpu.icount, cpu.pc = state
@@ -1508,7 +1373,7 @@ def execute_blocks(cpu):
         cpu.pc = lpc
         raise MemoryFault(pc, "fetch").at(lpc)
     except Trap as trap:
-        state = _rewind(trap, icount, lpc, blen, None)
+        state = _rewind(trap, icount, lpc, blen)
         if state is None:
             cpu.icount = icount
             cpu.pc = lpc
@@ -1516,7 +1381,7 @@ def execute_blocks(cpu):
         cpu.icount, cpu.pc = state
         raise trap.at(cpu.pc)
     except BaseException as exc:
-        state = _rewind(exc, icount, lpc, blen, None)
+        state = _rewind(exc, icount, lpc, blen)
         if state is None:
             cpu.icount = icount
             cpu.pc = lpc
@@ -1526,506 +1391,3 @@ def execute_blocks(cpu):
     finally:
         if not timed:
             cpu.timers.add("execute", perf_counter() - t0)
-
-
-# -- superblock traces --------------------------------------------------------
-
-#: trace-extension stoppers: control leaves the trace through an
-#: indirect edge or the program ends.  Direct ``call``/``ret`` edges
-#: are no longer unconditional stoppers — ``_chain_blocks`` follows
-#: them up to the configured inline depth (whole-function traces).
-_TRACE_STOPS = frozenset({Op.CALLR, Op.HALT, Op.ABORT})
-
-
-def _chain_blocks(head: int, blocks_by_start: Dict[int, BasicBlock],
-                  counts: List[int], instrs, max_blocks: int,
-                  n: int, call_depth: int = 0) -> List[BasicBlock]:
-    """Grow the superblock chain from a hot head block.
-
-    Follows fallthrough edges, unconditional jumps and the
-    majority side of profiled conditional edges (the minority
-    direction becomes a side exit).  Direct ``call`` edges are
-    followed into
-    the callee up to ``call_depth`` frames, pushing the static
-    return pc; a ``ret`` whose matching call was inlined in the same
-    chain continues at that predicted return pc (the trace emission
-    guards the prediction with a side exit).  Stops at indirect
-    transfers, returns without an inlined matching call, calls past
-    the depth cap, program exit, the trace-length cap and any block
-    already in the chain (back-edges — including direct recursion —
-    close loops at the dispatch level, one trace per iteration).
-    """
-    chain = [blocks_by_start[head]]
-    seen = {head}
-    ret_stack: List[int] = []
-    while len(chain) < max_blocks:
-        block = chain[-1]
-        term = instrs[block.end - 1]
-        op = term.op
-        if op in _TRACE_STOPS:
-            break
-        if op is Op.JMP:
-            nxt = term.target
-        elif op is Op.CALL:
-            if len(ret_stack) >= call_depth:
-                break
-            nxt = term.target
-        elif op is Op.RET:
-            if not ret_stack:
-                break
-            nxt = ret_stack[-1]
-        elif op in (Op.BEQZ, Op.BNEZ):
-            target = term.target
-            fall = block.end
-            if target == fall:
-                break
-            taken = counts[target] if 0 <= target < n else 0
-            fallc = counts[fall] if fall < n else 0
-            hot, cold = ((target, fallc) if taken > fallc
-                         else (fall, taken))
-            # continue only along a strongly biased side (the other
-            # direction becomes a side exit): a weakly biased branch
-            # would side-exit so often the trace loses money on its
-            # refund path, so it terminates the chain instead
-            if max(taken, fallc) < TRACE_BIAS * max(cold, 1):
-                break
-            nxt = hot
-        else:
-            nxt = block.end  # leader-split or capped fallthrough
-        if nxt is None or not 0 <= nxt < n or nxt in seen:
-            break
-        nxt_block = blocks_by_start.get(nxt)
-        if nxt_block is None:
-            break
-        if op is Op.CALL:
-            ret_stack.append(block.end)
-        elif op is Op.RET:
-            ret_stack.pop()
-        chain.append(nxt_block)
-        seen.add(nxt)
-    return chain
-
-
-def _form_trace(head: int, blocks_by_start: Dict[int, BasicBlock],
-                counts: List[int], fuser: _Fuser, max_blocks: int,
-                call_depth: int, base_entry: tuple,
-                plan: Optional[_Plan] = None):
-    """Fuse the hot chain from ``head`` into one trace closure.
-
-    Returns ``(entry, n_blocks, has_call)`` where ``entry`` is a
-    5-slot dispatch tuple ``(fn, tlen, fall, last, (pcs, exits,
-    base_entry))`` — or ``None`` when no chain longer than one block
-    exists.  ``pcs`` maps trace instruction offsets back to
-    program pcs (trap attribution); each exit is ``(exit_pc,
-    remaining, branch_pc)``: the pc execution leaves to, the
-    unexecuted instruction count to refund, and the branch that took
-    the exit (the new last-executed pc).  Mid-trace branches whose
-    biased direction stays on-trace compile to ``if <off-trace
-    cond>: return -(k+1)``; on-trace unconditional jumps compile to
-    nothing (their instruction slot is still charged and mapped).
-
-    A ``call`` followed into its callee keeps the full link-register
-    write (value and metadata) but falls through into the callee's
-    templates instead of returning; the matching inlined ``ret``
-    performs the same code-pointer checks as the stock template, then
-    *guards* the return-address prediction: when the link register
-    disagrees with the recorded return pc the actual target is
-    parked in the fuser's ``_xpc`` cell and the trace side-exits
-    (``exit_pc is None`` marks these dynamic exits in the exit
-    table), refunding the unexecuted tail like any other side exit.
-    """
-    instrs = fuser.instrs
-    n = len(instrs)
-    chain = _chain_blocks(head, blocks_by_start, counts, instrs,
-                          max_blocks, n, call_depth)
-    # an explicit low max_blocks knob caps the minimum too, so tiny
-    # length caps still form (knob tests pin max_blocks=2)
-    if len(chain) < max(2, min(TRACE_MIN_BLOCKS, max_blocks)):
-        return None
-    parts: List[_Part] = []
-    pcs: List[int] = []
-    raw_exits: List[tuple] = []
-    ret_stack: List[int] = []
-    has_call = False
-    last_index = len(chain) - 1
-    full_mode = fuser.ctx.full_mode
-    for bi, block in enumerate(chain):
-        if bi == last_index:
-            # the trace tail keeps its full block semantics: the
-            # terminator template (or closure) returns the next pc
-            parts += fuser.make_parts(block.start, block.length,
-                                      len(pcs), True,
-                                      count_fallbacks=False)
-            pcs.extend(range(block.start, block.end))
-            continue
-        term = instrs[block.end - 1]
-        op = term.op
-        body = (block.length - 1
-                if op in (Op.JMP, Op.BEQZ, Op.BNEZ, Op.CALL, Op.RET)
-                else block.length)
-        parts += fuser.make_parts(block.start, body, len(pcs), False,
-                                  count_fallbacks=False)
-        pcs.extend(range(block.start, block.start + body))
-        if body == block.length:
-            continue  # pure fallthrough into the next chained block
-        i = len(pcs)
-        if op is Op.JMP:
-            # on-trace unconditional jump: charged and pc-mapped but
-            # emits no code (it cannot trap, and control simply runs
-            # on into the next chained block's templates)
-            parts.append(_Part("jel", [], []))
-        elif op is Op.CALL:
-            # inlined call: the link-register write is the full
-            # template, but control falls through into the callee's
-            # templates (the chain continues at term.target)
-            has_call = True
-            ret_stack.append(block.end)
-            parts.append(_Part(
-                "icall", [("r%d" % i, block.end & MASK32)],
-                ["value[%s] = r{i}" % _RA,
-                 "rbase[%s] = %s" % (_RA, _MAX),
-                 "rbound[%s] = %s" % (_RA, _MAX)]))
-        elif op is Op.RET:
-            # inlined return: stock code-pointer checks, then the
-            # return-address prediction guard with a dynamic side
-            # exit (exit_pc None; the target travels through _xpc)
-            predicted = ret_stack.pop()
-            encoded = -(len(raw_exits) + 1)
-            raw_exits.append((None, block.end - 1, i))
-            lines = ["t = value[%s]" % _RA]
-            if full_mode:
-                lines += ["if rbase[%s] != %s or rbound[%s] != %s:"
-                          % (_RA, _MAX, _RA, _MAX),
-                          "    raise _icpe(t)"]
-            lines += ["if t >= _n:",
-                      "    raise _icpe(t)",
-                      "if t != p{i}:",
-                      "    _xpc[0] = t",
-                      "    return x{i}"]
-            parts.append(_Part(
-                "iret%d" % full_mode,
-                [("p%d" % i, predicted), ("x%d" % i, encoded)],
-                lines))
-        else:
-            taken_biased = chain[bi + 1].start == term.target
-            exit_pc = block.end if taken_biased else term.target
-            if op is Op.BEQZ:
-                cond = "!=" if taken_biased else "=="
-            else:
-                cond = "==" if taken_biased else "!="
-            encoded = -(len(raw_exits) + 1)
-            raw_exits.append((exit_pc, block.end - 1, i))
-            parts.append(_Part(
-                "sx" + cond,
-                [("rs%d" % i, term.rs), ("x%d" % i, encoded)],
-                ["if value[rs{i}] %s 0:" % cond,
-                 "    return x{i}"]))
-        pcs.append(block.end - 1)
-    tlen = len(pcs)
-    exits = tuple((exit_pc, tlen - offset - 1, branch_pc)
-                  for exit_pc, branch_pc, offset in raw_exits)
-    fn = fuser.bind(parts)
-    tail = chain[-1]
-    if plan is not None:
-        plan.traces[head] = (fuser.signature(parts),
-                             _part_spec(parts), tlen, tail.end,
-                             tail.end - 1, tuple(pcs), exits,
-                             len(chain), has_call)
-    return ((fn, tlen, tail.end, tail.end - 1,
-             (tuple(pcs), exits, base_entry)), len(chain), has_call)
-
-
-def _introspection(trace_sizes, trace_dispatches, side_exits,
-                   single_steps, fallback_ops, counts,
-                   cross_call_traces, ret_mispredicts,
-                   limit_demotions) -> dict:
-    """The ``cpu.engine_stats`` record of a superblocks run.
-
-    The key set is frozen in :mod:`repro.obs.schema` and documented
-    in ``docs/OBSERVABILITY.md``; change all three together.
-    """
-    formed = len(trace_sizes)
-    return {
-        "engine": "superblocks",
-        "traces_formed": formed,
-        "mean_trace_blocks": (sum(trace_sizes) / formed
-                              if formed else 0.0),
-        "trace_dispatches": trace_dispatches,
-        # the entry-count profile doubles as the block-tier tally:
-        # every direct block-tier entry bumps its head pc (the last
-        # few entries of a limit-bound run may re-count as fallback
-        # single-steps when the whole-block charge no longer fits)
-        "block_dispatches": sum(counts),
-        "side_exits": side_exits,
-        "side_exit_rate": (side_exits / trace_dispatches
-                           if trace_dispatches else 0.0),
-        "fallback_steps": single_steps,
-        "closure_fallback_ops": dict(fallback_ops),
-        # whole-function traces: how many formed traces inlined at
-        # least one call, and how often an inlined ret's predicted
-        # return address disagreed with the live link register
-        "cross_call_traces": cross_call_traces,
-        "ret_mispredicts": ret_mispredicts,
-        "ret_mispredict_rate": (ret_mispredicts / trace_dispatches
-                                if trace_dispatches else 0.0),
-        # trace dispatches demoted to the base block because the
-        # whole-trace charge would overrun the instruction limit
-        "limit_demotions": limit_demotions,
-    }
-
-
-def execute_superblocks(cpu):
-    """Run ``cpu`` to halt on the superblock trace tier.
-
-    Starts from the same fused block table as
-    :func:`execute_blocks` (with the full-coverage templates turned
-    on), profiles block-entry counts, and promotes hot blocks to
-    cross-block trace closures.  Observable behaviour is
-    bit-identical to every other engine: statistics, trap
-    types/messages, faulting pc and instruction count on every exit
-    path.  Traces that could cross the instruction limit demote to
-    their underlying block for that dispatch (and blocks to
-    single-stepping, exactly like the blocks engine); control
-    transfers into the middle of a trace dispatch the interior block
-    or single-step.  Engine introspection is left in
-    ``cpu.engine_stats``.
-    """
-    from repro.machine.cpu import RunResult
-    from repro.machine.decode import bind_env, decode_program
-
-    env = bind_env(cpu)
-    code = decode_program(cpu, env, lazy=True)
-    config = cpu.config
-    threshold = config.superblock_threshold
-    max_blocks = config.superblock_max_blocks
-    call_depth = getattr(config, "superblock_call_depth", 0)
-    t0 = perf_counter()
-    fuser = _Fuser(cpu, code, env, fuse_generic=True)
-    program = cpu.program
-    plans = _plan_cache.get(program)
-    if plans is None:
-        plans = _plan_cache[program] = {}
-    plan_key = fuser.ctx.key() + (threshold, max_blocks, call_depth)
-    plan = plans.get(plan_key)
-    if plan is None:
-        plan = plans[plan_key] = _Plan()
-    fallback_ops = plan.fallback
-    fuser.fallback_ops = fallback_ops
-    n = len(code)
-    table: list = [None] * n
-    for entry_pc, base in enumerate(fuser.block_table(plan)):
-        if base is not None:
-            table[entry_pc] = base + (None,)
-    counts = [0] * n
-    #: per-trace-head dispatch counts — always on; one list-index
-    #: increment per trace entry is the entire hot-path cost, and
-    #: ``sum(tcounts)`` replaces the old scalar dispatch counter
-    tcounts = [0] * n
-    #: (head, branch_pc) → off-trace exits taken, bumped on the
-    #: already-slow side-exit path; ``sum`` of it replaces the old
-    #: scalar side-exit counter
-    sxcounts: Dict[tuple, int] = {}
-    #: head → (n_blocks, has_call, trace_len) for run-end profiles
-    trace_meta: Dict[int, tuple] = {}
-    trace_sizes: List[int] = []
-    cross_call_traces = 0
-    ret_mispredicts = 0
-    limit_demotions = 0
-    obs = cpu.obs
-    xpc = fuser.xpc
-    # recorded traces from earlier runs of this program install at
-    # build time: warm runs start fully trace-covered
-    for head, rec in plan.traces.items():
-        base = table[head]
-        if base is None:
-            continue
-        (signature, spec, tlen, fall, last, pcs, exits,
-         n_blocks, has_call) = rec
-        fn = fuser.bind_spec(signature, spec)
-        if fn is None:
-            continue
-        table[head] = (fn, tlen, fall, last, (pcs, exits, base))
-        trace_sizes.append(n_blocks)
-        trace_meta[head] = (n_blocks, has_call, tlen)
-        if has_call:
-            cross_call_traces += 1
-        if obs is not None:
-            obs.emit("trace_formed", head=head, blocks=n_blocks,
-                     instrs=tlen, has_call=has_call, source="plan")
-    cpu.timers.add("cfg_fusion", perf_counter() - t0)
-    #: CFG nodes for chain growth, built on the first formation
-    blocks_by_start: Optional[Dict[int, BasicBlock]] = None
-    limit = config.max_instructions
-    pc = cpu.pc
-    lpc = pc
-    icount = cpu.icount
-    blen = 1
-    tpcs = None
-    single_steps = 0
-    stats_done = False
-    timers_add = cpu.timers.add
-    t0 = perf_counter()
-    try:
-        while True:
-            entry = table[pc]
-            if entry is not None:
-                fn, blen, fall, last, extra = entry
-                if extra is not None:
-                    nic = icount + blen
-                    if nic <= limit:
-                        icount = nic
-                        lpc = last
-                        tpcs = extra[0]
-                        tcounts[pc] += 1
-                        npc = fn(pc)
-                        if npc is None:
-                            pc = fall
-                        elif npc >= 0:
-                            pc = npc
-                        else:
-                            exit_pc, rem, bpc = extra[1][-1 - npc]
-                            icount -= rem
-                            lpc = bpc
-                            sxkey = (pc, bpc)
-                            sxcounts[sxkey] = sxcounts.get(sxkey,
-                                                           0) + 1
-                            if exit_pc is None:
-                                # inlined-ret prediction guard: the
-                                # actual target travels via _xpc
-                                ret_mispredicts += 1
-                                pc = xpc[0]
-                            else:
-                                pc = exit_pc
-                        continue
-                    # the whole-trace charge would overrun the
-                    # instruction limit: demote to the underlying
-                    # block for this dispatch
-                    limit_demotions += 1
-                    fn, blen, fall, last, extra = extra[2]
-                else:
-                    c = counts[pc] + 1
-                    counts[pc] = c
-                    if c == threshold and max_blocks > 1:
-                        tf0 = perf_counter()
-                        if blocks_by_start is None:
-                            cfg = (fuser.cfg
-                                   if fuser.cfg is not None
-                                   else build_cfg(program))
-                            blocks_by_start = {block.start: block
-                                               for block in cfg}
-                        formed = _form_trace(pc, blocks_by_start,
-                                             counts, fuser,
-                                             max_blocks, call_depth,
-                                             entry, plan)
-                        if formed is not None:
-                            table[pc] = formed[0]
-                            trace_sizes.append(formed[1])
-                            trace_meta[pc] = (formed[1], formed[2],
-                                              formed[0][1])
-                            if formed[2]:
-                                cross_call_traces += 1
-                            if obs is not None:
-                                obs.emit("trace_formed", head=pc,
-                                         blocks=formed[1],
-                                         instrs=formed[0][1],
-                                         has_call=formed[2],
-                                         source="profile")
-                        # formation nests inside the execute phase;
-                        # reports show execute net of this
-                        timers_add("trace_formation",
-                                   perf_counter() - tf0)
-                nic = icount + blen
-                if nic <= limit:
-                    icount = nic
-                    lpc = last
-                    tpcs = None
-                    npc = fn(pc)
-                    pc = fall if npc is None else npc
-                    continue
-            # single-step: mid-block entry, or the limit may fire
-            # within the block — mirror the decoded loop exactly
-            lpc = pc
-            tpcs = None
-            single_steps += 1
-            icount += 1
-            if icount > limit:
-                raise InstructionLimitExceeded(limit)
-            npc = code[pc](pc)
-            pc = pc + 1 if npc is None else npc
-    except HaltSignal as halt:
-        # phase and stats must land before RunResult snapshots them
-        timers_add("execute", perf_counter() - t0)
-        state = _rewind(halt, icount, lpc, blen, tpcs)
-        if state is None:
-            cpu.icount = icount
-            cpu.pc = pc
-        else:
-            cpu.icount, cpu.pc = state
-        cpu.engine_stats = _introspection(
-            trace_sizes, sum(tcounts), sum(sxcounts.values()),
-            single_steps, fallback_ops, counts, cross_call_traces,
-            ret_mispredicts, limit_demotions)
-        stats_done = True
-        return RunResult(cpu, halt.code)
-    except IndexError as exc:
-        state = _rewind(exc, icount, lpc, blen, tpcs)
-        if state is not None:
-            # genuine IndexError inside a fused instruction
-            cpu.icount, cpu.pc = state
-            raise
-        if 0 <= pc < n:
-            # genuine IndexError in a single-stepped closure
-            cpu.icount = icount
-            cpu.pc = lpc
-            raise
-        cpu.icount = icount
-        cpu.pc = lpc
-        raise MemoryFault(pc, "fetch").at(lpc)
-    except Trap as trap:
-        state = _rewind(trap, icount, lpc, blen, tpcs)
-        if state is None:
-            cpu.icount = icount
-            cpu.pc = lpc
-            raise trap.at(lpc)
-        cpu.icount, cpu.pc = state
-        raise trap.at(cpu.pc)
-    except BaseException as exc:
-        state = _rewind(exc, icount, lpc, blen, tpcs)
-        if state is None:
-            cpu.icount = icount
-            cpu.pc = lpc
-        else:
-            cpu.icount, cpu.pc = state
-        raise
-    finally:
-        # the halt path snapshots before building its RunResult (the
-        # result captures engine_stats and phases at construction);
-        # only the trap paths still need the snapshot here
-        if not stats_done:
-            timers_add("execute", perf_counter() - t0)
-            cpu.engine_stats = _introspection(
-                trace_sizes, sum(tcounts), sum(sxcounts.values()),
-                single_steps, fallback_ops, counts,
-                cross_call_traces, ret_mispredicts,
-                limit_demotions)
-        if obs is not None:
-            sx_by_head: Dict[int, int] = {}
-            for (head, _bpc), cnt in sxcounts.items():
-                sx_by_head[head] = sx_by_head.get(head, 0) + cnt
-            for head in sorted(trace_meta):
-                n_blocks, has_call, tlen = trace_meta[head]
-                entry = table[head]
-                head_pcs = (entry[4][0]
-                            if entry is not None and entry[4]
-                            else None)
-                obs.emit("trace_profile", head=head,
-                         pc_lo=min(head_pcs) if head_pcs else head,
-                         pc_hi=max(head_pcs) if head_pcs else head,
-                         blocks=n_blocks, instrs=tlen,
-                         dispatches=tcounts[head],
-                         side_exits=sx_by_head.get(head, 0),
-                         has_call=has_call)
-            for (head, bpc), cnt in sorted(sxcounts.items()):
-                obs.emit("side_exit_profile", head=head,
-                         branch_pc=bpc, count=cnt)
-            obs.emit("demotions", count=limit_demotions)

@@ -11,9 +11,7 @@ from repro.layout import STACK_SIZE
 ENGINE_DECODED = "decoded"
 ENGINE_LEGACY = "legacy"
 ENGINE_BLOCKS = "blocks"
-ENGINE_SUPERBLOCKS = "superblocks"
-ENGINES = (ENGINE_DECODED, ENGINE_LEGACY, ENGINE_BLOCKS,
-           ENGINE_SUPERBLOCKS)
+ENGINES = (ENGINE_DECODED, ENGINE_LEGACY, ENGINE_BLOCKS)
 
 
 class SafetyMode(enum.Enum):
@@ -59,41 +57,21 @@ class MachineConfig:
         Whether to run the cache/TLB timing model.  Functional tests
         turn it off for speed.
     ``engine``
-        Execution engine: ``"superblocks"`` (default) adds a trace
-        tier on top of the block engine — hot blocks are chained with
-        their dominant successors into single generated *trace
-        closures* with branch side-exits, and every instruction shape
-        (including sub-word load/store and the ``setbound``/``sbrk``
-        environment ops) fuses into the generated code; ``"blocks"``
-        fuses straight-line runs into basic-block superinstructions —
-        including the word load/store bodies over the flat-bytearray
-        heap; both pair with the fast memory-timing model
+        Execution engine: ``"blocks"`` (default) fuses straight-line
+        runs into basic-block superinstructions — every load/store
+        form and size, ``setbound`` and ``sbrk`` included — and pairs
+        with the fast memory-timing model
         (:class:`~repro.caches.fast.FastMemorySystem`).  ``"decoded"``
         pre-decodes the program into per-instruction closures with
         operand forms resolved once; ``"legacy"`` is the original
         per-instruction dispatch loop, retained for differential
-        testing.  All four produce bit-identical
+        testing.  All three produce bit-identical
         :class:`~repro.machine.cpu.RunResult` statistics.
-    ``superblock_threshold``
-        Block-entry count at which the superblock tier attempts to
-        grow a trace from that block (hotness knob; only read by
-        ``engine="superblocks"``).
-    ``superblock_max_blocks``
-        Maximum number of basic blocks chained into one trace
-        (max-trace-length knob).
-    ``superblock_call_depth``
-        Maximum call-nesting depth a trace may inline by following
-        ``call`` edges into the callee and predicted ``ret`` edges
-        back (whole-function traces).  ``0`` restores the PR 5
-        behaviour of stopping every trace at call/ret boundaries;
-        indirect calls and recursive back-edges always terminate
-        traces regardless of this knob.
     ``obs_events``
         Opt-in structured event tracing (off by default, and free
         when off).  A path string makes the run append its JSONL
-        event stream — run manifest, phase times, trace formation,
-        demotions, per-trace dispatch profiles, side-exit counts —
-        to that file (one atomic write at run end, so concurrent
+        event stream — run manifest, statistics, phase times — to
+        that file (one atomic write at run end, so concurrent
         harness workers can share a file); an
         :class:`~repro.obs.events.EventLog` instance records into
         that shared in-memory log instead, leaving flushing to the
@@ -116,10 +94,7 @@ class MachineConfig:
     check_uop: bool = False
     check_access_extent: bool = False
     timing: bool = True
-    engine: str = ENGINE_SUPERBLOCKS
-    superblock_threshold: int = 64
-    superblock_max_blocks: int = 32
-    superblock_call_depth: int = 8
+    engine: str = ENGINE_BLOCKS
     obs_events: object = None
     obs_label: str = ""
     retain_cpu: bool = False

@@ -36,7 +36,6 @@ from repro.layout import (
 from repro.machine.config import (
     ENGINE_BLOCKS,
     ENGINE_DECODED,
-    ENGINE_SUPERBLOCKS,
     MachineConfig,
     SafetyMode,
 )
@@ -78,11 +77,6 @@ class RunResult:
         self.hb_stats = cpu.hb.stats if cpu.hb else None
         self.mem_stats = cpu.memsys.stats if cpu.memsys else None
         self.setbound_uops = cpu.setbound_count
-        #: engine-introspection snapshot (traces formed, side-exit
-        #: rate, fallback single-steps, ...); ``None`` for engines
-        #: that record none — the key schema per tier is frozen in
-        #: repro.obs.schema
-        self.engine_stats = getattr(cpu, "engine_stats", None)
         #: cumulative phase seconds ({"decode": ..., "execute": ...};
         #: see repro.obs.metrics.PhaseTimers for the phase contract)
         self.phases = cpu.timers.snapshot()
@@ -172,8 +166,8 @@ class CPU:
         self.pc = program.entry
 
         #: per-run phase timers (decode / cfg_fusion /
-        #: trace_formation / probe_compile / execute); snapshot
-        #: travels on RunResult.phases
+        #: probe_compile / execute); snapshot travels on
+        #: RunResult.phases
         self.timers = PhaseTimers()
 
         self.hb_enabled = self.config.mode is not SafetyMode.OFF
@@ -183,11 +177,10 @@ class CPU:
             params = cache_params or CacheParams()
             if cache_params is None:
                 params.tag_cache_size = encoding.tag_cache_size
-            # the block-fusion engines pair with the fast timing
+            # the block-fusion engine pairs with the fast timing
             # model; both models are counter-identical (tests/caches)
             memsys_cls = (FastMemorySystem
-                          if self.config.engine in (ENGINE_BLOCKS,
-                                                    ENGINE_SUPERBLOCKS)
+                          if self.config.engine == ENGINE_BLOCKS
                           else MemorySystem)
             # constructing the fast model compiles its per-geometry
             # probe sources (process-cached: later CPUs re-enter in
@@ -231,6 +224,10 @@ class CPU:
         #: set by instrumentation (e.g. Tracer) that wraps the legacy
         #: dispatch table and therefore needs the legacy run loop
         self.force_legacy = False
+        #: {op name: static sites} the blocks engine left to decoded
+        #: closures, tallied when it builds its block table (``None``
+        #: on the other engines)
+        self.closure_fallbacks: Optional[Dict[str, int]] = None
         self._init_stack()
         self._dispatch = self._build_dispatch()
 
@@ -258,9 +255,9 @@ class CPU:
         """Execute until ``halt``; traps raise annotated exceptions.
 
         Dispatches to the engine selected by ``config.engine``: the
-        superblock trace engine (default), the basic-block fusion
-        engine, the pre-decoded closure-threaded engine, or the
-        legacy per-instruction dispatch loop.  All are bit-identical
+        basic-block fusion engine (default), the pre-decoded
+        closure-threaded engine, or the legacy per-instruction
+        dispatch loop.  All are bit-identical
         in results and trap behaviour.  With ``config.obs_events``
         set, the run's manifest, statistics and phase times are
         emitted as ``run_start``/``run_end`` (or ``run_abort``)
@@ -283,17 +280,13 @@ class CPU:
         obs.emit("run_end", exit_code=result.exit_code,
                  instructions=result.instructions, uops=result.uops,
                  stall_cycles=result.stall_cycles,
-                 cycles=result.cycles, phases=result.phases,
-                 engine_stats=result.engine_stats)
+                 cycles=result.cycles, phases=result.phases)
         if self._obs_owned:
             obs.flush()
         return result
 
     def _dispatch_engine(self) -> RunResult:
         if not self.force_legacy:
-            if self.config.engine == ENGINE_SUPERBLOCKS:
-                from repro.machine.blocks import execute_superblocks
-                return execute_superblocks(self)
             if self.config.engine == ENGINE_DECODED:
                 from repro.machine.decode import execute_decoded
                 return execute_decoded(self)

@@ -70,7 +70,7 @@ DecodedOp = Callable[[int], Optional[int]]
 class _LazyCode:
     """List-like decoded stream that builds closures on first use.
 
-    The superblock engine fuses almost every instruction into
+    The blocks engine fuses almost every instruction into
     generated code, so most decoded closures exist only as the
     single-step fallback and are never called; building them eagerly
     is pure per-run overhead.  Indexing builds and memoizes the
@@ -154,7 +154,7 @@ _SIGNED_CMPS = frozenset({Op.SLT, Op.SLE, Op.SGT, Op.SGE})
 def bind_env(cpu) -> SimpleNamespace:
     """Bind the per-run state the execution engines close over.
 
-    Shared between :func:`decode_program` and the block/superblock
+    Shared between :func:`decode_program` and the block
     fuser (:mod:`repro.machine.blocks`) so both reference the *same*
     probe closures, counter cells and memory arena cells — a
     prerequisite for the counter bit-identity the differential suite
@@ -163,8 +163,8 @@ def bind_env(cpu) -> SimpleNamespace:
     incidental).  The env also exposes every generic entry point the
     builders below call (``mem_read``/``mem_write``/``mem_sbrk``,
     ``temporal_check``, the observer, ``hb_check`` and the
-    ``load_sub``/``store_sub`` metadata paths): the superblock
-    tier's full-coverage templates mirror the generic closure bodies
+    ``load_sub``/``store_sub`` metadata paths): the block fuser's
+    generic templates mirror the generic closure bodies
     by calling exactly these bound names in the same order, so the
     two dispatch styles cannot drift apart.
     """
@@ -298,7 +298,7 @@ def decode_program(cpu, env: SimpleNamespace = None,
     pre-built ``env`` (from :func:`bind_env`) to share the bound
     state with the block fuser.  With ``lazy`` the result is a
     :class:`_LazyCode` that builds each closure on first index — the
-    superblock engine's choice, since its fused templates leave most
+    blocks engine's choice, since its fused templates leave most
     closures unused.
     """
     t0 = perf_counter()

@@ -211,7 +211,7 @@ def inline_compressible_expr(encoding: Encoding, value: str,
     Returns a boolean Python expression over the three given variable
     names, with the same decision procedure as the stock encodings'
     ``is_compressible`` (no sub-calls, no method dispatch) — the
-    superblock tier's fused metadata templates splice it straight
+    blocks engine's fused metadata templates splice it straight
     into generated code.  Returns ``None`` for subclassed or unknown
     encodings, exactly like :func:`make_inline_compressible`, so an
     override can never be silently bypassed.

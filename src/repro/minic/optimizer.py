@@ -26,7 +26,7 @@ Safety is by construction, not analysis depth:
 
 * Every rewrite preserves the machine's *observable* results — exit
   code, output, trap class and final ``[0, brk)`` memory — across
-  all four engines; ``tests/minic/test_optimizer.py`` holds the
+  all three engines; ``tests/minic/test_optimizer.py`` holds the
   randomized differential that enforces it.  Cycle/µop/cache
   counters legitimately differ: the optimized binary is a different
   (shorter) program.

@@ -18,10 +18,8 @@ The knob lives on :class:`~repro.machine.config.MachineConfig`:
 
 Event vocabulary (see ``docs/OBSERVABILITY.md`` for the full field
 schema): ``run_start`` (manifest), ``run_end`` (result statistics +
-phase seconds + engine stats), ``run_abort`` (trap/abort exits),
-``trace_formed``, ``trace_profile`` (per-trace dispatch counts with
-pc ranges), ``side_exit_profile`` (per-branch side-exit counts),
-``demotions``, ``sweep_summary`` (harness cache statistics),
+phase seconds), ``run_abort`` (trap/abort exits), ``sweep_summary``
+(harness cache statistics),
 ``fuzz_run`` (one fuzzed program's verdict), ``fuzz_divergence``
 (one oracle mismatch), ``fuzz_summary`` (per-shard totals) — the
 fuzz events are emitted by ``python -m repro.fuzz`` shards and

@@ -4,7 +4,7 @@ A manifest is a small JSON-safe dict attached to every
 :class:`~repro.machine.cpu.RunResult` (``result.manifest``) and
 emitted as the ``run_start`` event of an obs JSONL.  It answers the
 question a perf archaeologist asks first: *what exactly ran* —
-engine, safety mode, encoding, every trace knob, the full cache
+engine, safety mode, encoding, every knob, the full cache
 geometry, the source tree's git sha and the host that executed it.
 
 Host and git identity are computed once per process (the git sha by
@@ -86,9 +86,6 @@ def run_manifest(config, cache_params=None, label: str = "") -> dict:
         "check_uop": config.check_uop,
         "check_access_extent": config.check_access_extent,
         "temporal": config.temporal,
-        "superblock_threshold": config.superblock_threshold,
-        "superblock_max_blocks": config.superblock_max_blocks,
-        "superblock_call_depth": config.superblock_call_depth,
         "max_instructions": config.max_instructions,
         "engine_factory": (getattr(factory, "__name__",
                                    type(factory).__name__)

@@ -21,7 +21,7 @@ it was not already paying:
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Optional
+from typing import Dict
 
 
 class MetricsRegistry:
@@ -94,10 +94,7 @@ class PhaseTimers:
 
     The engines charge the canonical phases ``decode`` (closure
     specialization + env binding), ``cfg_fusion`` (block discovery
-    and template fusion, including warm-plan trace rebinding),
-    ``trace_formation`` (superblock chain growth + trace closure
-    generation; nested *inside* ``execute`` because formation
-    happens at threshold crossings mid-run), ``probe_compile``
+    and template fusion, or warm-plan rebinding), ``probe_compile``
     (memory-system construction, where per-geometry probe sources
     compile) and ``execute`` (the dispatch loop, wall-clock, entry
     to exit).  Nothing enforces that set — ad-hoc phases time fine —
@@ -127,19 +124,5 @@ class PhaseTimers:
         return dict(self.seconds)
 
     def total(self) -> float:
-        """Sum of all phase seconds (phases may nest; see class doc —
-        ``trace_formation`` time is also inside ``execute``)."""
+        """Sum of all phase seconds."""
         return sum(self.seconds.values())
-
-
-def execute_net(phases: Optional[Dict[str, float]]) -> float:
-    """Execution-loop seconds net of nested trace formation.
-
-    ``execute`` is measured around the whole dispatch loop;
-    superblock trace formation runs *inside* that loop at threshold
-    crossings, so subtracting it out gives the pure dispatch time.
-    """
-    if not phases:
-        return 0.0
-    return max(phases.get("execute", 0.0)
-               - phases.get("trace_formation", 0.0), 0.0)

@@ -10,17 +10,14 @@ Usage::
 ``summary`` renders, from one obs JSONL (any number of runs — e.g. a
 whole Olden sweep appended into one file):
 
-* a per-run result table (cycles, instructions, traces, side-exit
-  rate),
+* a per-run result table (exit, instructions, cycles),
 * a phase-time breakdown (decode / probe compile / CFG+fusion /
-  trace formation / execute),
-* the top-N hot traces by dispatch count with their pc ranges,
-* a side-exit heatmap (which branch pcs leak off-trace, with bars).
+  execute).
 
 ``diff`` A/B-compares two artifacts of the *same* kind: either two
 obs JSONL files (per-label cycles/instructions/execute-seconds
 deltas) or two ``results/BENCH_engine.json`` records (per-engine
-sweep seconds, speedups and trace stats deltas).
+sweep seconds and speedup deltas).
 
 ``fuzz`` renders a ``python -m repro.fuzz`` result stream: programs
 run per level/config, outcome-status and trap-class distributions,
@@ -42,11 +39,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.harness.figures import format_table
 from repro.obs.events import read_events, run_label, split_runs
-from repro.obs.metrics import execute_net
 
 #: phase columns of the breakdown table, in pipeline order
-PHASES = ("decode", "probe_compile", "cfg_fusion",
-          "trace_formation", "execute")
+PHASES = ("decode", "probe_compile", "cfg_fusion", "execute")
 
 
 # -- artifact loading --------------------------------------------------------
@@ -74,31 +69,19 @@ def load_artifact(path: str):
 class RunSummary:
     """Everything the renderers need from one run's event group."""
 
-    __slots__ = ("label", "stats", "phases", "engine_stats",
-                 "trace_profiles", "side_exit_profiles", "aborted")
+    __slots__ = ("label", "stats", "phases", "aborted")
 
     def __init__(self, run: List[dict]):
         self.label = run_label(run)
         self.stats: Dict = {}
         self.phases: Dict[str, float] = {}
-        self.engine_stats: Optional[dict] = None
-        self.trace_profiles: List[dict] = []
-        self.side_exit_profiles: List[dict] = []
         self.aborted = False
         for event in run:
             ev = event.get("ev")
-            if ev == "run_end":
+            if ev in ("run_end", "run_abort"):
+                self.aborted = ev == "run_abort"
                 self.stats = event
                 self.phases = event.get("phases") or {}
-                self.engine_stats = event.get("engine_stats")
-            elif ev == "run_abort":
-                self.aborted = True
-                self.stats = event
-                self.phases = event.get("phases") or {}
-            elif ev == "trace_profile":
-                self.trace_profiles.append(event)
-            elif ev == "side_exit_profile":
-                self.side_exit_profiles.append(event)
 
 
 def summarize(events: List[dict]) -> List[RunSummary]:
@@ -110,33 +93,22 @@ def summarize(events: List[dict]) -> List[RunSummary]:
 # -- summary tables ----------------------------------------------------------
 
 def runs_table(runs: List[RunSummary]) -> str:
-    headers = ["run", "exit", "instructions", "cycles", "traces",
-               "trace-disp", "side-exit-rate"]
+    headers = ["run", "exit", "instructions", "cycles"]
     rows = []
     for run in runs:
         stats = run.stats
-        es = run.engine_stats or {}
         rows.append([
             run.label,
             "abort" if run.aborted else str(stats.get("exit_code",
                                                       "?")),
             str(stats.get("instructions", "?")),
             str(stats.get("cycles", "?")),
-            str(es.get("traces_formed", "-")),
-            str(es.get("trace_dispatches", "-")),
-            ("%.3f" % es["side_exit_rate"]
-             if "side_exit_rate" in es else "-"),
         ])
     return format_table(headers, rows, "Runs")
 
 
 def phase_table(runs: List[RunSummary]) -> str:
-    """Phase-time breakdown, one row per run plus an aggregate.
-
-    ``execute`` is shown net of nested trace formation (see
-    :func:`repro.obs.metrics.execute_net`); the ``total`` column is
-    the non-overlapping sum.
-    """
+    """Phase-time breakdown, one row per run plus an aggregate."""
     headers = ["run"] + list(PHASES) + ["total"]
     rows = []
     agg = {phase: 0.0 for phase in PHASES}
@@ -145,8 +117,7 @@ def phase_table(runs: List[RunSummary]) -> str:
         cells = [run.label]
         total = 0.0
         for phase in PHASES:
-            value = (execute_net(phases) if phase == "execute"
-                     else phases.get(phase, 0.0))
+            value = phases.get(phase, 0.0)
             agg[phase] += value
             total += value
             cells.append("%.4fs" % value)
@@ -156,71 +127,15 @@ def phase_table(runs: List[RunSummary]) -> str:
         rows.append(["TOTAL"]
                     + ["%.4fs" % agg[phase] for phase in PHASES]
                     + ["%.4fs" % sum(agg.values())])
-    return format_table(headers, rows,
-                        "Phase times (execute net of trace "
-                        "formation)")
+    return format_table(headers, rows, "Phase times")
 
 
-def hot_traces_table(runs: List[RunSummary], top: int = 10) -> str:
-    """Top-N traces by dispatch count across every run."""
-    entries = []
-    for run in runs:
-        for profile in run.trace_profiles:
-            entries.append((profile.get("dispatches", 0), run.label,
-                            profile))
-    entries.sort(key=lambda item: (-item[0], item[1],
-                                   item[2].get("head", 0)))
-    headers = ["run", "head", "pc-range", "blocks", "instrs",
-               "dispatches", "side-exits", "cross-call"]
-    rows = []
-    for dispatches, label, profile in entries[:top]:
-        rows.append([
-            label,
-            str(profile.get("head", "?")),
-            "%s..%s" % (profile.get("pc_lo", "?"),
-                        profile.get("pc_hi", "?")),
-            str(profile.get("blocks", "?")),
-            str(profile.get("instrs", "?")),
-            str(dispatches),
-            str(profile.get("side_exits", 0)),
-            "yes" if profile.get("has_call") else "no",
-        ])
-    return format_table(headers, rows,
-                        "Hot traces (top %d by dispatches)" % top)
-
-
-def side_exit_table(runs: List[RunSummary], top: int = 15,
-                    width: int = 24) -> str:
-    """Side-exit heatmap: which branch pcs leak off-trace."""
-    entries = []
-    for run in runs:
-        for profile in run.side_exit_profiles:
-            count = profile.get("count", 0)
-            if count:
-                entries.append((count, run.label, profile))
-    entries.sort(key=lambda item: (-item[0], item[1]))
-    peak = entries[0][0] if entries else 1
-    headers = ["run", "trace-head", "branch-pc", "exits", "heat"]
-    rows = []
-    for count, label, profile in entries[:top]:
-        bar = "#" * max(1, int(round(width * count / peak)))
-        rows.append([label, str(profile.get("head", "?")),
-                     str(profile.get("branch_pc", "?")),
-                     str(count), bar])
-    return format_table(headers, rows,
-                        "Side-exit heatmap (top %d branch sites)"
-                        % top)
-
-
-def render_summary(events: List[dict], top: int = 10) -> str:
+def render_summary(events: List[dict]) -> str:
     """The full ``summary`` report for one JSONL event stream."""
     runs = summarize(events)
     if not runs:
         return "no runs recorded (is obs_events enabled?)"
-    sections = [runs_table(runs), phase_table(runs),
-                hot_traces_table(runs, top),
-                side_exit_table(runs)]
-    return "\n\n".join(sections)
+    return "\n\n".join([runs_table(runs), phase_table(runs)])
 
 
 # -- fuzz --------------------------------------------------------------------
@@ -469,18 +384,6 @@ def diff_bench(a: dict, b: dict) -> str:
                      else "n/a"])
     sections.append(format_table(["speedup", "A", "B", "delta"],
                                  rows, "timed speedups"))
-    rows = []
-    ta = a.get("trace_stats") or {}
-    tb = b.get("trace_stats") or {}
-    for name in ("traces_formed", "mean_trace_blocks",
-                 "cross_call_traces", "ret_mispredict_rate"):
-        va, vb = ta.get(name), tb.get(name)
-        if va is None and vb is None:
-            continue
-        rows.append([name, str(va), str(vb)])
-    if rows:
-        sections.append(format_table(["trace-stat", "A", "B"], rows,
-                                     "Olden trace stats"))
     oa = (a.get("obs_overhead") or {}).get("ratio")
     ob = (b.get("obs_overhead") or {}).get("ratio")
     if oa is not None or ob is not None:
@@ -512,8 +415,8 @@ def diff_events(a: List[dict], b: List[dict]) -> str:
             continue
         ca = ra.stats.get("cycles")
         cb = rb.stats.get("cycles")
-        ea = execute_net(ra.phases)
-        eb = execute_net(rb.phases)
+        ea = ra.phases.get("execute", 0.0)
+        eb = rb.phases.get("execute", 0.0)
         rows.append([
             label, str(ca), str(cb),
             _delta(ca, cb) if None not in (ca, cb) else "n/a",
@@ -550,8 +453,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="one JSONL for summary/fuzz/service; "
                              "two artifacts for diff")
     parser.add_argument("--top", type=int, default=10,
-                        help="rows in the hot-trace / divergence / "
-                             "requeue tables")
+                        help="rows in the divergence / requeue "
+                             "tables")
     args = parser.parse_args(argv)
 
     command = args.command
@@ -567,10 +470,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error("%s is a bench record; %s wants an "
                          "obs JSONL (use diff for bench records)"
                          % (paths[0], command))
-        render = {"fuzz": render_fuzz,
-                  "service": render_service}.get(command,
-                                                 render_summary)
-        print(render(data, top=args.top))
+        if command == "summary":
+            print(render_summary(data))
+        else:
+            render = render_fuzz if command == "fuzz" else render_service
+            print(render(data, top=args.top))
         return 0
     if len(paths) != 2:
         parser.error("diff takes exactly two artifact paths")

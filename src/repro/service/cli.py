@@ -206,7 +206,7 @@ def main(argv=None) -> int:
 
     bench = sub.add_parser(
         "bench", help="time a cold-then-warm Olden sweep")
-    bench.add_argument("--engine", default="superblocks")
+    bench.add_argument("--engine", default="blocks")
     bench.set_defaults(func=cmd_bench)
 
     args = parser.parse_args(argv)

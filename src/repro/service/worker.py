@@ -5,7 +5,7 @@ loops on its pipe: receive a job, run it, publish the result, report
 back.  Everything expensive a per-invocation pool pays per sweep —
 interpreter start, ``import repro``, MiniC compiles
 (:data:`repro.harness.runner._program_cache`), generated probe
-sources (per-geometry compiled by the fast memory model), superblock
+sources (per-geometry compiled by the fast memory model), block
 fusion plans (the program-keyed ``_Plan`` cache) — stays resident
 here across requests.  That residency is the service's whole point:
 the second request for a workload skips compile and plan formation

@@ -1,6 +1,6 @@
-; an unbounded loop under a tight instruction limit: the whole-trace
-; charge would overrun the budget, so the superblock tier must
-; demote to block dispatch and stop at the identical icount/pc
+; an unbounded loop under a tight instruction limit: the whole-block
+; charge would overrun the budget, so the blocks engine must
+; single-step and stop at the identical icount/pc
 main:
     mov r1, 0
 L:

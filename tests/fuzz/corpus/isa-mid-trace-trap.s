@@ -1,6 +1,6 @@
-; mid-trace bounds trap: the store walks off the heap buffer after
-; the loop has become a hot trace, so the trap must surface from
-; generated trace code with identical (pc, icount) on every engine
+; mid-block bounds trap: the store walks off the heap buffer inside
+; the loop's fused block, so the trap must surface from generated
+; block code with identical (pc, icount) on every engine
 main:
     mov r1, 64
     sbrk r1

@@ -1,6 +1,6 @@
-; alternating callees from one loop: a cross-call trace inlines one
-; call edge and its predicted ret, so every other iteration takes
-; the ret-mispredict guard — counters must still match exactly
+; alternating callees from one loop: every other iteration returns
+; to a different call site, so the ret edges between fused blocks
+; alternate — counters must still match exactly
 main:
     mov r5, 0
     mov r6, 8

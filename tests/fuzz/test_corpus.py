@@ -1,10 +1,10 @@
 """Replay every committed corpus entry through the full oracle.
 
 ``tests/fuzz/corpus/`` holds historically-tricky program shapes
-(mid-trace traps, ret-mispredict stress, instruction-limit
-demotion) plus any minimized divergence a fuzzing session commits:
-each entry must diff clean across all four engines × both memory
-models forever after.
+(mid-block traps, alternating call/ret edges, an instruction limit
+firing inside a block) plus any minimized divergence a fuzzing
+session commits: each entry must diff clean across all three
+engines × both memory models forever after.
 """
 
 import os

@@ -95,26 +95,28 @@ class TestDiffEngines:
 class TestInvariants:
     def test_fallback_invariant_flags_memory_ops(self):
         outcome = Outcome(status="exit", output="", icount=1, pc=1,
-                          engine_stats={"closure_fallback_ops":
-                                        {"load": 3, "print": 1}})
-        # schema check fails (not a full superblocks record) AND the
-        # memory-path fallback is flagged
-        found = check_invariants("superblocks", outcome, False)
-        assert any("closure_fallback_ops" in d.fields
-                   for d in found)
+                          closure_fallbacks={"load": 3, "print": 1})
+        [found] = check_invariants("blocks", outcome, False)
+        assert found.fields == ["closure_fallbacks"]
+        assert "load" in found.detail
 
     def test_temporal_runs_exempt_from_fallback_invariant(self):
         outcome = Outcome(status="exit", output="", icount=1, pc=1,
-                          engine_stats={"closure_fallback_ops":
-                                        {"load": 3}})
-        found = check_invariants("superblocks", outcome, False,
-                                 temporal=True)
-        assert not any(d.fields == ["closure_fallback_ops"]
-                       for d in found)
+                          closure_fallbacks={"load": 3})
+        assert check_invariants("blocks", outcome, False,
+                                temporal=True) == []
 
     def test_non_exit_outcomes_skip_invariants(self):
-        outcome = Outcome(status="trap", output="", icount=1, pc=1)
-        assert check_invariants("superblocks", outcome, False) == []
+        outcome = Outcome(status="trap", output="", icount=1, pc=1,
+                          closure_fallbacks={"load": 3})
+        assert check_invariants("blocks", outcome, False) == []
+
+    def test_blocks_runs_record_their_fallback_tally(self):
+        program = assemble("main:\n    mov r1, 2\n    print r1\n"
+                           "    halt r1\n")
+        config = MachineConfig(engine="blocks", timing=False)
+        assert run_once(program, config).closure_fallbacks == {
+            "print": 1, "halt": 1}
 
 
 class TestDiffMinic:

@@ -1,7 +1,7 @@
 """The fuzz smoke suite (``pytest -m fuzz``): the CI acceptance bar.
 
 Fixed seed ranges, >= 200 generated programs, every one through all
-four engines x both memory models (x optimize on/off for MiniC),
+three engines x both memory models (x optimize on/off for MiniC),
 zero divergences.  Excluded from tier-1 by the ``fuzz`` marker; CI
 runs it as its own job with a junit record the bench gate requires.
 """

@@ -145,7 +145,7 @@ class TestShardedMatrix:
     def test_obs_knobs_never_reach_cache_keys(self):
         # turning tracing on must not cold-start the result cache
         descriptor = cell_descriptor("treeadd", "intern11", True,
-                                     "superblocks")
+                                     "blocks")
         assert "obs" not in repr(descriptor)
 
     def test_cell_results_carry_their_manifest(self):

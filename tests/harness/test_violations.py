@@ -111,14 +111,14 @@ def test_case_names_are_stable():
 
 # -- every engine, not just the default ------------------------------------
 
-ENGINES = ("legacy", "decoded", "blocks", "superblocks")
+ENGINES = ("legacy", "decoded", "blocks")
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_sampled_detection_under_every_engine(engine):
     """The detection contract holds per engine, not just under the
-    default superblocks tier: a staggered 6-pair sample per engine
-    (24 distinct pairs across the parametrized runs via the engine
+    default blocks engine: a staggered 6-pair sample per engine
+    (18 distinct pairs across the parametrized runs via the engine
     index) detects everything with zero false positives."""
     offset = ENGINES.index(engine) * 12
     cases = generate_corpus()[offset::48]

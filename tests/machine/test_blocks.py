@@ -1,7 +1,16 @@
-"""Unit tests for the basic-block discovery pass and fusion engine."""
+"""Unit tests for the basic-block discovery pass and fusion engine.
+
+The blocks engine must be bit-identical to the other engines on every
+exit path — including traps raised mid-block, control transfers into
+the middle of a block, and instruction limits that would fire inside
+one.  The full-registry sweep at the bottom closes the equivalence
+chain over all nine Olden workloads (``blocks`` vs ``decoded`` here;
+both vs ``legacy`` in ``test_engine_differential``).
+"""
 
 import pytest
 
+from repro.harness.runner import compile_cached, run_workload
 from repro.isa import assemble
 from repro.machine import CPU, MachineConfig
 from repro.machine.blocks import (
@@ -10,10 +19,59 @@ from repro.machine.blocks import (
     build_cfg,
     find_leaders,
 )
+from repro.minic.driver import compile_program, mode_for_config
+from repro.workloads.registry import WORKLOADS
+
+ENGINES = ("legacy", "decoded", "blocks")
 
 
 def blocks_by_start(program):
     return {block.start: block for block in build_cfg(program)}
+
+
+def run_all(program, mode_fn, timing=False, **kw):
+    """Run under every engine; assert identical, return the blocks CPU."""
+    results = {}
+    cpus = {}
+    for engine in ENGINES:
+        cpu = CPU(program, mode_fn(timing=timing, engine=engine, **kw))
+        r = cpu.run()
+        results[engine] = (r.exit_code, r.instructions, r.uops,
+                           r.stall_cycles, r.cycles, cpu.pc,
+                           cpu.memory.nonzero_pages())
+        cpus[engine] = cpu
+    for engine in ENGINES[1:]:
+        assert results[engine] == results["legacy"], engine
+    return cpus["blocks"]
+
+
+def trap_states(program, mode_fn, error, **kw):
+    """Run every engine into ``error``; assert identical attribution."""
+    traps = {}
+    for engine in ENGINES:
+        cpu = CPU(program, mode_fn(timing=False, engine=engine, **kw))
+        with pytest.raises(error) as exc:
+            cpu.run()
+        traps[engine] = (str(exc.value), exc.value.pc, cpu.icount,
+                         cpu.pc)
+    for engine in ENGINES[1:]:
+        assert traps[engine] == traps["legacy"], engine
+
+
+LOOP = """
+main:
+    mov r1, 0
+    mov r2, 200
+head:
+    beqz r2, done
+    add r1, r1, 3
+    jmp step
+step:
+    sub r2, r2, 1
+    jmp head
+done:
+    halt r1
+"""
 
 
 class TestLeaderDiscovery:
@@ -176,15 +234,13 @@ class TestBlockExecution:
 
 
 class TestFusedMemoryTemplates:
-    """The PR 3 memory templates: word load/store bodies generated
-    into the block closures (segment check + flat-arena access + tag
-    probe + timing charge), bit-identical to the other engines."""
-
-    ENGINES = ("legacy", "decoded", "blocks")
+    """The word memory templates: load/store bodies generated into
+    the block closures (segment check + flat-arena access + tag probe
+    + timing charge), bit-identical to the other engines."""
 
     def run_all(self, program, mode_fn, timing):
         results = {}
-        for engine in self.ENGINES:
+        for engine in ENGINES:
             cpu = CPU(program, mode_fn(timing=timing, engine=engine))
             r = cpu.run()
             results[engine] = (r.exit_code, r.instructions, r.uops,
@@ -227,7 +283,7 @@ class TestFusedMemoryTemplates:
             halt 0
         """)
         traps = {}
-        for engine in self.ENGINES:
+        for engine in ENGINES:
             cpu = CPU(program, MachineConfig.hardbound(
                 timing=timing, engine=engine))
             with pytest.raises(BoundsError) as exc:
@@ -268,7 +324,7 @@ class TestFusedMemoryTemplates:
             halt 0
         """)
         traps = {}
-        for engine in self.ENGINES:
+        for engine in ENGINES:
             cpu = CPU(program, MachineConfig.plain(
                 timing=False, engine=engine))
             with pytest.raises(MemoryFault) as exc:
@@ -297,3 +353,243 @@ class TestFusedMemoryTemplates:
                   for shape in sig}
         assert any(shape.startswith("ldhb_") for shape in shapes)
         assert any(shape.startswith("sthb_") for shape in shapes)
+
+
+class TestMidBlockTraps:
+    def test_mid_block_trap_attribution(self):
+        """A trap firing inside a fused block reports the faulting
+        instruction's pc and count, not the block boundary's."""
+        from repro.machine import DivideByZeroError
+        program = assemble("""
+        main:
+            mov r1, 0
+            mov r2, 100
+        head:
+            beqz r2, done
+            add r1, r1, 3
+            sub r2, r2, 1
+            jmp step
+        step:
+            sub r3, r2, 50
+            div r4, r1, r3
+            jmp head
+        done:
+            halt r1
+        """)
+        trap_states(program, MachineConfig.plain, DivideByZeroError)
+
+    def test_mid_block_bounds_trap(self):
+        """A HardBound violation inside a fused memory template keeps
+        per-instruction attribution."""
+        from repro.machine import BoundsError
+        source = """
+        int main() {
+            int *p = (int*)malloc(32 * sizeof(int));
+            int i;
+            for (i = 0; i < 100; i = i + 1) {
+                p[i] = i;              // overruns at i == 32
+            }
+            return 0;
+        }"""
+        config = MachineConfig.hardbound(timing=False)
+        program = compile_program(source, mode_for_config(config))
+        trap_states(program, MachineConfig.hardbound, BoundsError)
+
+    def test_instruction_limit_inside_block(self):
+        """When the whole-block charge would overrun the instruction
+        limit, the dispatch single-steps, landing on exactly the
+        legacy pc/icount."""
+        from repro.machine import InstructionLimitExceeded
+        program = assemble(LOOP)
+        for limit in (50, 101, 202, 303, 500, 799, 800, 801):
+            states = {}
+            for engine in ENGINES:
+                cpu = CPU(program, MachineConfig.plain(
+                    timing=False, engine=engine,
+                    max_instructions=limit))
+                try:
+                    result = cpu.run()
+                    states[engine] = ("halt", result.exit_code,
+                                      result.instructions, cpu.pc)
+                except InstructionLimitExceeded:
+                    states[engine] = ("limit", cpu.icount, cpu.pc)
+            for engine in ENGINES[1:]:
+                assert states[engine] == states["legacy"], (engine,
+                                                            limit)
+
+    def test_entry_into_hot_loop_block_middle(self):
+        """A computed call into a pc interior to a hot loop's block
+        single-steps to the next leader, then dispatches blocks
+        again."""
+        program = assemble("""
+        main:
+            mov r1, 0
+            mov r2, 40
+            mov r7, 0
+        head:
+            beqz r2, after
+            add r1, r1, 3
+            jmp step
+        step:
+            sub r2, r2, 1
+            jmp head
+        after:
+            bnez r7, fin
+            mov r7, 1
+            mov r2, 5
+            setcode r5, step
+            add r5, r5, 1
+            callr r5
+        fin:
+            halt r1
+        """)
+        # the callr lands on pc 7, the "jmp head" inside the step
+        # block, skipping its decrement once, then re-enters the loop
+        assert 7 not in find_leaders(program)
+        run_all(program, MachineConfig.plain)
+
+
+class TestFullCoverageTemplates:
+    def test_subword_and_env_ops_fuse(self):
+        """Sub-word load/store and setbound/sbrk never appear in the
+        closure-fallback tally — the full-coverage templates fuse
+        them."""
+        program = assemble("""
+        main:
+            mov r1, 4096
+            sbrk r1
+            setbound r3, r1, 64
+            mov r2, 50
+        loop:
+            beqz r2, done
+            storeb [r3 + 1], r2
+            loadb r4, [r3 + 1]
+            storeh [r3 + 4], r4
+            loadh r5, [r3 + 4]
+            sub r2, r2, 1
+            jmp loop
+        done:
+            halt r5
+        """)
+        cpu = run_all(program, MachineConfig.hardbound, timing=True)
+        fallback = cpu.closure_fallbacks
+        assert fallback is not None
+        for op in ("load", "store", "loadb", "storeb", "loadh",
+                   "storeh", "setbound", "sbrk"):
+            assert op not in fallback, fallback
+
+    @pytest.mark.parametrize("timing", (False, True))
+    def test_subword_traffic_identical(self, timing):
+        """Byte/halfword traffic through the fused generic templates
+        matches every engine, stats included."""
+        source = """
+        int main() {
+            char *s = (char*)malloc(64);
+            int i;
+            int acc = 0;
+            for (i = 0; i < 60; i = i + 1) {
+                s[i] = i * 7;
+            }
+            for (i = 0; i < 60; i = i + 1) {
+                acc = acc + s[i];
+            }
+            return acc;
+        }"""
+        config = MachineConfig.hardbound(timing=timing)
+        program = compile_cached(source, mode_for_config(config))
+        run_all(program, MachineConfig.hardbound, timing=timing)
+
+    def test_nonprop_expression_templates_identical(self):
+        program = assemble("""
+        main:
+            mov r1, 0
+            mov r2, 30
+        loop:
+            beqz r2, done
+            mul r3, r2, -3
+            and r4, r3, 255
+            xor r5, r4, r2
+            shl r6, r5, 2
+            sra r7, r3, 1
+            add r1, r1, r7
+            sub r2, r2, 1
+            jmp loop
+        done:
+            halt r1
+        """)
+        run_all(program, MachineConfig.plain)
+
+
+class TestInlineCompressibleExpr:
+    def test_expr_matches_methods(self):
+        """The spliced compressibility expressions agree with the
+        stock encodings' is_compressible on a value grid."""
+        from repro.metadata.encodings import (
+            ENCODINGS,
+            inline_compressible_expr,
+        )
+        cases = []
+        for base in (0, 0x1000, 0x7FFF0000, 0xFFFFFF00):
+            for size in (0, 4, 8, 56, 60, 8192, 8196, 10000):
+                bound = (base + size) & 0xFFFFFFFF
+                for value in (base, base + 4, 0):
+                    cases.append((value, base, bound))
+        for name, cls in ENCODINGS.items():
+            enc = cls()
+            expr = inline_compressible_expr(enc, "v", "b", "bd")
+            assert expr is not None, name
+            fn = eval("lambda v, b, bd: bool(%s)" % expr)
+            for v, b, bd in cases:
+                assert fn(v, b, bd) == bool(enc.is_compressible(v, b, bd)), \
+                    (name, v, b, bd)
+
+    def test_subclassed_encoding_returns_none(self):
+        from repro.metadata.encodings import (
+            Internal11Encoding,
+            inline_compressible_expr,
+        )
+
+        class Odd(Internal11Encoding):
+            def is_compressible(self, value, base, bound):
+                return False
+
+        assert inline_compressible_expr(Odd(), "v", "b", "bd") is None
+
+
+class TestFullRegistryEquivalence:
+    """Acceptance: bit-identity on the full Olden registry.
+
+    ``blocks`` vs ``decoded`` here on every workload, timed, so
+    cache/TLB counters are in play — and since ``blocks`` runs the
+    fast memory model and ``decoded`` the classic one, this also
+    proves the two models counter-identical on every workload.
+    ``blocks``/``decoded`` vs ``legacy`` on the sampled workloads plus
+    every trap scenario in ``test_engine_differential`` close the
+    chain to the reference interpreter.
+    """
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_blocks_matches_decoded_timed(self, name):
+        snaps = {}
+        for engine in ("decoded", "blocks"):
+            config = MachineConfig.hardbound(engine=engine,
+                                             retain_cpu=True)
+            r = run_workload(name, config)
+            snaps[engine] = (
+                r.exit_code, r.output, r.instructions, r.uops,
+                r.stall_cycles, r.cycles, r.setbound_uops,
+                r.hb_stats.as_dict(), r.mem_stats.as_dict(),
+                r.cpu.memory.nonzero_pages())
+        assert snaps["blocks"] == snaps["decoded"]
+
+    def test_plain_core_matches_decoded_timed(self):
+        for name in ("em3d", "health"):
+            snaps = {}
+            for engine in ("decoded", "blocks"):
+                r = run_workload(name, MachineConfig.plain(
+                    engine=engine, retain_cpu=True))
+                snaps[engine] = (r.exit_code, r.output,
+                                 r.instructions, r.cycles,
+                                 r.mem_stats.as_dict(),
+                                 r.cpu.memory.nonzero_pages())
+            assert snaps["blocks"] == snaps["decoded"]

@@ -1,15 +1,13 @@
 """Differential testing: every execution engine against the legacy one.
 
-The decoded closure engine, the basic-block fusion engine and the
-superblock trace engine must be *bit-identical* to the legacy
-interpreter: same exit codes, program output, instruction/µop/cycle
+The decoded closure engine and the basic-block fusion engine must be
+*bit-identical* to the legacy interpreter: same exit codes, program output, instruction/µop/cycle
 counts, same HardBound and memory-system statistics, the same final
 memory image, and the same traps (type, message, faulting pc) on
 every violation.  These tests run real Olden workloads and the
-violation scenarios under all four engines and compare everything
-observable.  (``tests/machine/test_superblocks.py`` extends the
-four-way chain over the full workload registry and the trace-tier
-edge cases.)
+violation scenarios under all three engines and compare everything
+observable.  (``tests/machine/test_blocks.py`` extends the chain over
+the full workload registry and the mid-block edge cases.)
 """
 
 import pytest
@@ -30,8 +28,8 @@ from repro.workloads.registry import WORKLOADS
 #: three Olden workloads exercising trees, graphs and linked lists
 DIFF_WORKLOADS = ("treeadd", "em3d", "health")
 
-ENGINES = ("legacy", "decoded", "blocks", "superblocks")
-NEW_ENGINES = ("decoded", "blocks", "superblocks")
+ENGINES = ("legacy", "decoded", "blocks")
+NEW_ENGINES = ("decoded", "blocks")
 
 
 def memory_image(cpu):

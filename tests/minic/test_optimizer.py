@@ -3,7 +3,7 @@
 Unit cases pin each rewrite on hand-written assembler; the
 differential sweep is the real contract: an optimized program must
 produce identical *observable* results — exit code, output, trap
-class and live final memory — to its unoptimized twin under all four
+class and live final memory — to its unoptimized twin under all three
 engines.  Cycle/µop counters legitimately differ (the optimized
 binary is a shorter program), and so does the dead stack residue
 below the final ``sp`` (it holds stale return addresses, which shift
@@ -20,7 +20,7 @@ from repro.machine import CPU, DivideByZeroError, MachineConfig
 from repro.minic.driver import compile_program, compile_to_asm
 from repro.minic.optimizer import optimize_asm
 
-ENGINES = ("legacy", "decoded", "blocks", "superblocks")
+ENGINES = ("legacy", "decoded", "blocks")
 
 #: first page of the stack region; pages at or above hold dead
 #: residue after main returns and are excluded from the comparison
@@ -219,7 +219,7 @@ class TestObservableEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_differential(self, seed):
         """Random straight-line+loop programs, optimized vs not,
-        through all four engines.
+        through all three engines.
 
         ``REPRO_FUZZ_SEED`` overrides the per-case seed (all eight
         cases then replay the same program — the reproduction

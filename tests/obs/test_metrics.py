@@ -1,13 +1,8 @@
-"""Counters, phase timers and the execute-net helper."""
+"""Counters and phase timers."""
 
 import pytest
 
-from repro.obs.metrics import (
-    MetricsRegistry,
-    PhaseTimers,
-    REGISTRY,
-    execute_net,
-)
+from repro.obs.metrics import REGISTRY, MetricsRegistry, PhaseTimers
 
 
 class TestMetricsRegistry:
@@ -80,17 +75,3 @@ class TestPhaseTimers:
                 raise RuntimeError("boom")
         assert timers.calls["execute"] == 1
 
-
-class TestExecuteNet:
-    def test_subtracts_nested_trace_formation(self):
-        phases = {"execute": 2.0, "trace_formation": 0.5}
-        assert execute_net(phases) == pytest.approx(1.5)
-
-    def test_handles_missing_phases(self):
-        assert execute_net(None) == 0.0
-        assert execute_net({}) == 0.0
-        assert execute_net({"decode": 1.0}) == 0.0
-
-    def test_never_negative(self):
-        phases = {"execute": 0.1, "trace_formation": 0.3}
-        assert execute_net(phases) == 0.0

@@ -12,51 +12,33 @@ from repro.obs.report import (
     RunSummary,
     diff_bench,
     diff_events,
-    hot_traces_table,
     load_artifact,
     phase_table,
     render_summary,
     runs_table,
-    side_exit_table,
     summarize,
 )
 
 
-def synthetic_run(label, cycles=1000, dispatches=50, exits=5):
+def synthetic_run(label, cycles=1000):
     """One run's worth of events, in emission order."""
     return [
         {"ev": "run_start",
-         "manifest": {"label": label, "engine": "superblocks",
+         "manifest": {"label": label, "engine": "blocks",
                       "mode": "off"}},
-        {"ev": "trace_formed", "head": 10, "blocks": 4, "instrs": 20,
-         "has_call": True, "source": "profile"},
-        {"ev": "trace_profile", "head": 10, "pc_lo": 10, "pc_hi": 40,
-         "blocks": 4, "instrs": 20, "dispatches": dispatches,
-         "side_exits": exits, "has_call": True},
-        {"ev": "trace_profile", "head": 50, "pc_lo": 50, "pc_hi": 60,
-         "blocks": 2, "instrs": 8, "dispatches": dispatches // 2,
-         "side_exits": 0, "has_call": False},
-        {"ev": "side_exit_profile", "head": 10, "branch_pc": 23,
-         "count": exits},
-        {"ev": "demotions", "count": 0},
         {"ev": "run_end", "exit_code": 0, "instructions": 5000,
          "uops": 5100, "stall_cycles": 10, "cycles": cycles,
          "phases": {"decode": 0.01, "cfg_fusion": 0.02,
-                    "trace_formation": 0.1, "execute": 0.5},
-         "engine_stats": {"traces_formed": 2,
-                          "trace_dispatches": dispatches * 3 // 2,
-                          "side_exit_rate": 0.1}},
+                    "execute": 0.5}},
     ]
 
 
 def synthetic_bench(seconds, speedup, ratio=1.01):
     return {
         "seconds": {"functional": {"blocks": seconds},
-                    "timed": {"blocks": seconds * 2,
-                              "superblocks": seconds}},
-        "speedups": {"timed": {"superblocks_vs_decoded": speedup}},
-        "trace_stats": {"traces_formed": 100,
-                        "mean_trace_blocks": 6.5},
+                    "timed": {"decoded": seconds * 2,
+                              "blocks": seconds}},
+        "speedups": {"timed": {"blocks_vs_decoded": speedup}},
         "obs_overhead": {"ratio": ratio},
     }
 
@@ -65,11 +47,10 @@ class TestSummaries:
     def test_summarize_groups_and_labels(self):
         events = synthetic_run("treeadd") + synthetic_run("bisort")
         runs = summarize(events)
-        assert [r.label for r in runs] == ["treeadd/superblocks/off",
-                                           "bisort/superblocks/off"]
+        assert [r.label for r in runs] == ["treeadd/blocks/off",
+                                           "bisort/blocks/off"]
         assert runs[0].stats["cycles"] == 1000
-        assert len(runs[0].trace_profiles) == 2
-        assert len(runs[0].side_exit_profiles) == 1
+        assert runs[0].phases["execute"] == 0.5
         assert not runs[0].aborted
 
     def test_summarize_ignores_leading_noise(self):
@@ -90,43 +71,19 @@ class TestSummaries:
 
 
 class TestTables:
-    def test_runs_table_shows_engine_stats(self):
-        runs = summarize(synthetic_run("treeadd"))
+    def test_runs_table_shows_result_stats(self):
+        runs = summarize(synthetic_run("treeadd", cycles=1234))
         text = runs_table(runs)
-        assert "treeadd/superblocks" in text
-        assert "75" in text       # trace dispatches
-        assert "0.100" in text    # side-exit rate
-
-    def test_phase_table_nets_out_trace_formation(self):
-        runs = summarize(synthetic_run("treeadd"))
-        text = phase_table(runs)
-        # execute 0.5s minus nested formation 0.1s
-        assert "0.4000s" in text
-        assert "0.1000s" in text
+        assert "treeadd/blocks" in text
+        assert "5000" in text     # instructions
+        assert "1234" in text     # cycles
 
     def test_phase_table_totals_across_runs(self):
         runs = summarize(synthetic_run("a") + synthetic_run("b"))
         text = phase_table(runs)
         assert "TOTAL" in text
-
-    def test_hot_traces_sorted_and_capped(self):
-        runs = summarize(synthetic_run("a", dispatches=50)
-                         + synthetic_run("b", dispatches=80))
-        text = hot_traces_table(runs, top=2)
-        lines = text.splitlines()
-        # top-2: b's head-10 trace (80) then a's head-10 trace (50)
-        # title + rule + header + header-rule + two trace rows
-        assert len(lines) == 6
-        assert lines[-2].startswith("b/superblocks")
-        assert "10..40" in lines[-2]
-        assert lines[-1].startswith("a/superblocks")
-
-    def test_side_exit_heatmap_bars_scale_to_peak(self):
-        runs = summarize(synthetic_run("a", exits=8)
-                         + synthetic_run("b", exits=2))
-        text = side_exit_table(runs, width=8)
-        assert "########" in text
-        assert "##" in text
+        assert "0.5000s" in text  # one run's execute
+        assert "1.0000s" in text  # both runs' execute
 
     def test_render_summary_empty_stream(self):
         assert "no runs recorded" in render_summary([])
@@ -135,8 +92,6 @@ class TestTables:
         text = render_summary(synthetic_run("treeadd"))
         assert "Runs" in text
         assert "Phase times" in text
-        assert "Hot traces" in text
-        assert "Side-exit heatmap" in text
 
 
 class TestDiffs:
@@ -147,7 +102,7 @@ class TestDiffs:
         text = diff_events(a, b)
         assert "+10.0%" in text
         # bisort exists only in B: dashed row, not a crash
-        assert "bisort/superblocks" in text
+        assert "bisort/blocks" in text
 
     def test_diff_bench_tables(self):
         a = synthetic_bench(2.0, 2.5, ratio=1.00)
@@ -189,20 +144,14 @@ class TestCli:
                            synthetic_run("treeadd"))
         assert report.main(["summary", path]) == 0
         out = capsys.readouterr().out
-        assert "treeadd/superblocks" in out
-        assert "Hot traces" in out
+        assert "treeadd/blocks" in out
+        assert "Phase times" in out
 
     def test_bare_path_shorthand(self, tmp_path, capsys):
         path = write_jsonl(tmp_path / "run.jsonl",
                            synthetic_run("treeadd"))
         assert report.main([path]) == 0
-        assert "treeadd/superblocks" in capsys.readouterr().out
-
-    def test_top_flag_limits_hot_traces(self, tmp_path, capsys):
-        path = write_jsonl(tmp_path / "run.jsonl",
-                           synthetic_run("treeadd"))
-        assert report.main(["summary", path, "--top", "1"]) == 0
-        assert "top 1" in capsys.readouterr().out
+        assert "treeadd/blocks" in capsys.readouterr().out
 
     def test_diff_command_events(self, tmp_path, capsys):
         a = write_jsonl(tmp_path / "a.jsonl",
@@ -243,13 +192,13 @@ class TestCli:
 class TestRealRun:
     """The CLI renders a real engine's event stream end to end."""
 
-    def test_real_superblocks_trace_renders(self, tmp_path, capsys):
+    def test_real_run_renders(self, tmp_path, capsys):
         path = str(tmp_path / "real.jsonl")
         run_workload("treeadd",
                      MachineConfig.plain(timing=False,
-                                         engine="superblocks",
+                                         engine="blocks",
                                          obs_events=path))
         assert report.main(["summary", path]) == 0
         out = capsys.readouterr().out
-        assert "treeadd/superblocks" in out
-        assert "Hot traces" in out
+        assert "treeadd/blocks" in out
+        assert "Phase times" in out

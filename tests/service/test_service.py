@@ -188,7 +188,7 @@ class TestWarmContract:
         # spawn context: workers start with cold program caches, so
         # the first request really pays compile + plan formation
         with Service(workers=1, context="spawn") as service:
-            job = ("treeadd", "base", True, "superblocks")
+            job = ("treeadd", "base", True, "blocks")
             first = service.submit(JobSpec(run_cell, job)) \
                 .result(timeout=120)
             second = service.submit(JobSpec(run_cell, job)) \

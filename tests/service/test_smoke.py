@@ -16,10 +16,10 @@ from repro.service import JobSpec, ServiceError
 from repro.service.cli import main as service_cli
 from repro.service.client import connect
 
-JOBS = [("treeadd", "base", False, "superblocks"),
-        ("treeadd", "intern11", False, "superblocks"),
-        ("power", "base", False, "superblocks"),
-        ("power", "intern11", False, "superblocks")]
+JOBS = [("treeadd", "base", False, "blocks"),
+        ("treeadd", "intern11", False, "blocks"),
+        ("power", "base", False, "blocks"),
+        ("power", "intern11", False, "blocks")]
 
 
 def keyed_specs():
