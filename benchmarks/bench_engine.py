@@ -15,6 +15,11 @@ workload):
   recorded per workload (``optimizer_instructions``), while the
   engine ladder itself runs ``optimize=False`` binaries so its
   seconds stay comparable with earlier records;
+* one-shot, a fresh process must not pay more for ``blocks`` than
+  for ``decoded``: ``cold`` records the seconds a new interpreter
+  takes to import the simulator, compile the Olden programs and run
+  the timed sweep once, per engine, and ``cold.blocks_vs_decoded``
+  must clear ``FLOOR_COLD_BLOCKS_VS_DECODED``;
 * the observability layer must be effectively free: with
   ``obs_events`` on, the timed blocks sweep must stay within
   ``FLOOR_OBS_OVERHEAD_RATIO`` (events-off/events-on seconds ≥
@@ -36,16 +41,19 @@ report of ``python -m repro.obs.report``).
 The measured seconds and speedups are written to
 ``results/BENCH_engine.json`` so CI keeps a machine-readable record,
 and CI's ``bench-gate`` step fails the build if the freshly emitted
-``timed.blocks_vs_decoded`` falls below the committed floor (see
-``benchmarks/check_bench_gate.py``).
+``timed.blocks_vs_decoded`` or ``cold.blocks_vs_decoded`` falls below
+its committed floor (see ``benchmarks/check_bench_gate.py``).
 """
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 
 from check_bench_gate import (
+    FLOOR_COLD_BLOCKS_VS_DECODED,
     FLOOR_OBS_OVERHEAD_RATIO,
     FLOOR_SERVICE_WARM_VS_COLD,
     FLOOR_TIMED_BLOCKS_VS_DECODED,
@@ -68,6 +76,32 @@ ROUNDS = 3
 #: across records.  The optimizer's own effect is reported
 #: separately (``optimizer_instructions``).
 LADDER_OPTIMIZE = False
+
+#: fresh processes per engine for the one-shot pass (interleaved, the
+#: minimum kept)
+COLD_SAMPLES = 2
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+
+#: the one-shot pass a fresh interpreter runs for ``_cold_seconds``:
+#: import the simulator, compile every Olden program, run the timed
+#: sweep of ``_sweep_seconds`` once; prints its own seconds
+_COLD_PASS = """
+import sys
+import time
+t0 = time.perf_counter()
+from repro.harness.runner import run_workload
+from repro.machine.config import MachineConfig
+from repro.workloads.registry import WORKLOADS
+engine = sys.argv[1]
+for name in WORKLOADS:
+    run_workload(name, MachineConfig.plain(engine=engine, timing=True),
+                 optimize=%r)
+    run_workload(name, MachineConfig.hardbound(
+        encoding="intern11", engine=engine, timing=True), optimize=%r)
+print(time.perf_counter() - t0)
+""" % (LADDER_OPTIMIZE, LADDER_OPTIMIZE)
 
 
 def _warm_compile_cache(timing):
@@ -109,6 +143,28 @@ def _sweep_seconds(engine, timing, obs=None):
             obs_events=obs),
             optimize=LADDER_OPTIMIZE)
     return time.perf_counter() - start
+
+
+def _cold_seconds():
+    """One-shot timed sweep seconds per engine, each in a fresh
+    interpreter: min of ``COLD_SAMPLES`` interleaved subprocesses.
+    Returns the record gated by ``FLOOR_COLD_BLOCKS_VS_DECODED``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
+    best = {"decoded": float("inf"), "blocks": float("inf")}
+    for _ in range(COLD_SAMPLES):
+        for engine in best:
+            out = subprocess.run(
+                [sys.executable, "-c", _COLD_PASS, engine], env=env,
+                check=True, stdout=subprocess.PIPE, text=True).stdout
+            best[engine] = min(best[engine], float(out.split()[-1]))
+    return {
+        "decoded_seconds": best["decoded"],
+        "blocks_seconds": best["blocks"],
+        "blocks_vs_decoded": best["decoded"] / best["blocks"],
+        "samples": COLD_SAMPLES,
+    }
 
 
 def _obs_overhead():
@@ -229,6 +285,7 @@ def test_engine_speedups(benchmark):
         return seconds
 
     seconds = benchmark.pedantic(measure, rounds=1, iterations=1)
+    cold = _cold_seconds()
 
     speedups = {}
     rows = []
@@ -243,6 +300,10 @@ def test_engine_speedups(benchmark):
             ["timing=%s" % timing]
             + ["%.2fs" % best[engine] for engine in ENGINES]
             + ["%.2fx" % speedups[timing]["blocks_vs_decoded"]])
+    rows.append(["cold timing=True", "-",
+                 "%.2fs" % cold["decoded_seconds"],
+                 "%.2fs" % cold["blocks_seconds"],
+                 "%.2fx" % cold["blocks_vs_decoded"]])
     table = format_table(
         ["sweep", "legacy", "decoded", "blocks", "blocks/decoded"],
         rows, "Engine speedups (Olden sweep)")
@@ -280,6 +341,7 @@ def test_engine_speedups(benchmark):
             "functional": speedups[False],
             "timed": speedups[True],
         },
+        "cold": cold,
         "optimizer_instructions": optimizer,
         "obs_overhead": obs_overhead,
         "service_warm_vs_cold": service_warm,
@@ -297,6 +359,9 @@ def test_engine_speedups(benchmark):
     # CI's bench-gate step can never disagree)
     assert (speedups[True]["blocks_vs_decoded"]
             >= FLOOR_TIMED_BLOCKS_VS_DECODED), speedups
+    # one-shot, blocks must not cost more than decoded
+    assert cold["blocks_vs_decoded"] >= FLOOR_COLD_BLOCKS_VS_DECODED, \
+        cold
     # event tracing must cost under ~2% on the timed blocks sweep
     # (host-independent — both sweeps run in the same process)
     assert obs_overhead["ratio"] >= FLOOR_OBS_OVERHEAD_RATIO, \

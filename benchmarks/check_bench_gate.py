@@ -8,6 +8,11 @@ run; this script is the step right after it and fails the build when
   committed floor (``FLOOR_TIMED_BLOCKS_VS_DECODED`` — the ratio is
   host-independent because both engines run on the same machine in
   the same process), or
+* the record's ``cold.blocks_vs_decoded`` (one-shot timed Olden
+  sweep in a fresh interpreter — import, MiniC compile and run —
+  decoded seconds over blocks seconds) falls below
+  ``FLOOR_COLD_BLOCKS_VS_DECODED``: a fresh process must not pay
+  more for the fused engine than for the decoded one, or
 * the record's ``obs_overhead.ratio`` (timed blocks sweep,
   events-off seconds over events-on seconds) falls below
   ``FLOOR_OBS_OVERHEAD_RATIO`` — event tracing must stay under ~2%
@@ -59,6 +64,15 @@ import xml.etree.ElementTree as ET
 #: engines share, which caps the ratio well below the dispatch-only
 #: speedup.
 FLOOR_TIMED_BLOCKS_VS_DECODED = 2.2
+
+#: committed floor for the one-shot blocks-vs-decoded ratio: a fresh
+#: interpreter's timed Olden sweep (import + MiniC compile + run),
+#: decoded seconds over blocks seconds, min of two interleaved
+#: subprocesses per engine on the same machine.  Compiling fusers
+#: only for blocks that run keeps the fused engine's code generation
+#: below what its dispatch saves even in a process that runs each
+#: program once.
+FLOOR_COLD_BLOCKS_VS_DECODED = 1.0
 
 #: committed floor for the instrumentation-overhead ratio of the
 #: observability layer: timed blocks sweep seconds with events off
@@ -124,6 +138,19 @@ def check_record(path: str, floor: float, errors: list) -> None:
             "timed blocks_vs_decoded %.3fx is below the committed "
             "floor %.2fx — the blocks engine regressed"
             % (ratio, floor))
+    cold = (record.get("cold") or {}).get("blocks_vs_decoded")
+    if cold is None:
+        errors.append("%s has no cold.blocks_vs_decoded — the "
+                      "one-shot sweep did not run" % path)
+    else:
+        print("bench-gate: cold blocks_vs_decoded = %.2fx (floor "
+              "%.2fx)" % (cold, FLOOR_COLD_BLOCKS_VS_DECODED))
+        if cold < FLOOR_COLD_BLOCKS_VS_DECODED:
+            errors.append(
+                "cold blocks_vs_decoded %.3fx is below the committed "
+                "floor %.2fx — a fresh process pays more for the "
+                "blocks engine than for decoded"
+                % (cold, FLOOR_COLD_BLOCKS_VS_DECODED))
     ratio = (record.get("obs_overhead") or {}).get("ratio")
     if ratio is None:
         errors.append("%s has no obs_overhead.ratio — the "

@@ -8,7 +8,6 @@ Used for the L1 data cache, the unified L2, the tag metadata cache and
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List
 
 
 def _ilog2(n: int) -> int:
@@ -16,6 +15,21 @@ def _ilog2(n: int) -> int:
     if 1 << bits != n:
         raise ValueError("%d is not a power of two" % n)
     return bits
+
+
+class _Sets(dict):
+    """Set index -> ``OrderedDict`` of resident blocks, oldest first.
+
+    A set springs into existence on its first access, so a cache
+    costs nothing to build however many sets it has (the default L2
+    has 32,768); an untouched set reads as empty.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, index: int) -> OrderedDict:
+        line = self[index] = OrderedDict()
+        return line
 
 
 class Cache:
@@ -40,8 +54,7 @@ class Cache:
         self._block_shift = _ilog2(block)
         self._set_mask = self.num_sets - 1
         _ilog2(self.num_sets)  # validate power of two
-        self._sets: List[OrderedDict] = [OrderedDict()
-                                         for _ in range(self.num_sets)]
+        self._sets = _Sets()
         self.accesses = 0
         self.misses = 0
         self.evictions = 0
@@ -64,7 +77,8 @@ class Cache:
     def contains(self, addr: int) -> bool:
         """Non-mutating presence probe (no stats, no LRU update)."""
         block_no = addr >> self._block_shift
-        return block_no in self._sets[block_no & self._set_mask]
+        line = self._sets.get(block_no & self._set_mask)
+        return line is not None and block_no in line
 
     def reset_stats(self) -> None:
         """Zero the counters, keeping contents."""

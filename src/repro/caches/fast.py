@@ -33,11 +33,7 @@ bound as a local:
   for the small associativities the paper uses (``assoc <= 4``) the
   way scan and the recency shift are fully unrolled into
   straight-line compares and slot moves; larger associativities take
-  a bounded ``for`` scan plus one slice shift over the same layout.
-  The same line emitters feed the block-fusion engine
-  (:func:`word_probe_lines` / :func:`data_probe_lines`), so the
-  inlined charge in a fused block and the closure probes here are
-  *the same source text* over the same lists;
+  a bounded ``for`` scan plus one slice shift over the same layout;
 * a most-recently-used short circuit skips the way scan entirely
   when an access touches the same block (or page) as the previous
   probe of that structure — then the block is guaranteed present
@@ -46,19 +42,19 @@ bound as a local:
 * per-kind statistics accumulate into flat counter lists and are
   materialized into an :class:`~repro.caches.stats.AccessStats` only
   when :attr:`stats` is read — **counter-batching invariant**: every
-  code path that charges an access, wherever it lives, must bump the
-  same shared counter lists, page sets and MRU cells, which is why
-  :meth:`inline_env` hands out the records themselves rather than
-  copies;
+  code path that charges an access must bump the same shared counter
+  lists, page sets and MRU cells;
 * :meth:`make_word_probe` / :meth:`make_shadow_probe` /
   :meth:`make_data_probe` hand the execution engines single-call
   probes for their hottest access shapes (a word access fused with
   its tag-byte probe, the shadow double word, a plain word), and
-  :meth:`inline_env` exposes the geometry, per-kind records and
-  composite-MRU cells so the block-fusion engine can generate the
-  whole charge inline — called and inlined charges update the same
-  state and are therefore interchangeable mid-run (fused blocks
-  inline, the single-step fallback calls the probes).
+  :meth:`word_probe_parts` / :meth:`data_probe_parts` add the cells
+  of their composite-MRU short circuit, so a caller can inline that
+  hit (only the access counters advance) and call the probe for
+  everything else.  The decoded closures and the block-fusion
+  templates both do exactly that, over one set of probes per run;
+  the probe source itself is compiled only here, never spliced into
+  generated blocks.
 
 Counters are **bit-identical** to :class:`MemorySystem`: the same
 accesses, TLB/L1/L2 misses, stall cycles and distinct pages per kind
@@ -91,10 +87,7 @@ _R_CTR, _R_PAGES, _R_TLBK, _R_TLB_MRU, _R_KEYS, _R_MASK, _R_ASSOC, \
 # set of bound names and exec-compiled once per cache geometry (the
 # associativities are baked into the source as unroll counts; masks,
 # penalties and the way tables stay bound as closure cells so one
-# code object serves every size with the same associativity).  The
-# block-fusion engine inlines the very same lines into its generated
-# block closures, which is what makes inlined and called charges
-# counter-identical by construction.
+# code object serves every size with the same associativity).
 
 def _shift_lines(keys: str, wb: str, upto, pad: str = "") -> List[str]:
     """Shift ways ``[wb, upto)`` back one slot (recency demotion).
@@ -196,8 +189,7 @@ def _pad(pad: str, lines: List[str]) -> List[str]:
 
 @lru_cache(maxsize=None)
 def word_probe_lines(tlb_assoc: int, l1_assoc: int, tag_assoc: int,
-                     l2_assoc: int,
-                     skip_cell: bool = False) -> Tuple[str, ...]:
+                     l2_assoc: int) -> Tuple[str, ...]:
     """The whole word+tag charge as source lines over variable ``ea``.
 
     Charges a 4-byte ``"data"`` access at ``ea`` followed by a 1-byte
@@ -206,14 +198,6 @@ def word_probe_lines(tlb_assoc: int, l1_assoc: int, tag_assoc: int,
     blocks, so the tag leg drops the span handling entirely.  The
     composite short circuit skips everything when the probe repeats
     the previous probe's key granule (see :meth:`make_word_probe`).
-    Consumed both by the closure compiler here and, verbatim, by the
-    block-fusion templates.
-
-    With ``skip_cell`` (the block-fusion templates' variant) the composite
-    hit bumps the shared ``_wsk`` cell once instead of the data and
-    tag access counters twice; :attr:`FastMemorySystem.stats`
-    materializes the cell back into both counts, so the two variants
-    are freely interchangeable mid-run.
     """
     lines = [
         # the key granule pins only the access's first block, so the
@@ -221,13 +205,8 @@ def word_probe_lines(tlb_assoc: int, l1_assoc: int, tag_assoc: int,
         # (conservative: same key granule for both ends)
         "wkey = ea >> _wps",
         "if wkey == _wpm[0] and (ea + 3) >> _wps == wkey:",
-    ]
-    if skip_cell:
-        lines += ["    _wsk[0] += 1"]
-    else:
-        lines += ["    _dct[0] += 1",
-                  "    _tct[0] += 1"]
-    lines += [
+        "    _dct[0] += 1",
+        "    _tct[0] += 1",
         "else:",
         # -- data leg (4 bytes) --
         "    _dct[0] += 1",
@@ -290,11 +269,7 @@ def word_probe_lines(tlb_assoc: int, l1_assoc: int, tag_assoc: int,
 @lru_cache(maxsize=None)
 def data_probe_lines(tlb_assoc: int, l1_assoc: int,
                      l2_assoc: int) -> Tuple[str, ...]:
-    """The plain 4-byte ``"data"`` charge as source lines over ``ea``.
-
-    Consumed both by the closure compiler here and, verbatim, by the
-    block-fusion templates.
-    """
+    """The plain 4-byte ``"data"`` charge as source lines over ``ea``."""
     lines = [
         "fb = ea >> _bs",
         "lb = (ea + 3) >> _bs",
@@ -333,7 +308,7 @@ def _kind_probe_lines(span: int, cassoc: int, tlb_assoc: int,
                       l2_assoc: int, identity: bool) -> Tuple[str, ...]:
     """Fixed-size single-kind charge over neutral structure names
     (``_ct``/``_ck``/... are bound to the kind's record at compile
-    time).  Used for the shadow probe; never inlined by the fuser."""
+    time).  Used for the shadow probe."""
     if identity:
         lines = ["addr = ea"]
     else:
@@ -489,10 +464,6 @@ class FastMemorySystem:
         # other probe therefore invalidates these on its full path
         self._wp_mru = [-1]
         self._dp_mru = [-1]
-        # composite-hit batch counter (fused-template word probes):
-        # one bump per composite hit, materialized into both the data
-        # and tag access counts when stats are read
-        self._wp_skip = [0]
         # every cell whose skip path can elide a distinct-page add;
         # reset_stats() must invalidate them so cleared page sets
         # repopulate (probes register their private fig cells here)
@@ -613,8 +584,7 @@ class FastMemorySystem:
         followed by a 1-byte ``"tag"`` access at ``tag_base + (addr
         >> tag_shift)`` — the exact sequence every HardBound word
         load/store performs.  Compiled from
-        :func:`word_probe_lines` for this geometry, so the body is
-        the same source the block fuser inlines.
+        :func:`word_probe_lines` for this geometry.
         """
         p = self.params
         (block_shift, page_shift, tlb_mask, tlb_assoc, l2_keys,
@@ -660,8 +630,7 @@ class FastMemorySystem:
     def make_data_probe(self):
         """Probe for a plain 4-byte ``"data"`` access at an address.
 
-        Compiled from :func:`data_probe_lines` — the same source the
-        block fuser inlines for plain (no-HardBound) word accesses.
+        Compiled from :func:`data_probe_lines` for this geometry.
         """
         (block_shift, page_shift, tlb_mask, tlb_assoc, l2_keys,
          l2_mask, l2_assoc, tlb_pen, l1_pen, l2_pen,
@@ -726,8 +695,9 @@ class FastMemorySystem:
         return self._make_kind_probe("shadow", 8, SHADOW_SPACE_BASE, 2)
 
     # callers hot enough to inline the composite-hit path themselves
-    # (the decoded memory closures) get the probe plus the cells the
-    # short circuit reads: on a hit only the access counters advance.
+    # (the decoded memory closures and the block-fusion templates) get
+    # the probe plus the cells the short circuit reads: on a hit only
+    # the access counters advance.
 
     def word_probe_parts(self, tag_base: int, tag_shift: int):
         """``(probe, wp_mru, data_ctr, tag_ctr, key_shift)`` for an
@@ -746,87 +716,16 @@ class FastMemorySystem:
                 self._kinds["data"][_R_CTR],
                 _ilog2(self.params.block))
 
-    def inline_env(self, tag_base, tag_shift):
-        """Everything a code generator needs to inline the charges.
-
-        The block-fusion engine's memory templates inline the whole
-        word+tag probe (and the plain data probe) into generated
-        source instead of calling a probe closure.  This returns the
-        geometry constants (including the associativities the line
-        emitters unroll over), the per-kind way tables and counter
-        records, the shared composite-MRU cells, and freshly
-        registered fig-page MRU cells — the same state the closure
-        probes close over, so inlined and called charges update
-        identical structures and stay counter-identical.
-
-        ``tag_base``/``tag_shift`` may be ``None`` (plain runs have
-        no tag leg); the tag fields are then ``None`` too.
-        """
-        from types import SimpleNamespace
-
-        (block_shift, page_shift, tlb_mask, tlb_assoc, l2_keys,
-         l2_mask, l2_assoc, tlb_pen, l1_pen, l2_pen,
-         fig_shift) = self._geometry()
-        env = SimpleNamespace(
-            block_shift=block_shift, page_shift=page_shift,
-            fig_shift=fig_shift, tlb_mask=tlb_mask,
-            tlb_assoc=tlb_assoc, l2_keys=l2_keys, l2_mask=l2_mask,
-            l2_assoc=l2_assoc, tlb_pen=tlb_pen, l1_pen=l1_pen,
-            l2_pen=l2_pen, wp_mru=self._wp_mru, dp_mru=self._dp_mru,
-            wp_skip=self._wp_skip,
-            tag_base=tag_base, tag_shift=tag_shift,
-        )
-        drec = self._kinds["data"]
-        env.dctr = drec[_R_CTR]
-        env.dpages_add = drec[_R_PAGES].add
-        env.dtlb_keys = drec[_R_TLBK]
-        env.dtlb_mru = drec[_R_TLB_MRU]
-        env.dkeys = drec[_R_KEYS]
-        env.dmask = drec[_R_MASK]
-        env.dmru = drec[_R_MRU]
-        env.dfig_mru = [-1]
-        self._reset_cells.append(env.dfig_mru)
-        # data-probe composite validity (mirrors make_data_probe)
-        env.dp_composite = (block_shift <= fig_shift
-                            and block_shift < page_shift)
-        if tag_base is not None:
-            trec = self._kinds["tag"]
-            env.tctr = trec[_R_CTR]
-            env.tpages_add = trec[_R_PAGES].add
-            env.ttlb_keys = trec[_R_TLBK]
-            env.ttlb_mru = trec[_R_TLB_MRU]
-            env.tkeys = trec[_R_KEYS]
-            env.tmask = trec[_R_MASK]
-            env.tmru = trec[_R_MRU]
-            env.tfig_mru = [-1]
-            self._reset_cells.append(env.tfig_mru)
-            # word-probe composite key/validity (mirrors
-            # make_word_probe)
-            env.wp_shift = min(tag_shift, block_shift)
-            env.wp_composite = (env.wp_shift <= fig_shift
-                                and block_shift < page_shift)
-        else:
-            env.tctr = env.tpages_add = env.ttlb_keys = None
-            env.ttlb_mru = env.tkeys = env.tmask = None
-            env.tmru = env.tfig_mru = None
-            env.wp_shift = env.wp_composite = None
-        return env
-
     # -- statistics --------------------------------------------------------
 
     @property
     def stats(self) -> AccessStats:
         """Materialize the batched counters as an ``AccessStats``."""
         out = AccessStats()
-        skip = self._wp_skip[0]
         for kind, rec in self._kinds.items():
             ctr, pages = rec[_R_CTR], rec[_R_PAGES]
             ks = out.kinds[kind]
             ks.accesses = ctr[_ACC]
-            if kind in ("data", "tag"):
-                # each batched composite hit was one data access and
-                # one tag access
-                ks.accesses += skip
             ks.tlb_misses = ctr[_TLB_M]
             ks.l1_misses = ctr[_L1_M]
             ks.l2_misses = ctr[_L2_M]
@@ -847,7 +746,6 @@ class FastMemorySystem:
             for i in range(len(ctr)):
                 ctr[i] = 0
             pages.clear()
-        self._wp_skip[0] = 0
         # composite/fig-page shortcuts may elide page-set adds; after
         # clearing the sets they must repopulate from scratch
         for cell in self._reset_cells:
@@ -862,8 +760,6 @@ class FastMemorySystem:
         for kind in kinds_subset:
             ctr = self._kinds[kind][_R_CTR]
             acc += ctr[_ACC] + (ctr[_SPANS] if spanning else 0)
-            if kind in ("data", "tag"):
-                acc += self._wp_skip[0]
             misses += ctr[miss_idx]
         return acc, misses
 

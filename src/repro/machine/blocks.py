@@ -30,24 +30,36 @@ runs:
    the decoded engine's own fast path: effective-address arithmetic,
    the HardBound bounds check, the flat-heap segment check (which
    doubles as arena routing — see :mod:`repro.machine.memory`), the
-   word-view access, the :class:`~repro.caches.fast.FastMemorySystem`
-   word+tag probe with its composite-MRU short circuit, and the
-   pointer-metadata load/store.  Every other memory shape — sub-word
-   sizes, index-only and absolute forms, ablated or substituted
-   metadata engines, the classic timing model, observers, the
-   temporal tracker — fuses as a mirror of the decoded *generic*
-   closure, calling the same env-bound entry points in the same
-   order.  **Template invariant:** every template is a source-level
-   copy of the corresponding decoded closure body — same statement
-   order, same counter increments, same trap types and messages — so
-   fused and single-stepped execution are indistinguishable; the
-   engine differential suite and the fuzz oracle enforce this.
+   word-view access, the timing charge and the pointer-metadata
+   load/store.  The charge mirrors the decoded closure's probe call:
+   only the composite-MRU hit of the
+   :class:`~repro.caches.fast.FastMemorySystem` probe (an access
+   repeating the previous probe's granule, which just bumps the
+   access counters) is inline; everything else calls the run's
+   shared word+tag or data probe, so a memory op costs a few lines
+   of generated source whatever the cache geometry.  Every other
+   memory shape — sub-word sizes, index-only and absolute forms,
+   ablated or substituted metadata engines, the classic timing
+   model, observers, the temporal tracker — fuses as a mirror of the
+   decoded *generic* closure, calling the same env-bound entry
+   points in the same order.  **Template invariant:** every template
+   is a source-level copy of the corresponding decoded closure body —
+   same statement order, same counter increments, same trap types and
+   messages — so fused and single-stepped execution are
+   indistinguishable; the engine differential suite and the fuzz
+   oracle enforce this.
 
-3. **Fusion plans** — CFG discovery, template selection and source
-   assembly depend only on the program and the template-selection
-   context, so their outcome is recorded in a program-keyed
-   :class:`_Plan`; a later run of the same program re-binds the
-   recorded closure-argument vectors instead of rebuilding.
+3. **Fusion plans** — CFG discovery and template selection depend
+   only on the program and the template-selection context, so their
+   outcome is recorded in a program-keyed :class:`_Plan`; a later run
+   of the same program re-binds the recorded closure-argument vectors
+   instead of rebuilding.  The plan covers every block (so does the
+   closure-fallback tally), but a fuser is compiled only when its
+   block is first dispatched: blocks whose shape signature is already
+   compiled bind at run start, and the rest wait in a pending map
+   until the run loop first reaches their leader.  Code that never
+   runs is never handed to CPython's ``compile()``, and every block
+   entered at its leader still runs fused.
 
 4. **Block-threaded dispatch** — the run loop executes one block per
    iteration: one table lookup, one limit compare against the whole
@@ -71,14 +83,8 @@ import re
 import types
 import weakref
 from time import perf_counter
-from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
-from repro.caches.fast import (
-    FastMemorySystem,
-    data_probe_lines,
-    word_probe_lines,
-)
 from repro.isa.opcodes import Op, REG_FP, REG_RA, REG_SP
 from repro.isa.program import Program
 from repro.layout import (
@@ -311,11 +317,10 @@ class _Part:
     """One fused instruction: shape id, closure params, source lines.
 
     ``closure_pc`` is set on decoded-closure fallback parts: the pc
-    whose per-run closure is the part's first parameter value.  The
-    fusion plan cache stores specs with those positions marked so a
-    later run can re-bind its own closures (everything else — operand
-    registers, immediates, shared helper functions — is
-    program-stable).
+    whose per-run closure the part's first parameter takes.  The
+    fusion plan cache stores specs with those positions marked so
+    every run binds its own closures (everything else — operand
+    registers, immediates — is program-stable).
     """
 
     __slots__ = ("shape", "params", "lines", "closure_pc")
@@ -336,11 +341,6 @@ class _FuseCtx:
     fused memory template never covers a configuration the decoded
     closures would route through generic engine calls.
 
-    ``assoc_sig`` carries the fast model's associativity geometry
-    (TLB, L1, tag cache, L2): the inlined probe bodies unroll their
-    way scans over it, so it is part of the memory templates' shape
-    identity.
-
     The remaining facts select the generic memory templates and the
     ``setbound``/``sbrk`` templates, which fuse as source-level
     mirrors of the decoded *generic* closures (calling the same
@@ -351,7 +351,6 @@ class _FuseCtx:
 
     __slots__ = ("observer_none", "full_mode", "fuse_hb_mem",
                  "hb_timing", "fuse_plain_mem", "plain_timing",
-                 "assoc_sig", "assoc_tag",
                  "hb_present", "inline_check", "use_words",
                  "has_temporal", "timing", "comp_expr", "comp_tag")
 
@@ -384,22 +383,14 @@ class _FuseCtx:
         self.plain_timing = env.dprobe is not None
         self.fuse_plain_mem = (mem_ok and env.hb is None
                                and (not timing or self.plain_timing))
-        if isinstance(env.memsys, FastMemorySystem):
-            p = env.memsys.params
-            self.assoc_sig = (p.tlb_assoc, p.l1_assoc,
-                              p.tag_cache_assoc, p.l2_assoc)
-            self.assoc_tag = "_a" + "-".join(map(str, self.assoc_sig))
-        else:
-            self.assoc_sig = None
-            self.assoc_tag = ""
 
     def key(self) -> tuple:
         """Everything template selection depends on (the plan key)."""
         return (self.observer_none, self.full_mode, self.fuse_hb_mem,
                 self.hb_timing, self.fuse_plain_mem,
-                self.plain_timing, self.assoc_sig,
-                self.hb_present, self.inline_check, self.use_words,
-                self.has_temporal, self.timing, self.comp_tag)
+                self.plain_timing, self.hb_present, self.inline_check,
+                self.use_words, self.has_temporal, self.timing,
+                self.comp_tag)
 
 
 # -- memory template fragments ----------------------------------------------
@@ -413,16 +404,24 @@ _HEAP = str(HEAP_BASE)
 _GLOB = str(GLOBAL_BASE)
 _STOP = str(STACK_TOP)
 
-# The fast memory-model charge bodies are emitted by
-# repro.caches.fast's line emitters (word_probe_lines /
-# data_probe_lines): the same source the closure probes are compiled
-# from, parameterized by the associativity geometry (way scans are
-# unrolled for assoc <= 4 over the flat recency-ordered way tables).
-# The
-# lines carry no per-instruction placeholders, so they are inlined
-# into the memory templates verbatim; the assoc geometry becomes part
-# of the template shape (``_FuseCtx.assoc_tag``) because it changes
-# the generated source.
+# The fast memory-model charges, as the decoded word closures make
+# them: the composite-MRU hit inline (only the access counters
+# advance), every other access through the run's shared probe.
+_WPROBE_LINES = [
+    "wkey = ea >> _wps",
+    "if wkey == _wpm[0] and (ea + 3) >> _wps == wkey:",
+    "    _wdc[0] += 1",
+    "    _wtc[0] += 1",
+    "else:",
+    "    _wp(ea)",
+]
+_DPROBE_LINES = [
+    "bkey = ea >> _dps",
+    "if bkey == _dpm[0] and (ea + 3) >> _dps == bkey:",
+    "    _dpc[0] += 1",
+    "else:",
+    "    _dp(ea)",
+]
 
 
 def _word_read_lines(acc: str, stack_first: bool) -> List[str]:
@@ -600,43 +599,35 @@ def _mem_part(instr, i: int, ctx: _FuseCtx) -> Optional[_Part]:
                                      "si" if si else "s",
                                      frame, ctx.full_mode, timing,
                                      ctx.comp_tag)
-        if timing:
-            shape += ctx.assoc_tag
-            wprobe = list(word_probe_lines(*ctx.assoc_sig,
-                                           skip_cell=True))
         lines = [ea_line]
         lines += _hb_check_lines(acc, si, frame, ctx.full_mode)
         if load:
             lines += _word_read_lines(acc, frame)
             if timing:
-                lines += wprobe
+                lines += _WPROBE_LINES
             lines += _load_meta_lines(timing, comp)
         else:
             lines += _word_write_lines(acc, frame)
             if timing:
-                lines += wprobe
+                lines += _WPROBE_LINES
             lines += _store_meta_lines(timing, comp)
         return _Part(shape, params, lines)
     if ctx.fuse_plain_mem:
         timing = ctx.plain_timing
         shape = "%spl_%s%d%d" % ("ld" if load else "st",
                                  "si" if si else "s", frame, timing)
-        if timing:
-            shape += ctx.assoc_tag
-            sig = ctx.assoc_sig
-            dprobe = list(data_probe_lines(sig[0], sig[1], sig[3]))
         lines = [ea_line]
         if load:
             lines += _word_read_lines(acc, frame)
             if timing:
-                lines += dprobe
+                lines += _DPROBE_LINES
             lines += ["value[rd{i}] = v",
                       "rbase[rd{i}] = 0",
                       "rbound[rd{i}] = 0"]
         else:
             lines += _word_write_lines(acc, frame)
             if timing:
-                lines += dprobe
+                lines += _DPROBE_LINES
         return _Part(shape, params, lines)
     return None
 
@@ -794,14 +785,13 @@ def _sbrk_part(instr, i: int) -> _Part:
                   "rbound[rd{i}] = 0"])
 
 
-def _closure_part(i: int, fn, terminator: bool,
-                  term_pc: int) -> _Part:
+def _closure_part(i: int, terminator: bool, pc: int) -> _Part:
+    """Call of the decoded closure for ``pc`` (bound per run, see
+    :class:`_CodeRef`)."""
     if terminator:
-        return _Part("ft", [("f%d" % i, fn), ("t%d" % i, term_pc)],
-                     ["return f{i}(t{i})".format(i=i)],
-                     closure_pc=term_pc)
-    return _Part("f", [("f%d" % i, fn)], ["f{i}(0)".format(i=i)],
-                 closure_pc=term_pc)
+        return _Part("ft", [("f%d" % i, None), ("t%d" % i, pc)],
+                     ["return f{i}(t{i})"], closure_pc=pc)
+    return _Part("f", [("f%d" % i, None)], ["f{i}(0)"], closure_pc=pc)
 
 
 def _template_part(instr, i: int, pc: int,
@@ -1003,7 +993,7 @@ def _template_part(instr, i: int, pc: int,
 #: pseudo-filename of the generated fuser source (shows in tracebacks)
 _FUSE_FILENAME = "<repro-block-fuse>"
 
-#: shape signature -> (fuse function, block code object)
+#: shape signature -> (fuse function, names of the env values it takes)
 _fuse_cache: Dict[Tuple[str, ...], tuple] = {}
 #: block code object -> {line number -> instruction offset}
 _line_maps: Dict[object, Dict[int, int]] = {}
@@ -1021,16 +1011,16 @@ class _CodeRef:
 class _Plan:
     """Program-keyed fusion plan.
 
-    The expensive parts of fusing a program — CFG discovery,
-    template selection, source assembly — depend only on the program
-    and the template-selection context, not on the run.  A plan
-    records their outcome per block as ``(start, length, signature,
-    spec)``: the signature keys the compiled fuser in ``_fuse_cache``,
-    the spec is the flat closure-argument vector with per-run decoded
-    closures marked by :class:`_CodeRef`.  Re-running the same
-    program (the sharded harness and the benchmarks do, constantly)
-    then reduces fusion to re-binding.  ``fallback`` is the build's
-    tally of instructions left to their decoded closures, by op name.
+    The expensive parts of fusing a program — CFG discovery and
+    template selection — depend only on the program and the
+    template-selection context, not on the run.  A plan records their
+    outcome per block as ``(start, length, signature, spec)``: the
+    signature keys the compiled fuser in ``_fuse_cache``, the spec is
+    the flat closure-argument vector with per-run decoded closures
+    marked by :class:`_CodeRef`.  Re-running the same program (the
+    sharded harness and the benchmarks do, constantly) then reduces
+    fusion to re-binding.  ``fallback`` is the build's tally of
+    instructions left to their decoded closures, by op name.
     """
 
     __slots__ = ("blocks", "fallback")
@@ -1054,204 +1044,179 @@ def _part_spec(parts: List[_Part]) -> list:
         spec.extend(values)
     return spec
 
-#: template parameter name -> FastMemorySystem.inline_env field.
-#: Single source of truth for the fast memory-model inline
-#: environment (geometry, per-kind records, way tables and composite
-#: cells); the fuser signature and the per-block value vector are
-#: both derived from it, so a field can only be added or renamed in
-#: one place.
-_MI_PARAMS = (
-    ("_bs", "block_shift"), ("_ps", "page_shift"),
-    ("_fs", "fig_shift"), ("_tlm", "tlb_mask"),
-    ("_l2k", "l2_keys"), ("_l2m", "l2_mask"),
-    ("_tpen", "tlb_pen"), ("_1pen", "l1_pen"), ("_2pen", "l2_pen"),
-    ("_dct", "dctr"), ("_dpg", "dpages_add"),
-    ("_dtlk", "dtlb_keys"), ("_dtm", "dtlb_mru"),
-    ("_l1k", "dkeys"), ("_dma", "dmask"), ("_dmr", "dmru"),
-    ("_dfg", "dfig_mru"),
-    ("_tct", "tctr"), ("_tpg", "tpages_add"),
-    ("_ttlk", "ttlb_keys"), ("_ttm", "ttlb_mru"),
-    ("_tck", "tkeys"), ("_tma", "tmask"), ("_tmr", "tmru"),
-    ("_tfg", "tfig_mru"),
-    ("_tb", "tag_base"), ("_ts", "tag_shift"),
-    ("_wpm", "wp_mru"), ("_wps", "wp_shift"), ("_cmpw", "wp_composite"),
-    ("_dpm", "dp_mru"), ("_cmpd", "dp_composite"),
-    ("_wsk", "wp_skip"),
-)
 
-#: shared environment parameters appended to every fuser signature:
-#: the register arrays, program length and code-pointer trap, then
-#: the memory environment (arena cells, segment bounds, raw spill
-#: entry points), the HardBound metadata environment, the fast
-#: memory-model inline environment, the trap constructors the
-#: memory templates raise, and the generic entry points the generic
-#: templates call (the cpu, ``to_signed``, ``sbrk``, the byte-level
-#: memory accessors, the timing/temporal/observer hooks and the
-#: metadata-engine methods)
-_ENV_PARAMS = (
-    "value", "rbase", "rbound", "_n", "_icpe",
-    "_mem", "_heap", "_glob", "_stk", "_gl", "_sb", "_rr", "_rw",
-    "_hbs", "_meta", "_mg", "_mp", "_isc", "_sp",
-) + tuple(name for name, _ in _MI_PARAMS) + (
-    "_be", "_npe", "_mf", "_dbz",
-    "_cpu", "_tsg", "_sbrk", "_mr", "_mw", "_da", "_tc", "_ob",
-    "_tmp", "_hbc", "_hblw", "_hbls", "_hbsw", "_hbss",
-)
+#: shared environment names a template may reference -> the
+#: :func:`~repro.machine.decode.bind_env` field bound to each: the
+#: register arrays and program length, the memory environment (arena
+#: cells, segment bounds, raw spill entry points), the HardBound
+#: metadata environment, the fast timing model's probes with their
+#: composite-hit cells, and the generic entry points the generic
+#: templates call (``sbrk``, the byte-level memory accessors, the
+#: timing/temporal/observer hooks and the metadata-engine methods)
+_ENV_FIELDS = {
+    "value": "value", "rbase": "rbase", "rbound": "rbound",
+    "_n": "n_instrs",
+    "_mem": "memory", "_heap": "heap_cell", "_glob": "glob_cell",
+    "_stk": "stack_cell", "_gl": "globals_limit", "_sb": "stack_base",
+    "_rr": "raw_read", "_rw": "raw_write",
+    "_hbs": "hb_stats", "_meta": "meta_map", "_mg": "meta_get",
+    "_mp": "meta_pop", "_isc": "is_comp", "_sp": "sprobe",
+    "_wp": "wprobe", "_wpm": "wp_mru", "_wps": "wp_shift",
+    "_wdc": "wp_dctr", "_wtc": "wp_tctr",
+    "_dp": "dprobe", "_dpm": "dp_mru", "_dps": "dp_shift",
+    "_dpc": "dp_ctr",
+    "_sbrk": "mem_sbrk", "_mr": "mem_read", "_mw": "mem_write",
+    "_da": "data_access", "_tc": "temporal_check", "_ob": "observer",
+    "_tmp": "temporal", "_hbc": "hb_check", "_hblw": "hb_load_word",
+    "_hbls": "hb_load_sub", "_hbsw": "hb_store_word",
+    "_hbss": "hb_store_sub",
+}
+
+#: environment names bound to the same object in every run: the trap
+#: constructors the templates raise and ``to_signed``
+_ENV_CONSTANTS = {
+    "_icpe": InvalidCodePointerError, "_be": BoundsError,
+    "_npe": NonPointerError, "_mf": MemoryFault,
+    "_dbz": DivideByZeroError, "_tsg": to_signed,
+}
+
+#: every shared environment name, in fuser-signature order (``_cpu``
+#: is the running CPU)
+_ENV_NAMES = tuple(_ENV_FIELDS) + ("_cpu",) + tuple(_ENV_CONSTANTS)
 
 
 def _compile_fuser(signature: Tuple[str, ...],
-                   parts: List[_Part]):
-    """Compile (or fetch) the fuser for a block shape signature.
+                   parts: List[_Part]) -> int:
+    """Compile the fuser for a block shape signature into
+    ``_fuse_cache``; returns the generated source's size in bytes.
 
-    Every bound name the body references is re-bound as a
-    default-valued parameter of the generated function: CPython then
-    reads it as a fast local instead of a closure cell on every
-    access, at the cost of one default copy per call.
+    The fuser takes the parts' operand parameters followed by the
+    shared environment names the block body references, and
+    re-binds each as a default-valued parameter of the generated
+    block function: CPython then reads it as a fast local instead of
+    a closure cell on every access, at the cost of one default copy
+    per call.
     """
-    cached = _fuse_cache.get(signature)
-    if cached is not None:
-        return cached
-    names: List[str] = []
-    for part in parts:
-        names.extend(name for name, _ in part.params)
-    header = "def _fuse(%s):" % ", ".join(list(names) + list(_ENV_PARAMS))
-    lines = [header, "    def _block(pc):"]
+    body: List[str] = []
     line_of: Dict[int, int] = {}
+    names: List[str] = []
     for offset, part in enumerate(parts):
-        fmt = {"i": offset}
+        names.extend(name for name, _ in part.params)
         for raw in part.lines:
-            lines.append("        " + raw.format(**fmt))
-            line_of[len(lines)] = offset
-    lines.append("    return _block")
-    referenced = set(re.findall(r"[A-Za-z_]\w*",
-                                "\n".join(lines[2:-1])))
-    bound = [name for name in names + list(_ENV_PARAMS)
-             if name in referenced]
-    lines[1] = ("    def _block(pc%s):"
-                % "".join(", %s=%s" % (name, name)
-                          for name in bound))
+            body.append("        " + raw.format(i=offset))
+            # +2: the fuse and block headers precede the body
+            line_of[len(body) + 2] = offset
+    referenced = set(re.findall(r"[A-Za-z_]\w*", "\n".join(body)))
+    env_names = tuple(name for name in _ENV_NAMES if name in referenced)
+    bound = [name for name in names if name in referenced]
+    bound += env_names
+    source = "\n".join(
+        ["def _fuse(%s):" % ", ".join(names + list(env_names)),
+         "    def _block(pc%s):" % "".join(", %s=%s" % (name, name)
+                                          for name in bound)]
+        + body + ["    return _block"])
     namespace: dict = {}
-    exec(compile("\n".join(lines), _FUSE_FILENAME, "exec"), namespace)
+    exec(compile(source, _FUSE_FILENAME, "exec"), namespace)
     fuse = namespace["_fuse"]
     block_code = next(const for const in fuse.__code__.co_consts
                       if isinstance(const, types.CodeType)
                       and const.co_name == "_block")
-    entry = (fuse, block_code)
-    _fuse_cache[signature] = entry
+    _fuse_cache[signature] = (fuse, env_names)
     _line_maps[block_code] = line_of
-    return entry
+    return len(source)
 
 
 class _Fuser:
     """Per-run fusion state.
 
     Holds the decoded closures, the template-selection context and
-    the bound environment value vector, and turns blocks into parts
-    and parts into compiled, bound closures.
+    the run's environment values, turns blocks into parts and
+    records, and binds compiled fusers into block-table entries.
+    ``compiles`` / ``source_bytes`` count the fusers this run handed
+    to CPython's ``compile()`` and the source they took,
+    ``compile_s`` the seconds spent compiling pending blocks.
     """
 
-    __slots__ = ("cpu", "code", "instrs", "ctx", "env_vals")
+    __slots__ = ("cpu", "code", "instrs", "ctx", "env_map",
+                 "compiles", "source_bytes", "compile_s")
 
     def __init__(self, cpu, code: list, env):
         self.cpu = cpu
         self.code = code
         self.instrs = cpu.program.instrs
         self.ctx = _FuseCtx(env)
-        if isinstance(env.memsys, FastMemorySystem):
-            mi = env.memsys.inline_env(env.tag_base, env.tag_shift)
-        else:
-            mi = SimpleNamespace(**{field: None
-                                    for _, field in _MI_PARAMS})
-        env_map = {
-            "value": env.value, "rbase": env.rbase,
-            "rbound": env.rbound,
-            "_n": len(self.instrs), "_icpe": InvalidCodePointerError,
-            "_mem": env.memory, "_heap": env.heap_cell,
-            "_glob": env.glob_cell, "_stk": env.stack_cell,
-            "_gl": env.globals_limit, "_sb": env.stack_base,
-            "_rr": env.raw_read, "_rw": env.raw_write,
-            "_hbs": env.hb_stats, "_meta": env.meta_map,
-            "_mg": env.meta_get, "_mp": env.meta_pop,
-            "_isc": env.is_comp, "_sp": env.sprobe,
-            "_be": BoundsError, "_npe": NonPointerError,
-            "_mf": MemoryFault, "_dbz": DivideByZeroError,
-            "_cpu": cpu, "_tsg": to_signed, "_sbrk": env.mem_sbrk,
-            "_mr": env.mem_read, "_mw": env.mem_write,
-            "_da": env.data_access, "_tc": env.temporal_check,
-            "_ob": env.observer, "_tmp": env.temporal,
-            "_hbc": env.hb_check, "_hblw": env.hb_load_word,
-            "_hbls": env.hb_load_sub, "_hbsw": env.hb_store_word,
-            "_hbss": env.hb_store_sub,
-        }
-        for name, field in _MI_PARAMS:
-            env_map[name] = getattr(mi, field)
-        self.env_vals = tuple(env_map[name] for name in _ENV_PARAMS)
+        self.env_map = {name: getattr(env, field)
+                        for name, field in _ENV_FIELDS.items()}
+        self.env_map.update(_ENV_CONSTANTS, _cpu=cpu)
+        self.compiles = 0
+        self.source_bytes = 0
+        self.compile_s = 0.0
 
-    def make_parts(self, block: BasicBlock,
+    def make_parts(self, start: int, end: int,
                    fallback: Dict[str, int]) -> List[_Part]:
-        """Parts for one block; closure fallbacks are tallied by op
-        name into ``fallback``."""
-        instrs, code, ctx = self.instrs, self.code, self.ctx
-        last = block.end - 1
+        """Parts for the block ``[start, end)``; closure fallbacks are
+        tallied by op name into ``fallback``."""
+        instrs, ctx = self.instrs, self.ctx
         parts: List[_Part] = []
-        for i, pc in enumerate(range(block.start, block.end)):
+        for i, pc in enumerate(range(start, end)):
             instr = instrs[pc]
             part = _template_part(instr, i, pc, ctx)
             if part is None:
                 key = instr.op.value
                 fallback[key] = fallback.get(key, 0) + 1
-                part = _closure_part(i, code[pc], pc == last, pc)
+                part = _closure_part(i, pc == end - 1, pc)
             parts.append(part)
         return parts
 
-    def bind_spec(self, signature: Tuple[str, ...], spec: list):
-        """Bind a compiled fuser to a ``(signature, spec)`` entry.
-
-        Only valid for signatures this process already compiled
-        (plans are only recorded after successful compilation, and
-        both caches live for the process); returns ``None`` if the
-        fuser is somehow absent so the caller can rebuild from
-        scratch.
-        """
-        cached = _fuse_cache.get(signature)
-        if cached is None:
-            return None
-        code = self.code
+    def entry(self, record: tuple) -> tuple:
+        """Bind a record's compiled fuser: the ``(fn, len, fall,
+        last)`` block-table entry."""
+        start, length, signature, spec = record
+        fuse, env_names = _fuse_cache[signature]
+        code, env_map = self.code, self.env_map
         args = [code[value.pc] if type(value) is _CodeRef else value
                 for value in spec]
-        return cached[0](*(args + list(self.env_vals)))
+        args += [env_map[name] for name in env_names]
+        return (fuse(*args), length, start + length, start + length - 1)
 
-    def block_table(self, plan: _Plan) -> list:
-        """Fuse every CFG block; pc-indexed ``(fn, len, fall, last)``
-        table (``None`` at non-block pcs).  Re-binds the plan's
-        recorded entries when present, else builds from the CFG and
-        records."""
-        n = len(self.code)
-        if plan.blocks is not None:
-            table = [None] * n
-            for start, length, signature, spec in plan.blocks:
-                fn = self.bind_spec(signature, spec)
-                if fn is None:
-                    break
-                table[start] = (fn, length, start + length,
-                                start + length - 1)
+    def compile(self, record: tuple) -> tuple:
+        """Table entry for a pending record, compiling its fuser
+        unless a block of the same signature already did."""
+        t0 = perf_counter()
+        start, length, signature, _ = record
+        if signature not in _fuse_cache:
+            parts = self.make_parts(start, start + length, {})
+            self.source_bytes += _compile_fuser(signature, parts)
+            self.compiles += 1
+        entry = self.entry(record)
+        self.compile_s += perf_counter() - t0
+        return entry
+
+    def block_table(self, plan: _Plan) -> Tuple[list, dict]:
+        """The pc-indexed ``(fn, len, fall, last)`` table (``None``
+        at non-block pcs) and the ``{start: record}`` map of blocks
+        left to compile on first dispatch.
+
+        Records every CFG block into ``plan`` when it has none yet;
+        blocks whose signature is already compiled bind now.
+        """
+        if plan.blocks is None:
+            records = []
+            for block in build_cfg(self.cpu.program):
+                parts = self.make_parts(block.start, block.end,
+                                        plan.fallback)
+                records.append((block.start, block.length,
+                                tuple(part.shape for part in parts),
+                                _part_spec(parts)))
+            plan.blocks = records
+        table = [None] * len(self.code)
+        pending = {}
+        for record in plan.blocks:
+            if record[2] in _fuse_cache:
+                table[record[0]] = self.entry(record)
             else:
-                return table
-        table = [None] * n
-        records = []
-        # a (re)build recounts every closure-fallback site from scratch
-        plan.fallback.clear()
-        for block in build_cfg(self.cpu.program):
-            start, length = block.start, block.length
-            parts = self.make_parts(block, plan.fallback)
-            signature = tuple(part.shape for part in parts)
-            _compile_fuser(signature, parts)
-            spec = _part_spec(parts)
-            table[start] = (self.bind_spec(signature, spec), length,
-                            start + length, start + length - 1)
-            records.append((start, length, signature, spec))
-        plan.blocks = records
-        return table
+                pending[record[0]] = record
+        return table, pending
 
 
 def _trap_offset(exc: BaseException) -> Optional[int]:
@@ -1299,9 +1264,13 @@ def execute_blocks(cpu):
     same faulting pc and instruction count on every exit path.  The
     fast path dispatches whole blocks; control transfers into
     non-leader pcs and blocks that could cross the instruction limit
-    are single-stepped on the underlying decoded closures.  The
-    build's closure-fallback tally is left in
-    ``cpu.closure_fallbacks``.
+    are single-stepped on the underlying decoded closures.  A block
+    whose fuser is not compiled yet is compiled when the loop first
+    reaches its leader; those seconds are charged to ``cfg_fusion``,
+    not ``execute``.  The build's closure-fallback tally is left in
+    ``cpu.closure_fallbacks``, this run's fuser compiles and their
+    source bytes in ``cpu.fuser_compiles`` /
+    ``cpu.fuser_source_bytes``.
     """
     from repro.machine.cpu import RunResult
     from repro.machine.decode import bind_env, decode_program
@@ -1313,9 +1282,9 @@ def execute_blocks(cpu):
     fuser = _Fuser(cpu, code, env)
     plans = _plan_cache.setdefault(cpu.program, {})
     plan = plans.setdefault(fuser.ctx.key(), _Plan())
-    table = fuser.block_table(plan)
+    table, pending = fuser.block_table(plan)
     cpu.closure_fallbacks = dict(plan.fallback)
-    cpu.timers.add("cfg_fusion", perf_counter() - t0)
+    fusion_s = perf_counter() - t0
     n = len(code)
     limit = cpu.config.max_instructions
     pc = cpu.pc
@@ -1336,6 +1305,10 @@ def execute_blocks(cpu):
                     npc = fn(pc)
                     pc = fall if npc is None else npc
                     continue
+            elif pc in pending:
+                # first dispatch of this block: compile, bind, retry
+                table[pc] = fuser.compile(pending.pop(pc))
+                continue
             # single-step: mid-block entry, or the limit may fire
             # within the block — mirror the decoded loop exactly
             lpc = pc
@@ -1345,8 +1318,8 @@ def execute_blocks(cpu):
             npc = code[pc](pc)
             pc = pc + 1 if npc is None else npc
     except HaltSignal as halt:
-        # the phase must land before RunResult snapshots it
-        cpu.timers.add("execute", perf_counter() - t0)
+        # the phases must land before RunResult snapshots them
+        _charge(cpu, fuser, fusion_s, perf_counter() - t0)
         timed = True
         state = _rewind(halt, icount, lpc, blen)
         if state is None:
@@ -1390,4 +1363,16 @@ def execute_blocks(cpu):
         raise
     finally:
         if not timed:
-            cpu.timers.add("execute", perf_counter() - t0)
+            _charge(cpu, fuser, fusion_s, perf_counter() - t0)
+
+
+def _charge(cpu, fuser: _Fuser, fusion_s: float, loop_s: float):
+    """Charge a run's phases and leave its compile counts on ``cpu``.
+
+    The first-dispatch compiles ran inside the loop's ``loop_s``;
+    they count as ``cfg_fusion``, so ``execute`` is net of them.
+    """
+    cpu.timers.add("cfg_fusion", fusion_s + fuser.compile_s)
+    cpu.timers.add("execute", loop_s - fuser.compile_s)
+    cpu.fuser_compiles = fuser.compiles
+    cpu.fuser_source_bytes = fuser.source_bytes

@@ -228,6 +228,12 @@ class CPU:
         #: closures, tallied when it builds its block table (``None``
         #: on the other engines)
         self.closure_fallbacks: Optional[Dict[str, int]] = None
+        #: fusers the blocks engine compiled during its run (first
+        #: dispatches of blocks no earlier run compiled) and the
+        #: generated source they took, in bytes (``None`` on the
+        #: other engines)
+        self.fuser_compiles: Optional[int] = None
+        self.fuser_source_bytes: Optional[int] = None
         self._init_stack()
         self._dispatch = self._build_dispatch()
 

@@ -249,9 +249,10 @@ def bind_env(cpu) -> SimpleNamespace:
     # the fast timing model hands out single-call probes for the hot
     # access shapes (plus the cells to inline their composite-hit
     # path); the probes are generated per cache geometry with the
-    # array-backed way scans unrolled — the same source the block
-    # fuser inlines, so calling and inlining stay counter-identical.
-    # The classic model keeps its generic entry point
+    # array-backed way scans unrolled, and the block fuser's
+    # templates call these same probes, so fused and single-stepped
+    # charges run one code path.  The classic model keeps its
+    # generic entry point
     if memsys is not None and isinstance(memsys, FastMemorySystem):
         (env.dprobe, env.dp_mru, env.dp_ctr,
          env.dp_shift) = memsys.data_probe_parts()

@@ -73,7 +73,7 @@ def test_capacity_bound(addrs):
     cache = Cache("t", 256, 2, 32)
     for addr in addrs:
         cache.access(addr)
-    tracked = sum(len(s) for s in cache._sets)
+    tracked = sum(len(s) for s in cache._sets.values())
     assert tracked <= cache.num_sets * cache.assoc
 
 

@@ -520,6 +520,106 @@ class TestFullCoverageTemplates:
         run_all(program, MachineConfig.plain)
 
 
+DEAD_PRINT = """
+main:
+    mov r1, 7
+    jmp done
+    print r1
+    mov r2, 1
+    jmp done
+done:
+    halt r1
+"""
+
+
+class TestFirstDispatchCompile:
+    """Fusers compile when their block is first dispatched, and the
+    compile seconds count as ``cfg_fusion``."""
+
+    def test_never_entered_block_is_not_compiled(self, monkeypatch):
+        import repro.machine.blocks as blocks_mod
+        monkeypatch.setattr(blocks_mod, "_fuse_cache", {})
+        compiled = []
+        real = blocks_mod._compile_fuser
+
+        def spy(signature, parts):
+            compiled.append(signature)
+            return real(signature, parts)
+
+        monkeypatch.setattr(blocks_mod, "_compile_fuser", spy)
+        program = assemble(DEAD_PRINT)
+        # the block after the jmp is a leader nothing jumps to
+        dead = blocks_by_start(program)[2]
+        assert dead.length == 3
+        cpu = run_all(program, MachineConfig.plain)
+        assert len(compiled) == cpu.fuser_compiles == 2
+        assert ("f", "movri", "jmp") not in compiled, compiled
+        assert cpu.fuser_source_bytes > 0
+        # the plan still covers the dead block's print
+        assert cpu.closure_fallbacks == {"print": 1, "halt": 1}
+        # a rerun binds the compiled fusers at start
+        rerun = CPU(program, MachineConfig.plain(timing=False,
+                                                 engine="blocks"))
+        rerun.run()
+        assert rerun.fuser_compiles == 0
+        assert rerun.closure_fallbacks == cpu.closure_fallbacks
+
+    def test_other_engines_leave_counts_unset(self):
+        program = assemble(DEAD_PRINT)
+        for engine in ("legacy", "decoded"):
+            cpu = CPU(program, MachineConfig.plain(timing=False,
+                                                   engine=engine))
+            cpu.run()
+            assert cpu.fuser_compiles is None
+            assert cpu.fuser_source_bytes is None
+
+    def test_compile_seconds_charge_cfg_fusion(self, monkeypatch):
+        import time
+
+        import repro.machine.blocks as blocks_mod
+        monkeypatch.setattr(blocks_mod, "_fuse_cache", {})
+        real = blocks_mod._compile_fuser
+        nap = 0.05
+
+        def slow(signature, parts):
+            time.sleep(nap)
+            return real(signature, parts)
+
+        monkeypatch.setattr(blocks_mod, "_compile_fuser", slow)
+        cpu = CPU(assemble(LOOP), MachineConfig.plain(timing=False,
+                                                      engine="blocks"))
+        result = cpu.run()
+        slept = nap * cpu.fuser_compiles
+        # five blocks; "add r1, r1, 3; jmp" and "sub r2, r2, 1; jmp"
+        # share a shape signature, hence one fuser
+        assert cpu.fuser_compiles == 4
+        assert result.phases["cfg_fusion"] >= slept
+        assert result.phases["execute"] < slept / 2
+
+    def test_cache_geometries_share_fusers(self):
+        """Templates no longer depend on the cache geometry: blocks
+        matches decoded under associativity 1, 2 and 8 (8 takes the
+        probes' bounded-scan path), and a second geometry reuses the
+        first one's fusers."""
+        from repro.caches.hierarchy import CacheParams
+        compiles = []
+        for assoc in (1, 2, 8):
+            params = CacheParams(l1_assoc=assoc, l2_assoc=assoc,
+                                 tag_cache_assoc=assoc, tlb_assoc=assoc)
+            snaps = {}
+            for engine in ("decoded", "blocks"):
+                r = run_workload("treeadd", MachineConfig.hardbound(
+                    engine=engine, retain_cpu=True), params)
+                snaps[engine] = (
+                    r.exit_code, r.output, r.instructions, r.uops,
+                    r.stall_cycles, r.cycles, r.setbound_uops,
+                    r.hb_stats.as_dict(), r.mem_stats.as_dict(),
+                    r.cpu.memory.nonzero_pages())
+            assert snaps["blocks"] == snaps["decoded"], assoc
+            compiles.append(r.cpu.fuser_compiles)
+        assert compiles[1:] == [0, 0], compiles
+
+
 class TestInlineCompressibleExpr:
     def test_expr_matches_methods(self):
         """The spliced compressibility expressions agree with the
