@@ -13,9 +13,9 @@ import os
 
 import pytest
 
-from repro.harness.runner import BenchmarkRun, run_benchmark_matrix
+from repro.harness.parallel import run_benchmark_matrix
+from repro.harness.runner import BenchmarkRun, ENCODINGS, run_workload
 from repro.machine.config import MachineConfig
-from repro.harness.runner import ENCODINGS, run_workload
 from repro.workloads.registry import WORKLOADS
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), os.pardir,

@@ -3,12 +3,13 @@
 The names in ``__all__`` are the harness's stable public surface
 (documented in docs/SERVICE.md and README; guarded by
 ``tests/service/test_public_api.py`` so it cannot silently shrink):
-serial running (:func:`run_workload`, :func:`run_benchmark_matrix`),
-sharded/cached running (:func:`map_jobs`, :class:`ResultCache`,
-:func:`run_benchmark_matrix_parallel`), declarative sweeps
-(:class:`SweepSpec`, :func:`run_sweep`) and the figure tables.  The
-old per-sweep entry points (``sweep_*_parallel``) remain importable
-but are deprecated wrappers over :func:`run_sweep`.
+one workload under one configuration (:func:`run_workload`), the
+figure matrix (:func:`run_benchmark_matrix`), declarative sweeps
+(:class:`SweepSpec`, :func:`run_sweep`), the pool idiom and result
+cache they share (:func:`map_jobs`, :class:`ResultCache`) and the
+figure tables.  The matrix and every sweep run through one cell
+runner: in process, on a pool, or on the service fleet, with or
+without the cache.
 """
 
 from repro.harness.violations import (
@@ -20,12 +21,11 @@ from repro.harness.violations import (
 from repro.harness.runner import (
     BenchmarkRun,
     run_workload,
-    run_benchmark_matrix,
 )
 from repro.harness.parallel import (
     ResultCache,
     map_jobs,
-    run_benchmark_matrix_parallel,
+    run_benchmark_matrix,
 )
 from repro.harness.sweep_api import (
     SweepSpec,
@@ -49,7 +49,6 @@ __all__ = [
     "run_benchmark_matrix",
     "ResultCache",
     "map_jobs",
-    "run_benchmark_matrix_parallel",
     "SweepSpec",
     "run_sweep",
     "figure5_table",

@@ -1,7 +1,7 @@
 """Reproduction of the paper's Figures 5, 6 and 7 as printable tables.
 
 Each ``figure*_table`` function takes the measurement matrix from
-:func:`repro.harness.runner.run_benchmark_matrix` and returns
+:func:`repro.harness.parallel.run_benchmark_matrix` and returns
 ``(headers, rows)`` where rows are lists of formatted cells;
 :func:`format_table` renders them aligned.  The published numbers
 quoted in Figure 7 are included as constants for side-by-side

@@ -1,13 +1,14 @@
-"""Sharded sweep harness: matrix runs across worker processes.
+"""One cell runner for the figure matrix and every sensitivity sweep.
 
-:func:`repro.harness.runner.run_benchmark_matrix` walks the workload
-× encoding × baseline matrix serially — every figure regeneration
-pays for the whole grid even when only one cell changed.  This module
-shards the same matrix at *cell* granularity (one workload under one
-configuration is one job) across a pool of worker processes, and
-fronts the pool with an on-disk result cache keyed by content hash:
-the workload's source digest plus the full cell configuration.  A
-warm rerun touches no worker at all.
+:func:`run_benchmark_matrix` splits the workload × encoding ×
+baseline matrix into *cells* (one workload under one configuration
+is one job), and :func:`repro.harness.sweep_api.run_sweep` does the
+same for each sweep's grid.  Cells run in process by default, across
+a pool of ``workers`` processes, or on the persistent service fleet.
+An optional on-disk result cache, keyed by content hash, fronts
+every backend: the simulator sources' digest, the workload's source
+digest and the full cell configuration.  A warm rerun touches no
+worker at all.
 
 Every cell result is a pure-statistics snapshot
 (:class:`~repro.machine.cpu.RunResult` without its CPU, or an
@@ -23,14 +24,15 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import hashlib
 import json
 import os
 import pickle
-import warnings
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.baselines.fatptr import ccured_sim_config
+import repro
+from repro.baselines.fatptr import SoftBoundEngine, ccured_sim_config
 from repro.baselines.objtable import ObjectTableModel
 from repro.caches.hierarchy import CacheParams
 from repro.harness.runner import (
@@ -48,10 +50,6 @@ from repro.machine.config import (
 from repro.obs.events import EventLog
 from repro.obs.metrics import REGISTRY
 from repro.workloads.registry import WORKLOADS
-
-#: bump when cell payloads or simulator semantics change incompatibly
-#: (3: cell results carry their run manifest)
-CACHE_SCHEMA = 3
 
 #: environment knob: workers append their obs JSONL event streams to
 #: this path (set by the CLI ``--obs`` flag; inherited by pool
@@ -86,22 +84,20 @@ class ObjTableSummary:
         #: exact knobs/host that produced it
         self.manifest = manifest
 
-    def overhead_vs(self, base_uops: int) -> float:
-        if not base_uops:
-            return 1.0
-        return (base_uops + self.extra_uops) / base_uops
-
 
 class ResultCache:
     """Content-hash keyed on-disk pickle cache for cell results.
 
-    Publication is atomic (write to a per-pid temp file, then
-    ``os.replace``), so readers never observe a partially written
-    entry even with concurrent writers in other processes.  An entry
-    that nevertheless fails to unpickle — a torn write from a crashed
-    process, a file damaged at rest — is counted under ``corrupt``
-    (distinct from a clean miss) and *deleted*, so the caller's rerun
-    rewrites it instead of tripping over the poisoned file forever.
+    One directory serves the harness and the service alike: sweeps
+    read and write it, and the service's workers publish into it
+    concurrently.  Publication is atomic (write to a per-pid temp
+    file, then ``os.replace``), so readers never observe a partially
+    written entry even with concurrent writers in other processes,
+    and reads take no lock.  An entry that nevertheless fails to
+    unpickle — a torn write from a crashed process, a file damaged at
+    rest — is counted under ``corrupt`` (distinct from a clean miss)
+    and *deleted*, so the caller's rerun rewrites it instead of
+    tripping over the poisoned file forever.
     """
 
     def __init__(self, path: str):
@@ -116,6 +112,14 @@ class ResultCache:
         """Cumulative cache traffic of this instance."""
         return {"hits": self.hits, "misses": self.misses,
                 "writes": self.writes, "corrupt": self.corrupt}
+
+    def __len__(self) -> int:
+        """Entries published in the directory, by any process."""
+        try:
+            names = os.listdir(self.path)
+        except OSError:
+            return 0
+        return sum(name.endswith(".pkl") for name in names)
 
     @staticmethod
     def key_of(descr: dict) -> str:
@@ -235,22 +239,52 @@ def _cell_config(kind: str, timing: bool, engine: str) -> MachineConfig:
                                    engine=engine)
 
 
-def cell_descriptor(workload: str, kind: str, timing: bool,
-                    engine: str) -> dict:
-    """JSON-serializable identity of one matrix cell (the cache key)."""
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """sha256 over the ``repro`` package's ``.py`` sources.
+
+    Part of every cell key, so an entry written by different
+    simulator code is a miss rather than a stale hit.  Computed once
+    per process, on the first key anything asks for.
+    """
+    root = os.path.dirname(os.path.abspath(repro.__file__))
+    paths = sorted(os.path.join(dirpath, name)
+                   for dirpath, _dirs, names in os.walk(root)
+                   for name in names if name.endswith(".py"))
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(os.path.relpath(path, root).encode("utf-8"))
+        with open(path, "rb") as fh:
+            digest.update(hashlib.sha256(fh.read()).digest())
+    return digest.hexdigest()
+
+
+def descriptor(workload: str, **fields) -> dict:
+    """JSON-serializable identity of one cell (its cache key input).
+
+    The fields every matrix and sweep cell shares — simulator code,
+    workload source and name, optimizer pass — plus the cell's own
+    ``fields``.
+    """
     descr = {
-        "schema": CACHE_SCHEMA,
+        "code": code_digest(),
         "source": source_digest(WORKLOADS[workload].source),
         "workload": workload,
-        "kind": kind,
-        # objtable cells always run functionally (see _cell_config):
-        # key on what actually runs so both sweeps share the entry
-        "timing": False if kind == KIND_OBJTABLE else timing,
-        "engine": engine,
         # cells compile with the default optimizer pass
         "optimize": True,
     }
+    descr.update(fields)
     return descr
+
+
+def cell_descriptor(workload: str, kind: str, timing: bool,
+                    engine: str) -> dict:
+    """Identity of one matrix cell (the cache key)."""
+    # objtable cells always run functionally (see _cell_config): key
+    # on what actually runs so both sweeps share the entry
+    return descriptor(workload, kind=kind,
+                      timing=False if kind == KIND_OBJTABLE else timing,
+                      engine=engine)
 
 
 def run_cell(job: Tuple[str, str, bool, str]):
@@ -264,24 +298,25 @@ def run_cell(job: Tuple[str, str, bool, str]):
     return run_workload(workload, config)
 
 
-def run_benchmark_matrix_parallel(
+def run_benchmark_matrix(
         workloads: Optional[Iterable[str]] = None,
         encodings: Iterable[str] = ENCODINGS,
         with_baselines: bool = True,
         timing: bool = True,
-        workers: int = 2,
+        workers: int = 1,
         cache: Optional[ResultCache] = None,
         engine: str = ENGINE_BLOCKS,
         service=None) -> Dict[str, BenchmarkRun]:
-    """Sharded, cached equivalent of
-    :func:`repro.harness.runner.run_benchmark_matrix`.
+    """Run the measurement matrix of Section 5 (Figures 5-7).
 
-    Cells already present in ``cache`` are served from disk; the rest
-    are distributed over ``workers`` processes — or submitted, with
-    their content-hash keys, to the persistent ``service`` fleet.
-    Returns the same ``{workload: BenchmarkRun}`` shape as the serial
-    harness, with ``bench.objtable`` holding an
-    :class:`ObjTableSummary` instead of the live model.
+    Per workload: a plain-core baseline, one HardBound run per
+    encoding and (optionally) the CCured-simulation and object-table
+    baselines.  Cells already present in ``cache`` are served from
+    disk; the rest run in process (``workers=1``), over ``workers``
+    processes, or — submitted with their content-hash keys — on the
+    persistent ``service`` fleet.  Returns ``{workload:
+    BenchmarkRun}`` with ``bench.objtable`` an
+    :class:`ObjTableSummary`.
     """
     names = list(workloads) if workloads is not None else list(WORKLOADS)
     kinds: List[str] = [KIND_BASE] + list(encodings)
@@ -308,7 +343,15 @@ def run_benchmark_matrix_parallel(
     return matrix
 
 
-# -- sharded sensitivity sweeps ---------------------------------------------
+# -- sensitivity-sweep cells (driven by repro.harness.sweep_api) -----------
+
+def _engine_factory(safe_fraction: float):
+    def factory(encoding, memsys, check_uop, check_access_extent):
+        return SoftBoundEngine(encoding, memsys, check_uop,
+                               check_access_extent,
+                               safe_fraction=safe_fraction)
+    return factory
+
 
 def _ccured_fraction_cell(
         job: Tuple[str, Optional[float]]) -> Tuple[str, Optional[float],
@@ -321,41 +364,16 @@ def _ccured_fraction_cell(
     if fraction is None:
         config = MachineConfig.plain()
     else:
-        from repro.harness.sweeps import _engine_factory
         config = MachineConfig(mode=SafetyMode.FULL,
                                encoding="uncompressed",
                                engine_factory=_engine_factory(fraction))
     return name, fraction, run_workload(name, _with_obs(config)).cycles
 
 
-def _deprecated_sweep(old: str, spec, workers, cache=None,
-                      service=None):
-    warnings.warn(
-        "%s is deprecated; use repro.harness.run_sweep(SweepSpec(...))"
-        % old, DeprecationWarning, stacklevel=3)
-    from repro.harness.sweep_api import run_sweep
-    return run_sweep(spec, workers=workers, cache=cache,
-                     service=service)
-
-
-def sweep_ccured_safe_fraction_parallel(
-        workloads: Iterable[str],
-        fractions: Iterable[float],
-        workers: int = 2) -> Dict[float, float]:
-    """Deprecated wrapper for :func:`repro.harness.run_sweep` with a
-    ``kind="ccured"`` :class:`~repro.harness.sweep_api.SweepSpec`."""
-    from repro.harness.sweep_api import SweepSpec
-    return _deprecated_sweep(
-        "sweep_ccured_safe_fraction_parallel",
-        SweepSpec(kind="ccured", workloads=tuple(workloads),
-                  grid=tuple(fractions)), workers)
-
-
 def _objtable_elision_cell(job: Tuple[str, Optional[float], str]):
     """Worker: one workload at one object-table elision fraction.
 
-    A ``None`` fraction is the plain-core baseline cell (timing on,
-    matching :func:`repro.harness.sweeps.sweep_objtable_elision`).
+    A ``None`` fraction is the plain-core baseline cell (timing on).
     """
     name, fraction, engine = job
     if fraction is None:
@@ -371,32 +389,8 @@ def _objtable_elision_cell(job: Tuple[str, Optional[float], str]):
 
 def _objtable_descriptor(name: str, fraction: Optional[float],
                          engine: str) -> dict:
-    descr = {
-        "schema": CACHE_SCHEMA,
-        "sweep": "objtable-elision",
-        "source": source_digest(WORKLOADS[name].source),
-        "workload": name,
-        "fraction": fraction,
-        "engine": engine,
-        "optimize": True,
-    }
-    return descr
-
-
-def sweep_objtable_elision_parallel(
-        workloads: Iterable[str],
-        fractions: Iterable[float],
-        workers: int = 2,
-        cache: Optional[ResultCache] = None,
-        engine: str = ENGINE_BLOCKS) -> Dict[float, float]:
-    """Deprecated wrapper for :func:`repro.harness.run_sweep` with a
-    ``kind="objtable"`` :class:`~repro.harness.sweep_api.SweepSpec`."""
-    from repro.harness.sweep_api import SweepSpec
-    return _deprecated_sweep(
-        "sweep_objtable_elision_parallel",
-        SweepSpec(kind="objtable", workloads=tuple(workloads),
-                  grid=tuple(fractions), engine=engine),
-        workers, cache=cache)
+    return descriptor(name, sweep="objtable-elision", fraction=fraction,
+                      engine=engine)
 
 
 def _tag_cache_cell(job: Tuple[str, int, str, str]):
@@ -411,35 +405,8 @@ def _tag_cache_cell(job: Tuple[str, int, str, str]):
 
 def _tag_cache_descriptor(name: str, size: int, encoding: str,
                           engine: str) -> dict:
-    descr = {
-        "schema": CACHE_SCHEMA,
-        "sweep": "tag-cache",
-        "source": source_digest(WORKLOADS[name].source),
-        "workload": name,
-        "tag_cache_size": size,
-        "encoding": encoding,
-        "engine": engine,
-        "optimize": True,
-    }
-    return descr
-
-
-def sweep_tag_cache_parallel(
-        workloads: Iterable[str],
-        sizes: Iterable[int],
-        encoding: str = "extern4",
-        workers: int = 2,
-        cache: Optional[ResultCache] = None,
-        engine: str = ENGINE_BLOCKS
-) -> Dict[Tuple[str, int], Dict[str, float]]:
-    """Deprecated wrapper for :func:`repro.harness.run_sweep` with a
-    ``kind="tagcache"`` :class:`~repro.harness.sweep_api.SweepSpec`."""
-    from repro.harness.sweep_api import SweepSpec
-    return _deprecated_sweep(
-        "sweep_tag_cache_parallel",
-        SweepSpec(kind="tagcache", workloads=tuple(workloads),
-                  grid=tuple(sizes), encoding=encoding,
-                  engine=engine), workers, cache=cache)
+    return descriptor(name, sweep="tag-cache", tag_cache_size=size,
+                      encoding=encoding, engine=engine)
 
 
 def _map_pending(cell_fn, pending, pending_keys, workers,
@@ -599,7 +566,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             if line:
                 print(line)
             return 0
-        matrix = run_benchmark_matrix_parallel(
+        matrix = run_benchmark_matrix(
             workloads=args.workloads, workers=args.workers,
             cache=cache, engine=args.engine, service=service)
         table_fn = {5: figure5_table, 6: figure6_table,

@@ -17,7 +17,7 @@ from repro.harness.figures import (
     figure7_table,
     format_table,
 )
-from repro.harness.runner import run_benchmark_matrix
+from repro.harness.parallel import run_benchmark_matrix
 from repro.harness.violations import run_corpus
 
 

@@ -1,13 +1,12 @@
-"""Benchmark runner: compile-once/run-many over the Olden matrix."""
+"""Workload runner: compile once, run one workload per configuration."""
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
-from repro.baselines.fatptr import SETBOUND_EXTRA_UOPS, ccured_sim_config
-from repro.baselines.objtable import ObjectTableModel
+from repro.baselines.fatptr import SETBOUND_EXTRA_UOPS
 from repro.caches.hierarchy import CacheParams
 from repro.isa.program import Program
 from repro.machine.config import MachineConfig
@@ -75,7 +74,9 @@ class BenchmarkRun:
         self.base: Optional[RunResult] = None
         self.encodings: Dict[str, RunResult] = {}
         self.ccured: Optional[RunResult] = None
-        self.objtable: Optional[ObjectTableModel] = None
+        #: the object-table baseline's
+        #: :class:`~repro.harness.parallel.ObjTableSummary`
+        self.objtable = None
 
     # -- derived metrics ----------------------------------------------------
 
@@ -108,34 +109,3 @@ class BenchmarkRun:
             "total": (stats.distinct_pages("tag")
                       + stats.distinct_pages("shadow")) / base_pages,
         }
-
-
-def run_benchmark_matrix(
-        workloads: Optional[Iterable[str]] = None,
-        encodings: Iterable[str] = ENCODINGS,
-        with_baselines: bool = True,
-        timing: bool = True) -> Dict[str, BenchmarkRun]:
-    """Run the full measurement matrix of Section 5.
-
-    Per workload: a plain-core baseline, one HardBound run per
-    encoding and (optionally) the CCured-simulation and object-table
-    baselines.  Returns runs keyed by workload name.
-    """
-    names = list(workloads) if workloads is not None else list(WORKLOADS)
-    matrix: Dict[str, BenchmarkRun] = {}
-    for name in names:
-        wl = WORKLOADS[name]
-        bench = BenchmarkRun(wl)
-        bench.base = run_workload(wl, MachineConfig.plain(timing=timing))
-        for encoding in encodings:
-            bench.encodings[encoding] = run_workload(
-                wl, MachineConfig.hardbound(encoding=encoding,
-                                            timing=timing))
-        if with_baselines:
-            bench.ccured = run_workload(wl, ccured_sim_config(timing))
-            model = ObjectTableModel()
-            run_workload(wl, MachineConfig.hardbound(timing=False),
-                         observer=model)
-            bench.objtable = model
-        matrix[name] = bench
-    return matrix

@@ -1,12 +1,9 @@
 """One declarative entry point for every sensitivity sweep.
 
-The harness grew three near-identical sweep functions —
-``sweep_ccured_safe_fraction_parallel``,
-``sweep_objtable_elision_parallel``, ``sweep_tag_cache_parallel`` —
-each hand-rolling the same shape: build a (workload × grid) job
-list, resolve it through the result cache, shard the misses over a
-pool, reduce.  :func:`run_sweep` replaces all three behind a
-declarative :class:`SweepSpec`::
+Each sweep has the same shape: build a (workload × grid) job list,
+resolve it through the result cache, run the misses, reduce.
+:func:`run_sweep` does that for every kind behind a declarative
+:class:`SweepSpec`::
 
     from repro.harness import SweepSpec, run_sweep
 
@@ -22,9 +19,6 @@ and every spec executes identically on all three backends:
   :class:`repro.service.Client` or in-process ``Service``), where
   cells are submitted with their content-hash keys so identical
   in-flight cells deduplicate and the shared store serves repeats.
-
-The old entry points survive as thin deprecated wrappers in
-:mod:`repro.harness.parallel`.
 """
 
 from __future__ import annotations
@@ -33,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.harness.parallel import (
-    CACHE_SCHEMA,
     ResultCache,
     _ccured_fraction_cell,
     _objtable_descriptor,
@@ -41,8 +34,8 @@ from repro.harness.parallel import (
     _run_cached_jobs,
     _tag_cache_cell,
     _tag_cache_descriptor,
+    descriptor,
 )
-from repro.harness.runner import source_digest
 from repro.machine.config import ENGINE_BLOCKS, ENGINES
 from repro.workloads.registry import WORKLOADS
 
@@ -98,18 +91,9 @@ class SweepSpec:
 def _ccured_descriptor(name: str, fraction: Optional[float]) -> dict:
     """Cell identity for the CCured SAFE-fraction sweep.
 
-    New with the unified API: these cells were never cacheable
-    before.  ``fraction=None`` is the plain-core baseline cell.
+    ``fraction=None`` is the plain-core baseline cell.
     """
-    descr = {
-        "schema": CACHE_SCHEMA,
-        "sweep": "ccured-safe",
-        "source": source_digest(WORKLOADS[name].source),
-        "workload": name,
-        "fraction": fraction,
-        "optimize": True,
-    }
-    return descr
+    return descriptor(name, sweep="ccured-safe", fraction=fraction)
 
 
 def _ccured_jobs(spec: SweepSpec):
@@ -194,8 +178,7 @@ def run_sweep(spec: SweepSpec, *, workers: int = 2,
               cache: Optional[ResultCache] = None, service=None):
     """Execute one :class:`SweepSpec` and reduce it (see module).
 
-    Returns the same shape the sweep's legacy entry point returned:
-    ``{fraction: mean overhead}`` for ``ccured``/``objtable``,
+    Returns ``{fraction: mean overhead}`` for ``ccured``/``objtable``,
     ``{(workload, size): {"cycles", "tag_miss_rate"}}`` for
     ``tagcache``.  ``service`` (a ``repro.service`` Client or
     Service) takes precedence over ``workers``.

@@ -7,9 +7,13 @@ asserts it does not shrink):
   over a daemon socket;
 * :class:`Service` / :class:`JobSpec` — the in-process dispatcher
   and its unit of work;
-* :class:`ResultStore` — the shared content-addressed result store;
 * the failure types :class:`ServiceError`, :class:`ServiceClosed`,
   :class:`JobFailed`, :class:`JobTimeout`.
+
+The shared result store is the harness's own
+:class:`~repro.harness.parallel.ResultCache`: ``Service(store=...)``
+takes one or its directory, so the fleet and every sweep read and
+publish the same entries.
 
 See ``docs/SERVICE.md`` for architecture, the warm-cache contract,
 and failure semantics; ``python -m repro.service`` for the daemon
@@ -20,14 +24,12 @@ from repro.service.client import STATE_DIR, Client, connect
 from repro.service.dispatch import (JobFailed, JobSpec, JobTimeout,
                                     Service, ServiceClosed,
                                     ServiceError)
-from repro.service.store import ResultStore
 
 __all__ = [
     "Client",
     "connect",
     "Service",
     "JobSpec",
-    "ResultStore",
     "ServiceError",
     "ServiceClosed",
     "JobFailed",

@@ -38,7 +38,6 @@ from multiprocessing import connection as mpconnection
 from typing import Optional
 
 from repro.service.dispatch import Service, ServiceError
-from repro.service.store import ResultStore
 
 
 def _error_payload(exc: BaseException):
@@ -66,10 +65,8 @@ class DaemonServer:
             os.write(fd, self.authkey)
         finally:
             os.close(fd)
-        self.service = Service(
-            workers=workers,
-            store=ResultStore(store) if store else None,
-            context=context, obs=obs)
+        self.service = Service(workers=workers, store=store or None,
+                               context=context, obs=obs)
         self.listener = mpconnection.Listener(
             self.sock_path, family="AF_UNIX", authkey=self.authkey)
         with open(self.pid_path, "w", encoding="utf-8") as fh:

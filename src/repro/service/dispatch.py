@@ -12,9 +12,9 @@ Programming Hard…*):
   the *tail* of the longest other deque (the opposite end from the
   owner's head), so imbalanced batches still finish at pool speed;
 * **safe concurrent publication** — results are published to the
-  shared :class:`~repro.service.store.ResultStore` by the workers
-  themselves via tmp-file + atomic rename; the dispatcher's read
-  path takes no lock.
+  shared :class:`~repro.harness.parallel.ResultCache` directory by
+  the workers themselves via tmp-file + atomic rename; the
+  dispatcher's read path takes no lock.
 
 On top of that sits the submission API:
 
@@ -52,9 +52,8 @@ from concurrent.futures import Future
 from multiprocessing import connection as mpconnection
 from typing import Deque, Dict, List, Optional
 
-from repro.harness.parallel import OBS_ENV
+from repro.harness.parallel import OBS_ENV, ResultCache
 from repro.obs.events import EventLog
-from repro.service.store import ResultStore
 from repro.service.worker import worker_main
 
 #: dispatch attempts per job before a worker crash fails it for good
@@ -136,7 +135,7 @@ class _Worker:
 class Service:
     """Persistent worker fleet + work-stealing dispatcher (see module).
 
-    ``store`` is a :class:`ResultStore`, a directory path, or
+    ``store`` is a :class:`ResultCache`, a directory path, or
     ``None``; ``obs`` is an :class:`EventLog`, a JSONL path, or
     ``None`` (default: the harness's ``REPRO_OBS`` env knob);
     ``context`` picks the multiprocessing start method (default:
@@ -151,8 +150,8 @@ class Service:
         if workers < 1:
             raise ValueError("a service needs at least one worker")
         if isinstance(store, str):
-            store = ResultStore(store)
-        self.store: Optional[ResultStore] = store
+            store = ResultCache(store)
+        self.store: Optional[ResultCache] = store
         if obs is None:
             obs = os.environ.get(OBS_ENV) or None
         self._log = EventLog(obs) if isinstance(obs, str) else obs

@@ -39,9 +39,9 @@ def worker_main(wid: int, conn, store_dir: Optional[str]) -> None:
     # import inside the worker so a spawn-context worker pays its
     # one-time import here, visibly, not lazily inside the first job
     from repro.harness import runner
-    from repro.service.store import ResultStore
+    from repro.harness.parallel import ResultCache
 
-    store = ResultStore(store_dir) if store_dir else None
+    store = ResultCache(store_dir) if store_dir else None
     while True:
         try:
             msg = conn.recv()
@@ -68,7 +68,7 @@ def worker_main(wid: int, conn, store_dir: Optional[str]) -> None:
         if status == "ok" and store is not None and key is not None:
             try:
                 # concurrent publish is safe: tmp + atomic rename
-                store.put(key, result, meta={"worker": wid})
+                store.put(key, result)
             except Exception:
                 pass  # publishing is best-effort; the reply stands
         try:

@@ -12,11 +12,11 @@ from repro.harness.figures import (
     figure7_table,
     format_table,
 )
+from repro.harness.parallel import run_benchmark_matrix
 from repro.harness.runner import (
     BenchmarkRun,
     ENCODINGS,
     compile_cached,
-    run_benchmark_matrix,
     run_workload,
 )
 from repro.machine import MachineConfig

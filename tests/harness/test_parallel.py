@@ -1,22 +1,30 @@
-"""Sharded matrix harness: worker equivalence and on-disk caching."""
+"""The cell runner: equivalence with direct runs, and on-disk caching.
 
+Every reference number here comes from :func:`run_workload` under a
+``MachineConfig`` spelled out in this file, never from the runner
+under test.
+"""
+
+import concurrent.futures
 import pickle
 
+import pytest
+
+from repro.baselines.fatptr import SoftBoundEngine
+from repro.baselines.objtable import ObjectTableModel
+from repro.harness import parallel
 from repro.harness.parallel import (
     ObjTableSummary,
     ResultCache,
     cell_descriptor,
-    run_benchmark_matrix_parallel,
+    run_benchmark_matrix,
     run_cell,
-    sweep_objtable_elision_parallel,
-    sweep_tag_cache_parallel,
 )
-from repro.harness.runner import run_benchmark_matrix
+from repro.harness.runner import run_workload
+from repro.harness.sweep_api import _KINDS, SweepSpec, run_sweep
+from repro.machine.config import MachineConfig, SafetyMode
 from repro.obs.metrics import REGISTRY
-from repro.harness.sweeps import (
-    sweep_ccured_safe_fraction,
-    sweep_objtable_elision,
-)
+from repro.service import Service
 
 WORKLOADS = ("treeadd", "power")
 ENCODINGS = ("intern11",)
@@ -24,30 +32,48 @@ ENCODINGS = ("intern11",)
 CELLS = len(WORKLOADS) * 4
 
 
-def assert_matrices_equal(parallel, serial):
-    assert set(parallel) == set(serial)
-    for name in serial:
-        p, s = parallel[name], serial[name]
-        assert p.base.cycles == s.base.cycles
-        assert p.base.uops == s.base.uops
-        for enc in ENCODINGS:
-            assert p.encodings[enc].cycles == s.encodings[enc].cycles
-            assert (p.encodings[enc].hb_stats.as_dict()
-                    == s.encodings[enc].hb_stats.as_dict())
-            assert abs(p.overhead(enc) - s.overhead(enc)) < 1e-12
-        assert p.ccured.cycles == s.ccured.cycles
-        assert p.objtable.extra_uops == s.objtable.extra_uops
-        assert abs(p.ccured_runtime_overhead()
-                   - s.ccured_runtime_overhead()) < 1e-12
-        assert abs(p.objtable_runtime_overhead()
-                   - s.objtable_runtime_overhead()) < 1e-12
+@pytest.fixture(scope="module")
+def direct_runs():
+    """The four matrix cell kinds, run directly per workload."""
+    runs = {}
+    for name in WORKLOADS:
+        model = ObjectTableModel()
+        run_workload(name, MachineConfig.hardbound(timing=False),
+                     observer=model)
+        runs[name] = {
+            "base": run_workload(name, MachineConfig.plain()),
+            "intern11": run_workload(
+                name, MachineConfig.hardbound(encoding="intern11")),
+            "ccured": run_workload(name, MachineConfig(
+                mode=SafetyMode.FULL, encoding="uncompressed",
+                engine_factory=SoftBoundEngine)),
+            "objtable": model,
+        }
+    return runs
+
+
+def assert_matrix_matches_direct_runs(matrix, direct):
+    assert set(matrix) == set(direct)
+    for name, runs in direct.items():
+        bench = matrix[name]
+        assert bench.base.cycles == runs["base"].cycles
+        assert bench.base.uops == runs["base"].uops
+        hb = bench.encodings["intern11"]
+        assert hb.cycles == runs["intern11"].cycles
+        assert hb.hb_stats.as_dict() == runs["intern11"].hb_stats.as_dict()
+        assert bench.overhead("intern11") \
+            == runs["intern11"].cycles / runs["base"].cycles
+        assert bench.ccured.cycles == runs["ccured"].cycles
+        assert bench.ccured.setbound_uops == runs["ccured"].setbound_uops
+        assert bench.objtable.extra_uops == runs["objtable"].extra_uops
 
 
 class TestShardedMatrix:
-    def test_matches_serial_and_warm_rerun_hits_cache(self, tmp_path):
+    def test_matches_serial_and_warm_rerun_hits_cache(self, tmp_path,
+                                                      direct_runs):
         cache = ResultCache(str(tmp_path / "cache"))
         before = REGISTRY.snapshot()
-        parallel = run_benchmark_matrix_parallel(
+        parallel_matrix = run_benchmark_matrix(
             workloads=WORKLOADS, encodings=ENCODINGS, workers=2,
             cache=cache)
         assert cache.hits == 0
@@ -55,27 +81,30 @@ class TestShardedMatrix:
         assert cache.writes == CELLS
         assert cache.stats() == {"hits": 0, "misses": CELLS,
                                  "writes": CELLS, "corrupt": 0}
+        assert len(cache) == CELLS
         # the sweep feeds the process-wide metrics registry
         delta = REGISTRY.diff(before)
         assert delta["harness.cache.misses"] == CELLS
         assert delta["harness.cache.writes"] == CELLS
         assert "harness.cache.hits" not in delta
-
-        serial = run_benchmark_matrix(workloads=WORKLOADS,
-                                      encodings=ENCODINGS)
-        assert_matrices_equal(parallel, serial)
+        assert_matrix_matches_direct_runs(parallel_matrix, direct_runs)
 
         # warm rerun: every cell served from disk, no worker touched
         warm_cache = ResultCache(str(tmp_path / "cache"))
         before = REGISTRY.snapshot()
-        warm = run_benchmark_matrix_parallel(
+        warm = run_benchmark_matrix(
             workloads=WORKLOADS, encodings=ENCODINGS, workers=2,
             cache=warm_cache)
         assert warm_cache.hits == CELLS
         assert warm_cache.misses == 0
         assert warm_cache.writes == 0
         assert REGISTRY.diff(before)["harness.cache.hits"] == CELLS
-        assert_matrices_equal(warm, serial)
+        assert_matrix_matches_direct_runs(warm, direct_runs)
+
+    def test_in_process_default_matches_direct_runs(self, direct_runs):
+        matrix = run_benchmark_matrix(workloads=WORKLOADS,
+                                      encodings=ENCODINGS)
+        assert_matrix_matches_direct_runs(matrix, direct_runs)
 
     def test_corrupt_entry_counted_deleted_and_rewritten(
             self, tmp_path):
@@ -125,9 +154,8 @@ class TestShardedMatrix:
         path = str(tmp_path / "sweep.jsonl")
         monkeypatch.setenv("REPRO_OBS", path)
         cache = ResultCache(str(tmp_path / "cache"))
-        run_benchmark_matrix_parallel(workloads=("treeadd",),
-                                      encodings=ENCODINGS, workers=2,
-                                      cache=cache)
+        run_benchmark_matrix(workloads=("treeadd",), encodings=ENCODINGS,
+                             workers=2, cache=cache)
         events = list(read_events(path))
         starts = [e for e in events if e.get("ev") == "run_start"]
         # base + intern11 + ccured + objtable, one run each, all
@@ -160,56 +188,100 @@ class TestShardedMatrix:
             == summary.manifest
 
 
+class TestCodeDigest:
+    @staticmethod
+    def every_key():
+        """One key per matrix cell kind and per sweep kind."""
+        keys = [ResultCache.key_of(cell_descriptor("treeadd", kind,
+                                                   True, "blocks"))
+                for kind in ("base", "intern11", "ccured", "objtable")]
+        for kind, grid in (("ccured", (0.5,)), ("objtable", (0.5,)),
+                           ("tagcache", (512,))):
+            spec = SweepSpec(kind=kind, workloads=("treeadd",),
+                             grid=grid)
+            sweep = _KINDS[kind]
+            keys += [ResultCache.key_of(sweep.descriptor(*job))
+                     for job in sweep.jobs(spec)]
+        return keys
+
+    def test_digest_is_part_of_every_key(self, monkeypatch):
+        keys = self.every_key()
+        monkeypatch.setattr(parallel, "code_digest", lambda: "0" * 64)
+        changed = self.every_key()
+        assert len(set(keys)) == len(keys)
+        assert not set(keys) & set(changed)
+
+    def test_entry_written_under_another_digest_is_a_miss(
+            self, tmp_path, monkeypatch):
+        spec = SweepSpec(kind="objtable", workloads=("treeadd",),
+                         grid=(0.5,))
+        with monkeypatch.context() as patch:
+            patch.setattr(parallel, "code_digest", lambda: "0" * 64)
+            stale = ResultCache(str(tmp_path / "cache"))
+            run_sweep(spec, workers=1, cache=stale)
+            assert stale.writes == 2
+        fresh = ResultCache(str(tmp_path / "cache"))
+        run_sweep(spec, workers=1, cache=fresh)
+        assert fresh.stats() == {"hits": 0, "misses": 2, "writes": 2,
+                                 "corrupt": 0}
+
+
 class TestShardedSweeps:
     def test_ccured_sweep_matches_serial(self):
-        names = ["treeadd"]
-        fractions = [0.5, 0.9]
-        serial = sweep_ccured_safe_fraction(names, fractions)
-        parallel = sweep_ccured_safe_fraction(names, fractions,
-                                              workers=2)
-        assert set(serial) == set(parallel)
-        for fraction in serial:
-            assert abs(serial[fraction] - parallel[fraction]) < 1e-12
+        def factory(encoding, memsys, check_uop, check_access_extent):
+            return SoftBoundEngine(encoding, memsys, check_uop,
+                                   check_access_extent,
+                                   safe_fraction=0.5)
+
+        config = MachineConfig(mode=SafetyMode.FULL,
+                               encoding="uncompressed",
+                               engine_factory=factory)
+        expected = run_workload("treeadd", config).cycles \
+            / run_workload("treeadd", MachineConfig.plain()).cycles
+        sweep = run_sweep(SweepSpec(kind="ccured", workloads=("treeadd",),
+                                    grid=(0.5,)), workers=2)
+        assert sweep == {0.5: expected}
 
     def test_objtable_sweep_matches_serial_and_caches(self, tmp_path):
-        names = ["treeadd"]
-        fractions = [0.0, 0.5]
-        serial = sweep_objtable_elision(names, fractions)
+        model = ObjectTableModel(elide_fraction=0.5)
+        run_workload("treeadd", MachineConfig.hardbound(timing=False),
+                     observer=model)
+        base = run_workload("treeadd", MachineConfig.plain()).cycles
+        expected = (base + model.extra_uops) / base
+
+        spec = SweepSpec(kind="objtable", workloads=("treeadd",),
+                         grid=(0.0, 0.5))
         cache = ResultCache(str(tmp_path / "cache"))
-        parallel = sweep_objtable_elision_parallel(
-            names, fractions, workers=2, cache=cache)
-        assert set(serial) == set(parallel)
-        for fraction in serial:
-            assert abs(serial[fraction] - parallel[fraction]) < 1e-12
+        sweep = run_sweep(spec, workers=2, cache=cache)
+        assert set(sweep) == {0.0, 0.5}
+        assert sweep[0.5] == expected
         # one baseline cell + one cell per fraction
-        assert cache.misses == 1 + len(fractions)
+        assert cache.misses == 1 + len(spec.grid)
 
         warm_cache = ResultCache(str(tmp_path / "cache"))
-        warm = sweep_objtable_elision_parallel(
-            names, fractions, workers=2, cache=warm_cache)
-        assert warm_cache.hits == 1 + len(fractions)
+        warm = run_sweep(spec, workers=2, cache=warm_cache)
+        assert warm_cache.hits == 1 + len(spec.grid)
         assert warm_cache.misses == 0
-        assert warm == parallel
+        assert warm == sweep
 
-    def test_objtable_sweep_workers_delegation(self):
-        names = ["treeadd"]
-        fractions = [0.5]
-        serial = sweep_objtable_elision(names, fractions)
-        delegated = sweep_objtable_elision(names, fractions, workers=2)
-        assert abs(serial[0.5] - delegated[0.5]) < 1e-12
+    def test_objtable_sweep_workers_delegation(self, monkeypatch):
+        spec = SweepSpec(kind="objtable", workloads=("treeadd",),
+                         grid=(0.5,))
+        pooled = run_sweep(spec, workers=2)
+        # workers=1 runs every cell in process: no pool is created
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            None)
+        assert run_sweep(spec, workers=1) == pooled
 
     def test_tag_cache_sweep_matches_direct_runs(self, tmp_path):
         from repro.caches.hierarchy import CacheParams
-        from repro.harness.runner import run_workload
-        from repro.machine.config import MachineConfig
 
-        names = ["treeadd"]
-        sizes = [512, 8192]
+        spec = SweepSpec(kind="tagcache", workloads=("treeadd",),
+                         grid=(512, 8192))
         cache = ResultCache(str(tmp_path / "cache"))
-        sweep = sweep_tag_cache_parallel(names, sizes, workers=2,
-                                         cache=cache)
+        sweep = run_sweep(spec, workers=2, cache=cache)
         assert set(sweep) == {("treeadd", 512), ("treeadd", 8192)}
-        for size in sizes:
+        for size in spec.grid:
             run = run_workload(
                 "treeadd",
                 MachineConfig.hardbound(encoding="extern4",
@@ -221,7 +293,22 @@ class TestShardedSweeps:
                        - run.cpu.memsys.tag_cache.miss_rate()) < 1e-12
 
         warm_cache = ResultCache(str(tmp_path / "cache"))
-        warm = sweep_tag_cache_parallel(names, sizes, workers=2,
-                                        cache=warm_cache)
-        assert warm_cache.hits == len(sizes)
+        warm = run_sweep(spec, workers=2, cache=warm_cache)
+        assert warm_cache.hits == len(spec.grid)
         assert warm == sweep
+
+    def test_service_route_matches_in_process_and_reuses_store(
+            self, tmp_path):
+        spec = SweepSpec(kind="objtable", workloads=("treeadd",),
+                         grid=(0.0, 0.5))
+        expected = run_sweep(spec, workers=1)
+        cells = 1 + len(spec.grid)
+        with Service(workers=2, context="fork",
+                     store=str(tmp_path / "store")) as service:
+            assert run_sweep(spec, service=service) == expected
+            first = service.status()["counters"]
+            assert run_sweep(spec, service=service) == expected
+            second = service.status()["counters"]
+        assert first["dispatched"] == cells
+        assert second["store_hits"] - first["store_hits"] == cells
+        assert second["dispatched"] == first["dispatched"]

@@ -25,7 +25,7 @@ def test_main_corpus_topic(capsys):
 
 
 def test_main_figures_topic_renders_all_tables(capsys, monkeypatch):
-    from repro.harness.runner import run_benchmark_matrix
+    from repro.harness.parallel import run_benchmark_matrix
 
     matrix = run_benchmark_matrix(workloads=["treeadd"],
                                   with_baselines=True)

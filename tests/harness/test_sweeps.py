@@ -1,35 +1,30 @@
-"""Sensitivity sweeps (``repro.harness.sweeps``): direct coverage.
+"""Sensitivity sweeps through :func:`run_sweep`: direct coverage.
 
 The sweeps defend the Figure-7 conclusion across the calibration
-range; until now they were only exercised indirectly through the
-benchmark harness.  One small workload keeps every sweep fast while
-still asserting the *shape* of each result — overheads above 1.0,
-monotone in the knob — plus parity between the serial and sharded
-code paths.
+range.  One small workload keeps every sweep fast while still
+asserting the *shape* of each result — overheads above 1.0, monotone
+in the knob — plus parity between the in-process and pool backends.
 """
 
 import pytest
 
 from repro.baselines.fatptr import SoftBoundEngine
-from repro.harness.sweeps import (
-    _engine_factory,
-    hardbound_average,
-    sweep_ccured_safe_fraction,
-    sweep_objtable_elision,
-    sweep_rows,
-)
+from repro.harness import SweepSpec, run_benchmark_matrix, run_sweep
+from repro.harness.parallel import _engine_factory, main
 
-WORKLOAD = ["treeadd"]
+WORKLOAD = ("treeadd",)
 
 
 @pytest.fixture(scope="module")
 def ccured_sweep():
-    return sweep_ccured_safe_fraction(WORKLOAD, (0.1, 0.9))
+    return run_sweep(SweepSpec(kind="ccured", workloads=WORKLOAD,
+                               grid=(0.1, 0.9)), workers=1)
 
 
 @pytest.fixture(scope="module")
 def objtable_sweep():
-    return sweep_objtable_elision(WORKLOAD, (0.0, 0.95))
+    return run_sweep(SweepSpec(kind="objtable", workloads=WORKLOAD,
+                               grid=(0.0, 0.95)), workers=1)
 
 
 class TestCcuredSweep:
@@ -55,16 +50,18 @@ class TestObjtableSweep:
         assert objtable_sweep[0.95] < objtable_sweep[0.0]
 
     def test_sharded_path_matches_serial(self, objtable_sweep):
-        sharded = sweep_objtable_elision(WORKLOAD, (0.0, 0.95),
-                                         workers=2)
-        for fraction, value in objtable_sweep.items():
-            assert sharded[fraction] == pytest.approx(value)
+        sharded = run_sweep(SweepSpec(kind="objtable", workloads=WORKLOAD,
+                                      grid=(0.0, 0.95)), workers=2)
+        assert sharded == objtable_sweep
 
 
 class TestHardboundAverage:
     def test_between_one_and_the_software_schemes(self, ccured_sweep,
                                                   objtable_sweep):
-        hb = hardbound_average(WORKLOAD)
+        matrix = run_benchmark_matrix(WORKLOAD, encodings=("intern11",),
+                                      with_baselines=False)
+        hb = sum(bench.overhead("intern11")
+                 for bench in matrix.values()) / len(matrix)
         assert 1.0 < hb
         # the paper's conclusion at the calibrated points: hardware
         # bounds checking beats both software baselines
@@ -73,10 +70,21 @@ class TestHardboundAverage:
 
 
 class TestPlumbing:
-    def test_sweep_rows_shape(self):
-        rows = sweep_rows({0.5: 1.25, 0.1: 2.0}, "ccured")
-        assert rows == [["ccured", "0.10", "2.000"],
-                        ["ccured", "0.50", "1.250"]]
+    def test_cli_prints_sweep_table(self, capsys):
+        assert main(["--workers", "1", "--no-cache", "--sweep",
+                     "ccured", "--workloads", "treeadd"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:4] == ["CCured SAFE-fraction sensitivity",
+                             "================================",
+                             "safe-frac  overhead",
+                             "---------  --------"]
+        rows = [line.split() for line in lines[4:]]
+        assert [row[0] for row in rows] == ["0.10", "0.50", "0.90",
+                                            "1.00"]
+        overheads = [float(row[1]) for row in rows]
+        assert all("%.3f" % value == row[1]
+                   for value, row in zip(overheads, rows))
+        assert overheads == sorted(overheads, reverse=True)
 
     def test_engine_factory_binds_safe_fraction(self):
         factory = _engine_factory(0.37)

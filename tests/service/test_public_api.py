@@ -11,7 +11,6 @@ import repro.service
 HARNESS_SURFACE = (
     "run_workload",
     "run_benchmark_matrix",
-    "run_benchmark_matrix_parallel",
     "map_jobs",
     "ResultCache",
     "SweepSpec",
@@ -33,7 +32,6 @@ SERVICE_SURFACE = (
     "connect",
     "Service",
     "JobSpec",
-    "ResultStore",
     "ServiceError",
     "ServiceClosed",
     "JobFailed",
@@ -58,14 +56,3 @@ class TestPublicSurface:
                 assert getattr(module, name, None) is not None, \
                     "%s.%s exported but unresolvable" \
                     % (module.__name__, name)
-
-    def test_deprecated_sweeps_still_importable(self):
-        from repro.harness.parallel import (
-            sweep_ccured_safe_fraction_parallel,
-            sweep_objtable_elision_parallel,
-            sweep_tag_cache_parallel,
-        )
-        for fn in (sweep_ccured_safe_fraction_parallel,
-                   sweep_objtable_elision_parallel,
-                   sweep_tag_cache_parallel):
-            assert callable(fn)

@@ -6,10 +6,10 @@ import time
 
 import pytest
 
-from repro.harness.parallel import map_jobs, run_cell
+from repro.harness.parallel import ResultCache, map_jobs, run_cell
 from repro.obs.events import EventLog
-from repro.service import (JobFailed, JobSpec, JobTimeout,
-                           ResultStore, Service, ServiceClosed)
+from repro.service import (JobFailed, JobSpec, JobTimeout, Service,
+                           ServiceClosed)
 
 
 def square(x):
@@ -97,7 +97,7 @@ class TestDedup:
             assert fh.read() == "A\n"  # one execution, not two
 
     def test_store_hit_short_circuits_submission(self, tmp_path):
-        store = ResultStore(str(tmp_path / "store"))
+        store = ResultCache(str(tmp_path / "store"))
         store.put("cached-cell", {"cycles": 7})
         with Service(workers=1, context="fork",
                      store=store) as service:
