@@ -21,6 +21,11 @@ Two entry points:
   pages — counters and stack residue legitimately differ between
   different instruction streams).
 
+Each run is paid for once: the optimize-pair check and
+:func:`fuzz_one`'s verdict read the legacy ``timing=False`` outcome
+the diff already produced, so a program costs one run per engine ×
+memory model (per binary, for MiniC).
+
 On top of the cross-engine diff, every blocks run is checked
 against the template-coverage invariant: the blocks engine must never
 leave a memory-path shape to its decoded closure, as tallied when it
@@ -183,10 +188,20 @@ def diff_engines(program, config_kw: Optional[dict] = None,
     run (mode, encoding, temporal, ...); ``engine``
     and ``timing`` are supplied by the sweep itself.
     """
+    return _diff_engines(program, config_kw, timings)[0]
+
+
+def _diff_engines(program, config_kw: Optional[dict],
+                  timings: Tuple[bool, ...],
+                  ) -> Tuple[List[Divergence], Optional[Outcome]]:
+    """:func:`diff_engines`, plus the legacy ``timing=False`` outcome
+    it produced (``None`` when ``timings`` lacks ``False``) — the run
+    callers would otherwise repeat for a reference verdict."""
     config_kw = dict(config_kw or {})
     config_kw.pop("engine", None)
     config_kw.pop("timing", None)
     divergences: List[Divergence] = []
+    functional = None
     for timing in timings:
         outcomes: Dict[str, Outcome] = {}
         for engine in ENGINES:
@@ -197,6 +212,8 @@ def diff_engines(program, config_kw: Optional[dict] = None,
                 engine, outcomes[engine], timing,
                 temporal=bool(config_kw.get("temporal"))))
         base = outcomes["legacy"]
+        if not timing:
+            functional = base
         for engine in ENGINES[1:]:
             fields = base.diff_fields(outcomes[engine])
             if fields:
@@ -205,7 +222,7 @@ def diff_engines(program, config_kw: Optional[dict] = None,
                     "vs legacy: %s != %s"
                     % (_summ(outcomes[engine], fields),
                        _summ(base, fields))))
-    return divergences
+    return divergences, functional
 
 
 def _summ(outcome: Outcome, fields: List[str]) -> str:
@@ -226,6 +243,19 @@ def diff_minic(source: str,
                ) -> List[Divergence]:
     """Optimize-off and optimize-on binaries, each three-way diffed,
     then compared against each other on the observable subset."""
+    return _diff_minic(source, config_kw, timings)[0]
+
+
+def _diff_minic(source: str, config_kw: Optional[dict],
+                timings: Tuple[bool, ...],
+                ) -> Tuple[List[Divergence], Outcome]:
+    """:func:`diff_minic`, plus the optimize-on binary's legacy
+    ``timing=False`` outcome.
+
+    The observable check reads each binary's functional outcome from
+    that binary's own diff, and runs it only when ``timings`` lacks
+    ``False``.
+    """
     config_kw = dict(config_kw or {})
     probe = MachineConfig(engine="legacy", **config_kw)
     instrument = mode_for_config(probe)
@@ -234,19 +264,22 @@ def diff_minic(source: str,
     for optimize in (False, True):
         program = compile_program(source, mode=instrument,
                                   optimize=optimize)
-        for d in diff_engines(program, config_kw, timings):
+        found, outcome = _diff_engines(program, config_kw, timings)
+        for d in found:
             d.optimize = optimize
             divergences.append(d)
-        observed[optimize] = run_once(
-            program, MachineConfig(engine="legacy", timing=False,
-                                   **config_kw)).observable()
+        if outcome is None:
+            outcome = run_once(program, MachineConfig(
+                engine="legacy", timing=False, **config_kw))
+        observed[optimize] = outcome.observable()
     if observed[False] != observed[True]:
         divergences.append(Divergence(
             "optimize", "legacy", False,
             ["observable"],
             "optimized %r != unoptimized %r"
             % (observed[True][:4], observed[False][:4])))
-    return divergences
+    # the loop ends on the optimize-on binary
+    return divergences, outcome
 
 
 # --------------------------------------------------------------- fuzz_one
@@ -322,19 +355,18 @@ def fuzz_one(seed: int, level: str = "isa",
     from repro.fuzz.minicgen import generate_minic_program
 
     config_kw = config_for_seed(seed, level)
+    # the verdict is the legacy functional outcome the diff already
+    # produced (for MiniC, of the default optimize-on binary)
     if level == "isa":
         text = generate_isa_program(seed)
         program = assemble(text)
-        divergences = diff_engines(program, config_kw, timings)
-        ref = run_once(program, MachineConfig(
-            engine="legacy", timing=False, **config_kw))
+        divergences, ref = _diff_engines(program, config_kw, timings)
+        if ref is None:
+            ref = run_once(program, MachineConfig(
+                engine="legacy", timing=False, **config_kw))
     elif level == "minic":
         text = generate_minic_program(seed)
-        divergences = diff_minic(text, config_kw, timings)
-        probe = MachineConfig(engine="legacy", timing=False,
-                              **config_kw)
-        ref = run_once(compile_program(
-            text, mode=mode_for_config(probe)), probe)
+        divergences, ref = _diff_minic(text, config_kw, timings)
     else:
         raise ValueError("unknown fuzz level %r" % (level,))
     return FuzzResult(

@@ -47,6 +47,10 @@ NATIVE_LE = sys.byteorder == "little"
 #: initial heap arena capacity (doubles on demand)
 _HEAP_SEED = 1 << 16
 
+#: one all-zero page: ``page != _ZERO_PAGE`` tests a whole page with
+#: a single memcmp instead of a byte-by-byte ``any()``
+_ZERO_PAGE = bytes(PAGE_SIZE)
+
 
 def _make_cell(base: int, capacity: int, reserve_end: int) -> list:
     """An arena cell: ``[bytearray, word-view, base, reserve_end]``.
@@ -307,24 +311,17 @@ class Memory:
 
         Backing-store independent: the paged model and the flat model
         produce identical snapshots for identical write histories,
-        which is what the engine differential suite compares.  Pages
-        are read back through :meth:`raw_read_bytes`, so a page that
-        straddles an arena boundary (or an arena and the sparse
-        fallback — possible when ``stack_base`` is not page aligned)
-        is assembled from every store that owns a piece of it.
+        which is what the engine differential suite compares.  Every
+        page of :meth:`mapped_pages` is read back through
+        :meth:`raw_read_bytes`, so a page that straddles an arena
+        boundary (or an arena and the sparse fallback — possible when
+        ``stack_base`` is not page aligned) is assembled from every
+        store that owns a piece of it.
         """
-        candidates = set(self._pages.keys())
-        for cell in (self.globals_cell, self.heap_cell,
-                     self.stack_cell):
-            base = cell[2]
-            end = min(base + len(cell[0]), cell[3])
-            candidates.update(range(base >> PAGE_SHIFT,
-                                    (end + PAGE_SIZE - 1)
-                                    >> PAGE_SHIFT))
         out: Dict[int, bytes] = {}
-        for no in candidates:
+        for no in self.mapped_pages():
             page = self.raw_read_bytes(no << PAGE_SHIFT, PAGE_SIZE)
-            if any(page):
+            if page != _ZERO_PAGE:
                 out[no] = page
         return out
 

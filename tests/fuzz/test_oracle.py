@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+import repro.fuzz.oracle as oracle
 from repro.fuzz.oracle import (
     Divergence,
     Outcome,
@@ -132,6 +133,27 @@ class TestDiffMinic:
             timings=(False,)) == []
 
 
+@pytest.fixture
+def work(monkeypatch):
+    """Counts of the CPU runs and MiniC compiles the oracle makes."""
+    counts = {"runs": 0, "compiles": 0}
+
+    class CountingCPU(oracle.CPU):
+        def run(self):
+            counts["runs"] += 1
+            return super().run()
+
+    compile_program = oracle.compile_program
+
+    def counting_compile(*args, **kwargs):
+        counts["compiles"] += 1
+        return compile_program(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "CPU", CountingCPU)
+    monkeypatch.setattr(oracle, "compile_program", counting_compile)
+    return counts
+
+
 class TestFuzzOne:
     def test_isa_seed_verdict(self):
         result = fuzz_one(1, "isa", timings=(False,))
@@ -145,6 +167,24 @@ class TestFuzzOne:
         result = fuzz_one(0, "minic", timings=(False,))
         assert result.ok
         assert result.status == "exit"
+
+    def test_isa_seed_runs_each_engine_once_per_model(self, work):
+        assert fuzz_one(1, "isa").ok
+        assert work == {"runs": 6, "compiles": 0}
+
+    def test_minic_seed_compiles_each_binary_once(self, work):
+        assert fuzz_one(0, "minic").ok
+        assert work == {"runs": 12, "compiles": 2}
+
+    def test_timed_only_isa_seed_runs_its_reference(self, work):
+        result = fuzz_one(2, "isa", timings=(True,))
+        assert result.ok
+        assert work["runs"] == 4
+        config = MachineConfig(engine="legacy", timing=False,
+                               **config_for_seed(2, "isa"))
+        ref = run_once(assemble(result.program), config)
+        assert ref.trap[0] == "BoundsError"
+        assert (result.status, result.trap) == (ref.status, ref.trap[0])
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):

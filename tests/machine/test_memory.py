@@ -27,6 +27,17 @@ def make(image=b""):
     return mem
 
 
+def any_scan(mem):
+    """Reference snapshot: every mapped page read back through
+    raw_read_bytes and kept when ``any()`` of its bytes is set."""
+    out = {}
+    for no in mem.mapped_pages():
+        page = mem.raw_read_bytes(no * PAGE_SIZE, PAGE_SIZE)
+        if any(page):
+            out[no] = page
+    return out
+
+
 class TestMappingDiscipline:
     def test_null_guard(self):
         mem = make()
@@ -287,3 +298,25 @@ class TestFlatHeap:
         assert pages[0x5][0] == 9
         for page in pages.values():
             assert len(page) == PAGE_SIZE
+        assert pages == any_scan(mem)
+
+        # a page whose only non-zero byte is its last one
+        last = STACK_TOP - STACK_SIZE + 2 * PAGE_SIZE - 1
+        mem.write(last, 1, 0x80)
+        # a page written non-zero and then zeroed again
+        mem.raw_write(0x7000, 4, 0xFFFFFFFF)
+        mem.raw_write(0x7000, 4, 0)
+        pages = mem.nonzero_pages()
+        assert pages[last >> 12][-1] == 0x80
+        assert not any(pages[last >> 12][:-1])
+        assert 0x7 in mem.mapped_pages()
+        assert 0x7 not in pages
+        assert pages == any_scan(mem)
+
+        # pages straddling the fallback/stack boundary
+        # (the layout of test_unaligned_stack_base_snapshot)
+        mem = Memory(0x10001)
+        sb = mem.stack_base
+        mem.raw_write(sb, 1, 0x11)
+        mem.raw_write(sb - 1, 1, 0x22)
+        assert mem.nonzero_pages() == any_scan(mem)
