@@ -4,14 +4,17 @@ Not a paper figure — this tracks the simulator's own hot path across
 all three engines on the Olden sweep (plain + HardBound per
 workload):
 
-* the pre-decoded closure engine must stay at least 2x faster than
-  the legacy dispatch loop on the functional sweep;
-* the basic-block fusion engine (full-coverage instruction templates
+* the decoded engine (one instruction template per dispatch) must
+  stay at least 2x faster than the legacy dispatch loop on the
+  functional sweep;
+* the basic-block fusion engine (the same templates fused per block
   over the flat-bytearray heap, the inlined fast memory-timing
   charges, fast-local rebinding of bound names, program-keyed fusion
   plans) must not regress the functional sweep against the decoded
-  engine and must clear ``FLOOR_TIMED_BLOCKS_VS_DECODED`` on the
-  timed sweep; the minic optimizer's dynamic instruction savings are
+  engine and must clear ``FLOOR_TIMED_BLOCKS_VS_DECODED`` and
+  ``FLOOR_TIMED_BLOCKS_VS_LEGACY`` on the timed sweep (the legacy
+  ratio sees template regressions that slow both template-driven
+  engines alike); the minic optimizer's dynamic instruction savings are
   recorded per workload (``optimizer_instructions``), while the
   engine ladder itself runs ``optimize=False`` binaries so its
   seconds stay comparable with earlier records;
@@ -41,8 +44,9 @@ report of ``python -m repro.obs.report``).
 The measured seconds and speedups are written to
 ``results/BENCH_engine.json`` so CI keeps a machine-readable record,
 and CI's ``bench-gate`` step fails the build if the freshly emitted
-``timed.blocks_vs_decoded`` or ``cold.blocks_vs_decoded`` falls below
-its committed floor (see ``benchmarks/check_bench_gate.py``).
+``timed.blocks_vs_decoded``, ``timed.blocks_vs_legacy`` or
+``cold.blocks_vs_decoded`` falls below its committed floor (see
+``benchmarks/check_bench_gate.py``).
 """
 
 import json
@@ -57,6 +61,7 @@ from check_bench_gate import (
     FLOOR_OBS_OVERHEAD_RATIO,
     FLOOR_SERVICE_WARM_VS_COLD,
     FLOOR_TIMED_BLOCKS_VS_DECODED,
+    FLOOR_TIMED_BLOCKS_VS_LEGACY,
 )
 from conftest import RESULTS_DIR, write_result
 
@@ -359,6 +364,10 @@ def test_engine_speedups(benchmark):
     # CI's bench-gate step can never disagree)
     assert (speedups[True]["blocks_vs_decoded"]
             >= FLOOR_TIMED_BLOCKS_VS_DECODED), speedups
+    # ...and against the independent legacy loop, which sees template
+    # regressions that slow decoded and blocks alike
+    assert (speedups[True]["blocks_vs_legacy"]
+            >= FLOOR_TIMED_BLOCKS_VS_LEGACY), speedups
     # one-shot, blocks must not cost more than decoded
     assert cold["blocks_vs_decoded"] >= FLOOR_COLD_BLOCKS_VS_DECODED, \
         cold

@@ -8,6 +8,10 @@ run; this script is the step right after it and fails the build when
   committed floor (``FLOOR_TIMED_BLOCKS_VS_DECODED`` — the ratio is
   host-independent because both engines run on the same machine in
   the same process), or
+* the record's ``timed.blocks_vs_legacy`` speedup falls below
+  ``FLOOR_TIMED_BLOCKS_VS_LEGACY``: ``decoded`` and ``blocks`` run
+  the same instruction templates, so a slower template slows both
+  and only the independent legacy loop can see it, or
 * the record's ``cold.blocks_vs_decoded`` (one-shot timed Olden
   sweep in a fresh interpreter — import, MiniC compile and run —
   decoded seconds over blocks seconds) falls below
@@ -42,9 +46,8 @@ a build that silently skips the benchmark or the differential step
 therefore presents *missing* artifacts here, not yesterday's
 passing ones.
 
-``bench_engine.py`` imports :data:`FLOOR_TIMED_BLOCKS_VS_DECODED`
-for its own in-process assertion, so the floor has exactly one
-committed definition.
+``bench_engine.py`` imports the floors for its own in-process
+assertions, so each floor has exactly one committed definition.
 
 Exit status: 0 when every gate holds, 1 otherwise (with one line per
 violation on stderr).  Stdlib only — runs before any dependency
@@ -64,6 +67,13 @@ import xml.etree.ElementTree as ET
 #: engines share, which caps the ratio well below the dispatch-only
 #: speedup.
 FLOOR_TIMED_BLOCKS_VS_DECODED = 2.2
+
+#: committed floor for the timed blocks-vs-legacy speedup, the same
+#: ~0.8x margin below the measured value the decoded floor keeps
+#: (5.06x recorded when it was set).  Legacy is the independent
+#: executable spec and shares no code with the templates, so this
+#: ratio moves with the template code the decoded ratio cannot see.
+FLOOR_TIMED_BLOCKS_VS_LEGACY = 4.0
 
 #: committed floor for the one-shot blocks-vs-decoded ratio: a fresh
 #: interpreter's timed Olden sweep (import + MiniC compile + run),
@@ -138,6 +148,18 @@ def check_record(path: str, floor: float, errors: list) -> None:
             "timed blocks_vs_decoded %.3fx is below the committed "
             "floor %.2fx — the blocks engine regressed"
             % (ratio, floor))
+    legacy = record["speedups"]["timed"].get("blocks_vs_legacy")
+    if legacy is None:
+        errors.append("%s has no speedups.timed.blocks_vs_legacy"
+                      % path)
+    else:
+        print("bench-gate: timed blocks_vs_legacy = %.2fx (floor "
+              "%.2fx)" % (legacy, FLOOR_TIMED_BLOCKS_VS_LEGACY))
+        if legacy < FLOOR_TIMED_BLOCKS_VS_LEGACY:
+            errors.append(
+                "timed blocks_vs_legacy %.3fx is below the committed "
+                "floor %.2fx — the instruction templates regressed"
+                % (legacy, FLOOR_TIMED_BLOCKS_VS_LEGACY))
     cold = (record.get("cold") or {}).get("blocks_vs_decoded")
     if cold is None:
         errors.append("%s has no cold.blocks_vs_decoded — the "

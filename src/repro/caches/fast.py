@@ -51,10 +51,9 @@ bound as a local:
   :meth:`word_probe_parts` / :meth:`data_probe_parts` add the cells
   of their composite-MRU short circuit, so a caller can inline that
   hit (only the access counters advance) and call the probe for
-  everything else.  The decoded closures and the block-fusion
-  templates both do exactly that, over one set of probes per run;
-  the probe source itself is compiled only here, never spliced into
-  generated blocks.
+  everything else.  The block-fusion word templates do exactly
+  that, over one set of probes per run; the probe source itself is
+  compiled only here, never spliced into generated blocks.
 
 Counters are **bit-identical** to :class:`MemorySystem`: the same
 accesses, TLB/L1/L2 misses, stall cycles and distinct pages per kind
@@ -695,9 +694,9 @@ class FastMemorySystem:
         return self._make_kind_probe("shadow", 8, SHADOW_SPACE_BASE, 2)
 
     # callers hot enough to inline the composite-hit path themselves
-    # (the decoded memory closures and the block-fusion templates) get
-    # the probe plus the cells the short circuit reads: on a hit only
-    # the access counters advance.
+    # (the block-fusion word templates) get the probe plus the cells
+    # the short circuit reads: on a hit only the access counters
+    # advance.
 
     def word_probe_parts(self, tag_base: int, tag_shift: int):
         """``(probe, wp_mru, data_ctr, tag_ctr, key_shift)`` for an

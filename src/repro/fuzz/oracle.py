@@ -26,10 +26,10 @@ Each run is paid for once: the optimize-pair check and
 the diff already produced, so a program costs one run per engine ×
 memory model (per binary, for MiniC).
 
-On top of the cross-engine diff, every blocks run is checked
-against the template-coverage invariant: the blocks engine must never
-leave a memory-path shape to its decoded closure, as tallied when it
-builds its block table (``CPU.closure_fallbacks``).
+Legacy is the independent spec; ``decoded`` and ``blocks`` run the
+same instruction templates, one instruction or one block per
+dispatch.  So the diff checks semantics (legacy vs the templates)
+and fusion (decoded vs blocks) at once.
 """
 
 from __future__ import annotations
@@ -50,14 +50,6 @@ ENGINES = ("legacy", "decoded", "blocks")
 #: call residue and are excluded from optimize-pair comparisons
 STACK_PAGE = (STACK_TOP - STACK_SIZE) >> PAGE_SHIFT
 
-#: instruction shapes the blocks engine always fuses — seeing one in
-#: ``closure_fallbacks`` means the memory path regressed to closure
-#: dispatch
-FUSED_MEMORY_OPS = frozenset({
-    "load", "loadh", "loadb", "store", "storeh", "storeb",
-    "setbound", "sbrk",
-})
-
 
 @dataclasses.dataclass
 class Outcome:
@@ -76,7 +68,6 @@ class Outcome:
     mem: Optional[dict] = None
     trap: Optional[Tuple[str, str, Optional[int]]] = None
     image: Optional[tuple] = None   # (nonzero_pages, brk, glob_limit)
-    closure_fallbacks: Optional[dict] = None
 
     def key(self) -> tuple:
         """The cross-engine comparison tuple (order = field order)."""
@@ -111,9 +102,9 @@ class Outcome:
 
 @dataclasses.dataclass
 class Divergence:
-    """One observed mismatch (cross-engine, invariant, or optimize)."""
+    """One observed mismatch (cross-engine or optimize)."""
 
-    kind: str                       # "engine" | "invariant" | "optimize"
+    kind: str                       # "engine" | "optimize"
     engine: str
     timing: bool
     fields: List[str]
@@ -140,12 +131,10 @@ def run_once(program, config: MachineConfig) -> Outcome:
     except Trap as exc:
         return Outcome(status="trap", output="".join(cpu.output),
                        icount=cpu.icount, pc=cpu.pc,
-                       trap=(type(exc).__name__, str(exc), exc.pc),
-                       closure_fallbacks=cpu.closure_fallbacks)
+                       trap=(type(exc).__name__, str(exc), exc.pc))
     except InstructionLimitExceeded:
         return Outcome(status="limit", output="".join(cpu.output),
-                       icount=cpu.icount, pc=cpu.pc,
-                       closure_fallbacks=cpu.closure_fallbacks)
+                       icount=cpu.icount, pc=cpu.pc)
     return Outcome(
         status="exit", output=r.output, icount=cpu.icount, pc=cpu.pc,
         exit_code=r.exit_code, uops=r.uops,
@@ -154,29 +143,7 @@ def run_once(program, config: MachineConfig) -> Outcome:
         hb=r.hb_stats.as_dict() if r.hb_stats else None,
         mem=r.mem_stats.as_dict() if r.mem_stats else None,
         image=(cpu.memory.nonzero_pages(), cpu.memory.brk,
-               cpu.memory.globals_limit),
-        closure_fallbacks=cpu.closure_fallbacks)
-
-
-def check_invariants(engine: str, outcome: Outcome, timing: bool,
-                     temporal: bool = False) -> List[Divergence]:
-    """Template-coverage check for one run.
-
-    ``temporal`` runs insert a per-access freed-word check that the
-    word templates don't model, so their word memory ops
-    legitimately run as closures — the coverage invariant only
-    applies without it.
-    """
-    fallbacks = outcome.closure_fallbacks
-    if outcome.status != "exit" or not fallbacks or temporal:
-        return []
-    bad = FUSED_MEMORY_OPS & set(fallbacks)
-    if not bad:
-        return []
-    return [Divergence("invariant", engine, timing,
-                       ["closure_fallbacks"],
-                       "memory-path ops fell back to closures: %s"
-                       % sorted(bad))]
+               cpu.memory.globals_limit))
 
 
 def diff_engines(program, config_kw: Optional[dict] = None,
@@ -208,9 +175,6 @@ def _diff_engines(program, config_kw: Optional[dict],
             config = MachineConfig(engine=engine, timing=timing,
                                    **config_kw)
             outcomes[engine] = run_once(program, config)
-            divergences.extend(check_invariants(
-                engine, outcomes[engine], timing,
-                temporal=bool(config_kw.get("temporal"))))
         base = outcomes["legacy"]
         if not timing:
             functional = base

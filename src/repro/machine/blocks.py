@@ -1,10 +1,20 @@
-"""Basic-block fusion execution engine.
+"""Instruction templates and the basic-block fusion engine.
 
-The decoded engine (:mod:`repro.machine.decode`) pays a fixed
-dispatch tax per *instruction*: a list index, an instruction-limit
-compare, a faulting-pc bookkeeping store, a closure call and a
-next-pc select.  This module amortizes that tax over straight-line
-runs:
+Every instruction's semantics is written once, here, as a *template*:
+a few lines of Python source with the instruction's operands as
+parameters.  ``legacy`` (:meth:`repro.machine.cpu.CPU._run_legacy`)
+stays the independent executable spec; each template mirrors its
+legacy handler — same statement order, same counter increments, same
+trap types and messages — and the engine differential suite and the
+fuzz oracle check the two against each other.
+
+Both template-driven engines run *fusers*: generated functions that
+execute a run of instructions in one call.  The ``decoded`` engine
+(:func:`repro.machine.decode.execute_decoded`) runs one-instruction
+fusers, one dispatch per instruction; the ``blocks`` engine
+(:func:`execute_blocks`) amortizes that dispatch tax — a table
+lookup, a limit compare, a faulting-pc store, a call and a next-pc
+select — over straight-line runs:
 
 1. **Block discovery** — a linear pass over the linked program finds
    block leaders (the entry point, branch/call targets, fallthrough
@@ -14,47 +24,33 @@ runs:
    :class:`BasicBlock` nodes.
 
 2. **Superinstruction fusion** — each block is compiled into one
-   *block closure*: a generated function executing the whole block
-   in a single call.  Every instruction shape with a template —
-   ``mov``, ``add``/``sub``, compares, the non-propagating ALU ops,
-   branches, ``call``/``callr``/``ret``, every ``load``/``store``
-   form and size, ``setbound`` and ``sbrk`` — is inlined as source
-   with its operands bound as fast locals; the rest (printing,
-   ``halt``/``abort``, the rarer metadata ops, division by a zero
-   immediate) calls the instruction's decoded closure from
-   :func:`repro.machine.decode.decode_program` unchanged.  Generated
-   code objects are cached by the block's *shape signature*, so two
-   blocks with the same instruction shapes share one compilation.
+   fuser that inlines every instruction's template with its operands
+   bound as fast locals.  Generated code objects are cached by the
+   block's *shape signature*, so two blocks (or two one-instruction
+   fusers) with the same instruction shapes share one compilation.
 
-   The word memory templates inline the whole load/store body of
-   the decoded engine's own fast path: effective-address arithmetic,
-   the HardBound bounds check, the flat-heap segment check (which
-   doubles as arena routing — see :mod:`repro.machine.memory`), the
-   word-view access, the timing charge and the pointer-metadata
-   load/store.  The charge mirrors the decoded closure's probe call:
+   The word memory templates inline the whole load/store: effective
+   address arithmetic, the HardBound bounds check, the flat-heap
+   segment check (which doubles as arena routing — see
+   :mod:`repro.machine.memory`), the word-view access, the timing
+   charge and the pointer-metadata load/store.  The charge inlines
    only the composite-MRU hit of the
    :class:`~repro.caches.fast.FastMemorySystem` probe (an access
    repeating the previous probe's granule, which just bumps the
-   access counters) is inline; everything else calls the run's
-   shared word+tag or data probe, so a memory op costs a few lines
-   of generated source whatever the cache geometry.  Every other
-   memory shape — sub-word sizes, index-only and absolute forms,
-   ablated or substituted metadata engines, the classic timing
-   model, observers, the temporal tracker — fuses as a mirror of the
-   decoded *generic* closure, calling the same env-bound entry
-   points in the same order.  **Template invariant:** every template
-   is a source-level copy of the corresponding decoded closure body —
-   same statement order, same counter increments, same trap types and
-   messages — so fused and single-stepped execution are
-   indistinguishable; the engine differential suite and the fuzz
-   oracle enforce this.
+   access counters); everything else calls the run's shared word+tag
+   or data probe, so a memory op costs a few lines of generated
+   source whatever the cache geometry.  Every other memory shape —
+   sub-word sizes, index-only and absolute forms, ablated or
+   substituted metadata engines, the classic timing model, observers,
+   the temporal tracker — fuses through the *generic* template, which
+   calls the env-bound engine entry points in the legacy handler's
+   order.
 
 3. **Fusion plans** — CFG discovery and template selection depend
    only on the program and the template-selection context, so their
-   outcome is recorded in a program-keyed :class:`_Plan`; a later run
-   of the same program re-binds the recorded closure-argument vectors
-   instead of rebuilding.  The plan covers every block (so does the
-   closure-fallback tally), but a fuser is compiled only when its
+   outcome is recorded per program; a later run of the same program
+   re-binds the recorded operand vectors instead of rebuilding.  The
+   plan covers every block, but a fuser is compiled only when its
    block is first dispatched: blocks whose shape signature is already
    compiled bind at run start, and the rest wait in a pending map
    until the run loop first reaches their leader.  Code that never
@@ -69,16 +65,17 @@ Trap semantics stay **bit-identical** to the other engines without
 slowing the happy path: the generator records which source line
 belongs to which instruction offset, so when something raises, the
 faulting offset is recovered from the exception traceback's line
-number in the block frame and the instruction count is rewound to
+number in the fuser frame and the instruction count is rewound to
 exactly what the per-instruction engines would report.  Control
 transfers into the middle of a block (a computed ``callr`` into a
-non-leader pc) fall back to single-instruction stepping on the same
-decoded closures, as does any block that could bust the instruction
-limit mid-flight.
+non-leader pc), and any block that could bust the instruction limit
+mid-flight, are single-stepped on the same one-instruction fusers
+the ``decoded`` engine runs, each rewound as a block of length 1.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import types
 import weakref
@@ -96,6 +93,7 @@ from repro.layout import (
     to_signed,
 )
 from repro.machine.errors import (
+    AbortError,
     BoundsError,
     DivideByZeroError,
     HaltSignal,
@@ -242,16 +240,18 @@ def build_cfg(program: Program) -> List[BasicBlock]:
 # -- superinstruction templates ----------------------------------------------
 
 # Each fused instruction is a *part*: a template id (the shape), the
-# parameters it pulls into the generated function's closure, and its
-# source lines.  Blocks with equal shape-id tuples share one compiled
-# code object; operands travel as closure cells, never as literals.
+# operand parameters the generated function binds, and its source
+# lines.  Fusers with equal shape-id tuples share one compiled code
+# object; operands travel as bound parameters, never as literals.
 
 _M32 = str(MASK32)
 _MSB = str(0x80000000)
 _MAX = str(MAXINT)
 _RA = str(REG_RA)
 
-#: comparison expression templates, mirrored from decode.build_cmp
+#: comparison expression templates, mirroring the legacy ``CPU._cmp``
+#: handlers: for masked values, ``to_signed(a) < to_signed(b)`` iff
+#: ``a ^ MSB < b ^ MSB``, so signed compares flip the sign bit
 _CMP_RR = {
     Op.SEQ: "value[rs{i}] == value[rt{i}]",
     Op.SNE: "value[rs{i}] != value[rt{i}]",
@@ -273,16 +273,13 @@ _CMP_RI = {
     Op.SGEU: "value[rs{i}] >= k{i}",
 }
 _SIGNED_CMPS = frozenset({Op.SLT, Op.SLE, Op.SGT, Op.SGE})
-_NONPROP = frozenset({Op.MUL, Op.DIV, Op.MOD, Op.AND, Op.OR, Op.XOR,
-                      Op.SHL, Op.SHR, Op.SRA})
-
 #: inline bodies for the non-propagating ALU ops whose semantics are
 #: pure expressions (div/mod have their own templates — they raise).
-#: The register forms mirror the ``_NONPROP_FNS``
-#: bodies over masked register values (``to_signed(a)`` is
-#: ``(a ^ MSB) - MSB`` for masked ``a``); the immediate forms bake
-#: the constant's transformation (sign-extension, shift masking) in
-#: at template-build time.
+#: The register forms mirror the legacy ``CPU._op_*`` lambdas over
+#: masked register values (``to_signed(a)`` is ``(a ^ MSB) - MSB``
+#: for masked ``a``); the immediate forms bake the constant's
+#: transformation (sign-extension, shift masking) in at
+#: template-build time.
 _SGN = "((value[%s{i}] ^ " + _MSB + ") - " + _MSB + ")"
 _NP_RR_EXPR = {
     Op.MUL: _SGN % "rs" + " * " + _SGN % "rt",
@@ -305,7 +302,8 @@ _NP_RI_EXPR = {
 
 
 def _np_imm(op, k: int) -> int:
-    """The immediate exactly as the ``_NONPROP_FNS`` body consumes it."""
+    """The immediate exactly as the legacy handler's lambda consumes
+    it."""
     if op is Op.MUL:
         return to_signed(k)
     if op in (Op.SHL, Op.SHR, Op.SRA):
@@ -314,39 +312,32 @@ def _np_imm(op, k: int) -> int:
 
 
 class _Part:
-    """One fused instruction: shape id, closure params, source lines.
+    """One fused instruction: shape id, operand params, source lines."""
 
-    ``closure_pc`` is set on decoded-closure fallback parts: the pc
-    whose per-run closure the part's first parameter takes.  The
-    fusion plan cache stores specs with those positions marked so
-    every run binds its own closures (everything else — operand
-    registers, immediates — is program-stable).
-    """
-
-    __slots__ = ("shape", "params", "lines", "closure_pc")
+    __slots__ = ("shape", "params", "lines")
 
     def __init__(self, shape: str, params: List[Tuple[str, object]],
-                 lines: List[str], closure_pc: Optional[int] = None):
+                 lines: List[str]):
         self.shape = shape
         self.params = params
         self.lines = lines
-        self.closure_pc = closure_pc
 
 
 class _FuseCtx:
     """Build-time facts that select and specialize templates.
 
-    ``fuse_hb_mem`` / ``fuse_plain_mem`` hold exactly when the
-    decoded engine would take its own inline memory fast path, so a
-    fused memory template never covers a configuration the decoded
-    closures would route through generic engine calls.
+    ``fuse_hb_mem`` / ``fuse_plain_mem`` hold exactly when the inline
+    word templates apply: the stock metadata engine (or none), the
+    flat word views, no temporal tracker, no observer, and either no
+    timing model or the fast model's probes.  Every other
+    configuration runs its memory ops through the generic template.
 
-    The remaining facts select the generic memory templates and the
-    ``setbound``/``sbrk`` templates, which fuse as source-level
-    mirrors of the decoded *generic* closures (calling the same
-    env-bound engine entry points in the same order, so the
-    equivalence holds for every configuration, ablations and
-    substituted engines included).
+    The remaining facts specialize the generic memory, ``setbound``,
+    ``add``/``sub`` and ``markfree`` templates, which call the
+    env-bound engine entry points (observer, temporal tracker,
+    metadata engine, classic timing model) in the legacy handlers'
+    order, so the equivalence holds for every configuration, ablations
+    and substituted engines included.
     """
 
     __slots__ = ("observer_none", "full_mode", "fuse_hb_mem",
@@ -395,18 +386,19 @@ class _FuseCtx:
 
 # -- memory template fragments ----------------------------------------------
 
-# Mirrored line for line from the decoded closures (load_s_word and
-# friends in repro.machine.decode): same statement order, same counter
-# increments, same trap types/messages.  The segment check doubles as
-# flat-arena routing; unaligned words spill to the raw entry points.
+# The legacy ``CPU._op_load``/``_op_store`` with ``HardBoundEngine.check``,
+# ``Memory.read``/``write`` and the metadata-engine word paths inlined:
+# same statement order, same counter increments, same trap
+# types/messages.  The segment check doubles as flat-arena routing;
+# unaligned words spill to the raw entry points.
 
 _HEAP = str(HEAP_BASE)
 _GLOB = str(GLOBAL_BASE)
 _STOP = str(STACK_TOP)
 
-# The fast memory-model charges, as the decoded word closures make
-# them: the composite-MRU hit inline (only the access counters
-# advance), every other access through the run's shared probe.
+# The fast memory-model charges: the composite-MRU hit inline (only
+# the access counters advance), every other access through the run's
+# shared probe.
 _WPROBE_LINES = [
     "wkey = ea >> _wps",
     "if wkey == _wpm[0] and (ea + 3) >> _wps == wkey:",
@@ -520,7 +512,7 @@ def _hb_check_lines(acc: str, si: bool, frame: bool,
 
 
 def _load_meta_lines(timing: bool, comp: str) -> List[str]:
-    """HardBound word-load metadata path (load_word_meta inlined).
+    """HardBound word-load metadata path (``load_word_meta`` inlined).
 
     ``comp`` is the compressibility test: the decision spliced in as
     an inline expression (stock encodings), or the ``_isc`` closure
@@ -551,7 +543,8 @@ def _load_meta_lines(timing: bool, comp: str) -> List[str]:
 
 
 def _store_meta_lines(timing: bool, comp: str) -> List[str]:
-    """HardBound word-store metadata path (store_word_meta inlined)."""
+    """HardBound word-store metadata path (``store_word_meta``
+    inlined)."""
     lines = [
         "key = ea & -4",
         "mb = rbase[rd{i}]",
@@ -571,120 +564,70 @@ def _store_meta_lines(timing: bool, comp: str) -> List[str]:
     return lines
 
 
-def _mem_part(instr, i: int, ctx: _FuseCtx) -> Optional[_Part]:
-    """Fused word load/store template, or ``None`` for the closure.
+#: effective-address line per operand form (``si``: base + index,
+#: ``s``: base, ``i``: index only, ``a``: absolute), as the legacy
+#: ``_effective_address`` computes it
+_EA_LINES = {
+    "si": "ea = (value[rs{i}] + value[rt{i}] * sc{i} + k{i}) & " + _M32,
+    "s": "ea = (value[rs{i}] + k{i}) & " + _M32,
+    "i": "ea = (value[rt{i}] * sc{i} + k{i}) & " + _M32,
+    "a": "ea = k{i}",
+}
 
-    Emitted only for the shapes the decoded engine fast-paths itself
-    (word size, base-register form present); the template body is a
-    source-level copy of the matching decoded closure.
-    """
-    if instr.size != 4 or instr.rs is None:
-        return None
-    load = instr.op is Op.LOAD
+
+def _ea(instr) -> Tuple[list, str]:
+    """A memory operand's effective-address params and form tag."""
+    rs, rt = instr.rs, instr.rt
+    if rt is None:
+        if rs is None:
+            return [("k", instr.disp & MASK32)], "a"
+        return [("rs", rs), ("k", instr.disp)], "s"
+    if rs is None:
+        return [("rt", rt), ("sc", instr.scale), ("k", instr.disp)], "i"
+    return [("rs", rs), ("rt", rt), ("sc", instr.scale),
+            ("k", instr.disp)], "si"
+
+
+# The memory templates' lines take the most building; they depend only
+# on facts the shape id spells out, so they are built once per shape.
+
+@functools.lru_cache(maxsize=None)
+def _word_lines(load: bool, form: str, frame: bool, hb: bool,
+                full: bool, timing: bool, comp: str) -> tuple:
+    """Lines of an inline word load/store (with HardBound metadata
+    when ``hb``)."""
     acc = "read" if load else "write"
-    si = instr.rt is not None
-    params = [("rd%d" % i, instr.rd), ("rs%d" % i, instr.rs)]
-    if si:
-        params += [("rt%d" % i, instr.rt), ("sc%d" % i, instr.scale)]
-        ea_line = ("ea = (value[rs{i}] + value[rt{i}] * sc{i} + k{i})"
-                   " & %s" % _M32)
+    lines = [_EA_LINES[form]]
+    if hb:
+        lines += _hb_check_lines(acc, form == "si", frame, full)
+    if load:
+        lines += _word_read_lines(acc, frame)
     else:
-        ea_line = "ea = (value[rs{i}] + k{i}) & %s" % _M32
-    params.append(("k%d" % i, instr.disp))
-    frame = instr.rs in (REG_SP, REG_FP)
-    if ctx.fuse_hb_mem:
-        timing = ctx.hb_timing
-        comp = ctx.comp_expr or "_isc(v, mb, mbd)"
-        shape = "%shb_%s%d%d%d%s" % ("ld" if load else "st",
-                                     "si" if si else "s",
-                                     frame, ctx.full_mode, timing,
-                                     ctx.comp_tag)
-        lines = [ea_line]
-        lines += _hb_check_lines(acc, si, frame, ctx.full_mode)
-        if load:
-            lines += _word_read_lines(acc, frame)
-            if timing:
-                lines += _WPROBE_LINES
-            lines += _load_meta_lines(timing, comp)
-        else:
-            lines += _word_write_lines(acc, frame)
-            if timing:
-                lines += _WPROBE_LINES
-            lines += _store_meta_lines(timing, comp)
-        return _Part(shape, params, lines)
-    if ctx.fuse_plain_mem:
-        timing = ctx.plain_timing
-        shape = "%spl_%s%d%d" % ("ld" if load else "st",
-                                 "si" if si else "s", frame, timing)
-        lines = [ea_line]
-        if load:
-            lines += _word_read_lines(acc, frame)
-            if timing:
-                lines += _DPROBE_LINES
-            lines += ["value[rd{i}] = v",
-                      "rbase[rd{i}] = 0",
-                      "rbound[rd{i}] = 0"]
-        else:
-            lines += _word_write_lines(acc, frame)
-            if timing:
-                lines += _DPROBE_LINES
-        return _Part(shape, params, lines)
-    return None
+        lines += _word_write_lines(acc, frame)
+    if timing:
+        lines += _WPROBE_LINES if hb else _DPROBE_LINES
+    if hb:
+        meta_lines = _load_meta_lines if load else _store_meta_lines
+        lines += meta_lines(timing, comp)
+    elif load:
+        lines += ["value[rd{i}] = v",
+                  "rbase[rd{i}] = 0",
+                  "rbound[rd{i}] = 0"]
+    return tuple(lines)
 
 
-def _memgen_part(instr, i: int, ctx: _FuseCtx) -> Optional[_Part]:
-    """Fused mirror of the decoded *generic* load/store closure.
-
-    Covers every shape the decoded engine routes through
-    ``load_generic``/``store_generic`` — sub-word sizes, index-only
-    and absolute forms, ablated or substituted metadata engines,
-    classic timing model, observers and the temporal tracker — by
-    calling the same env-bound entry points (``mem_read``,
-    ``data_access``, ``hb.check``, ``hb.load_sub_meta``, ...) in the
-    same statement order, with the constant branches (is an engine
-    attached? an observer? word or sub-word?) resolved at
-    template-build time.  Shapes the decoded engine word-inlines are
-    declined here; :func:`_mem_part` or the closure fallback owns
-    them.
-    """
-    op_load = instr.op is Op.LOAD
-    rd, rs, rt = instr.rd, instr.rs, instr.rt
-    size = instr.size
-    if (ctx.hb_present and rs is not None and ctx.inline_check
-            and size == 4 and ctx.use_words):
-        return None  # decoded inlines these (load_s_word & friends)
-    if (not ctx.hb_present and size == 4 and rs is not None
-            and rt is None and ctx.use_words):
-        return None  # decoded inlines these (load_s_word_plain)
-    acc = "read" if op_load else "write"
-    checked = ctx.hb_present and rs is not None
-    params: List[Tuple[str, object]] = [("rd%d" % i, rd)]
-    # effective address, mirroring decode's make_ea forms
-    if rs is not None and rt is not None:
-        params += [("rs%d" % i, rs), ("rt%d" % i, rt),
-                   ("sc%d" % i, instr.scale), ("k%d" % i, instr.disp)]
-        lines = ["ea = (value[rs{i}] + value[rt{i}] * sc{i} + k{i})"
-                 " & %s" % _M32]
-        form = "si"
-    elif rs is not None:
-        params += [("rs%d" % i, rs), ("k%d" % i, instr.disp)]
-        lines = ["ea = (value[rs{i}] + k{i}) & %s" % _M32]
-        form = "s"
-    elif rt is not None:
-        params += [("rt%d" % i, rt), ("sc%d" % i, instr.scale),
-                   ("k%d" % i, instr.disp)]
-        lines = ["ea = (value[rt{i}] * sc{i} + k{i}) & %s" % _M32]
-        form = "i"
-    else:
-        params += [("k%d" % i, instr.disp & MASK32)]
-        lines = ["ea = k{i}"]
-        form = "a"
-    frame = rs in (REG_SP, REG_FP)
+@functools.lru_cache(maxsize=None)
+def _generic_lines(load: bool, form: str, size: int, frame: bool,
+                   checked: bool, full: bool, temporal: bool,
+                   timing: bool, observe: bool, hb: bool) -> tuple:
+    """Lines of the generic load/store template."""
+    acc = "read" if load else "write"
+    lines = [_EA_LINES[form]]
     if checked:
-        # make_mem_check inlined: pick the guarding register
-        # (base preferred, index as fallback), exempt meta-less
-        # frame accesses, hand everything else to the engine's check
-        if rt is not None:
+        # _mem_check inlined: pick the guarding register (base
+        # preferred, index as fallback), exempt meta-less frame
+        # accesses, hand everything else to the engine's check
+        if form == "si":
             lines += [
                 "if rbase[rs{i}] or rbound[rs{i}]:",
                 "    sv = value[rs{i}]",
@@ -703,58 +646,298 @@ def _memgen_part(instr, i: int, ctx: _FuseCtx) -> Optional[_Part]:
             lines += ["sv = value[rs{i}]",
                       "b = rbase[rs{i}]",
                       "bd = rbound[rs{i}]"]
-        call = ("_hbc(sv, b, bd, ea, %d, %r, %s)"
-                % (size, acc, ctx.full_mode))
+        call = "_hbc(sv, b, bd, ea, %d, %r, %s)" % (size, acc, full)
         if frame:
             lines += ["if b or bd:", "    " + call]
         else:
             lines.append(call)
-    if ctx.has_temporal:
+    if temporal:
         lines.append("_tc(ea, %d)" % size)
-    if op_load:
+    if load:
         lines.append("v = _mr(ea, %d)" % size)
     else:
         lines += ["v = value[rd{i}]", "_mw(ea, %d, v)" % size]
-    if ctx.timing:
-        lines.append("_da(ea, %d, %s, 'data')" % (size, not op_load))
-    if not ctx.observer_none:
-        lines.append("_ob.on_mem(ea, %d, %s)" % (size, not op_load))
-    if op_load:
-        if ctx.hb_present and size == 4:
+    if timing:
+        lines.append("_da(ea, %d, %s, 'data')" % (size, not load))
+    if observe:
+        lines.append("_ob.on_mem(ea, %d, %s)" % (size, not load))
+    if load:
+        if hb and size == 4:
             lines += ["b, bd = _hblw(ea, v)",
                       "value[rd{i}] = v",
                       "rbase[rd{i}] = b",
                       "rbound[rd{i}] = bd"]
         else:
-            if ctx.hb_present:
+            if hb:
                 lines.append("_hbls(ea)")
             lines += ["value[rd{i}] = v",
                       "rbase[rd{i}] = 0",
                       "rbound[rd{i}] = 0"]
-    elif ctx.hb_present:
+    elif hb:
         if size == 4:
             lines.append("_hbsw(ea, v, rbase[rd{i}], rbound[rd{i}])")
         else:
             lines.append("_hbss(ea)")
+    return tuple(lines)
+
+
+def _mem_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
+    """``load``/``store``: the inline word template where the context
+    allows it (``fuse_hb_mem`` / ``fuse_plain_mem``), else the generic
+    one.
+
+    The generic template covers every other shape — sub-word sizes,
+    index-only and absolute forms, ablated or substituted metadata
+    engines, the classic timing model, observers and the temporal
+    tracker — by calling the env-bound entry points (``mem_read``,
+    ``data_access``, ``hb.check``, ``hb.load_word_meta``, ...) in the
+    legacy handler's statement order, with the constant branches (is
+    an engine attached? an observer? word or sub-word?) resolved at
+    template-build time.
+    """
+    load = instr.op is Op.LOAD
+    ld = "ld" if load else "st"
+    rs, size = instr.rs, instr.size
+    ea_params, form = _ea(instr)
+    params = [("rd", instr.rd)] + ea_params
+    frame = rs in (REG_SP, REG_FP)
+    if size == 4 and rs is not None:
+        if ctx.fuse_hb_mem:
+            timing = ctx.hb_timing
+            return _Part(
+                "%shb_%s%d%d%d%s" % (ld, form, frame, ctx.full_mode,
+                                     timing, ctx.comp_tag),
+                params,
+                _word_lines(load, form, frame, True, ctx.full_mode,
+                            timing, ctx.comp_expr or "_isc(v, mb, mbd)"))
+        if ctx.fuse_plain_mem:
+            timing = ctx.plain_timing
+            return _Part("%spl_%s%d%d" % (ld, form, frame, timing), params,
+                         _word_lines(load, form, frame, False, False,
+                                     timing, ""))
+    checked = ctx.hb_present and rs is not None
+    observe = not ctx.observer_none
     shape = "%sgen_%s%d%d%d%d%d%d%d" % (
-        "ld" if op_load else "st", form, size, frame, checked,
-        ctx.full_mode, ctx.has_temporal, ctx.timing,
-        not ctx.observer_none)
+        ld, form, size, frame, checked, ctx.full_mode, ctx.has_temporal,
+        ctx.timing, observe)
     if ctx.hb_present:
         shape += "h"
+    return _Part(shape, params,
+                 _generic_lines(load, form, size, frame, checked,
+                                ctx.full_mode, ctx.has_temporal,
+                                ctx.timing, observe, ctx.hb_present))
+
+
+def _mov_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
+    if instr.rs is not None:
+        return _Part("movrr", [("rd", instr.rd), ("rs", instr.rs)],
+                     ["value[rd{i}] = value[rs{i}]",
+                      "rbase[rd{i}] = rbase[rs{i}]",
+                      "rbound[rd{i}] = rbound[rs{i}]"])
+    return _Part("movri",
+                 [("rd", instr.rd), ("k", (instr.imm or 0) & MASK32)],
+                 ["value[rd{i}] = k{i}",
+                  "rbase[rd{i}] = 0",
+                  "rbound[rd{i}] = 0"])
+
+
+def _lea_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
+    """``lea``: the address, with the guarding register's metadata
+    (base preferred, index as fallback, none for absolute forms)."""
+    ea_params, form = _ea(instr)
+    lines = [_EA_LINES[form]]
+    if form == "si":
+        lines += ["if rbase[rs{i}] or rbound[rs{i}]:",
+                  "    rbase[rd{i}] = rbase[rs{i}]",
+                  "    rbound[rd{i}] = rbound[rs{i}]",
+                  "else:",
+                  "    rbase[rd{i}] = rbase[rt{i}]",
+                  "    rbound[rd{i}] = rbound[rt{i}]"]
+    elif form == "a":
+        lines += ["rbase[rd{i}] = 0", "rbound[rd{i}] = 0"]
+    else:
+        src = "rs{i}" if form == "s" else "rt{i}"
+        lines += ["rbase[rd{i}] = rbase[%s]" % src,
+                  "rbound[rd{i}] = rbound[%s]" % src]
+    lines.append("value[rd{i}] = ea")
+    return _Part("lea_" + form, [("rd", instr.rd)] + ea_params, lines)
+
+
+def _xchg_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
+    return _Part("xchg", [("rd", instr.rd), ("rs", instr.rs)],
+                 ["value[rd{i}], value[rs{i}] = value[rs{i}], value[rd{i}]",
+                  "rbase[rd{i}], rbase[rs{i}] = rbase[rs{i}], rbase[rd{i}]",
+                  "rbound[rd{i}], rbound[rs{i}] = "
+                  "rbound[rs{i}], rbound[rd{i}]"])
+
+
+def _addsub_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
+    """Figure 3A/B ``add``/``sub``: the first input's bounds when it
+    has any, else the second's; an observer sees every result that
+    carries bounds."""
+    rd, rs, rt = instr.rd, instr.rs, instr.rt
+    observe = not ctx.observer_none
+    if rt is not None:
+        sign = "-" if instr.op is Op.SUB else "+"
+        shape = "addsubrr" + sign
+        params = [("rd", rd), ("rs", rs), ("rt", rt)]
+        first = "v = (value[rs{i}] %s value[rt{i}]) & %s" % (sign, _M32)
+        other = ["    rbase[rd{i}] = rbase[rt{i}]",
+                 "    rbound[rd{i}] = rbound[rt{i}]"]
+        if observe:
+            other += ["    if rbase[rd{i}] or rbound[rd{i}]:",
+                      "        _ob.on_pointer_arith(v)"]
+    else:
+        k = instr.imm or 0
+        if instr.op is Op.SUB:
+            k = -k
+        shape = "addsubri"
+        params = [("rd", rd), ("rs", rs), ("k", k)]
+        first = "v = (value[rs{i}] + k{i}) & " + _M32
+        other = ["    rbase[rd{i}] = 0", "    rbound[rd{i}] = 0"]
+    lines = [first,
+             "if rbase[rs{i}] or rbound[rs{i}]:",
+             "    value[rd{i}] = v",
+             "    rbase[rd{i}] = rbase[rs{i}]",
+             "    rbound[rd{i}] = rbound[rs{i}]"]
+    if observe:
+        shape += "o"
+        lines.append("    _ob.on_pointer_arith(v)")
+    lines += ["else:", "    value[rd{i}] = v"] + other
     return _Part(shape, params, lines)
 
 
-def _setbound_part(instr, i: int, ctx: _FuseCtx) -> _Part:
-    """Fused ``setbound`` (build_setbound mirrored line for line)."""
-    params = [("rd%d" % i, instr.rd), ("rs%d" % i, instr.rs)]
+def _cmp_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
+    op = instr.op
+    if instr.rt is not None:
+        expr = _CMP_RR[op]
+        shape = "cmp_rr_" + op.value
+        params = [("rd", instr.rd), ("rs", instr.rs), ("rt", instr.rt)]
+    else:
+        # the immediate as the legacy compare sees it: masked for
+        # (in)equality, sign-flipped for signed orderings, raw for
+        # the unsigned ones
+        k = instr.imm or 0
+        if op in (Op.SEQ, Op.SNE):
+            k &= MASK32
+        elif op in _SIGNED_CMPS:
+            k = (k & MASK32) ^ 0x80000000
+        expr = _CMP_RI[op]
+        shape = "cmp_ri_" + op.value
+        params = [("rd", instr.rd), ("rs", instr.rs), ("k", k)]
+    return _Part(shape, params,
+                 ["value[rd{i}] = 1 if " + expr + " else 0",
+                  "rbase[rd{i}] = 0",
+                  "rbound[rd{i}] = 0"])
+
+
+def _nonprop_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
+    op = instr.op
+    if instr.rt is not None:
+        expr = _NP_RR_EXPR[op]
+        params = [("rd", instr.rd), ("rs", instr.rs), ("rt", instr.rt)]
+        shape = "npx_rr_" + op.value
+    else:
+        expr = _NP_RI_EXPR[op]
+        params = [("rd", instr.rd), ("rs", instr.rs),
+                  ("k", _np_imm(op, instr.imm or 0))]
+        shape = "npx_ri_" + op.value
+    return _Part(shape, params,
+                 ["value[rd{i}] = (" + expr + ") & " + _M32,
+                  "rbase[rd{i}] = 0",
+                  "rbound[rd{i}] = 0"])
+
+
+def _divmod_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
+    """C truncating division/remainder: the legacy ``_op_div`` /
+    ``_op_mod`` inline.
+
+    Register values are always in [0, 2**32), so the sign test is the
+    plain ``to_signed`` branch.  An immediate divisor's sign and
+    magnitude are bind-time constants, and a zero immediate always
+    raises the same trap.
+    """
+    rd, rs, rt = instr.rd, instr.rs, instr.rt
+    is_div = instr.op is Op.DIV
+    head = ["sa = value[rs{i}]",
+            "if sa >= 2147483648:",
+            "    sa -= 4294967296"]
+    meta = ["rbase[rd{i}] = 0", "rbound[rd{i}] = 0"]
+    if rt is not None:
+        compute = ("q = abs(sa) // abs(sb)" if is_div
+                   else "q = abs(sa) % abs(sb)")
+        result = ("(q if (sa < 0) == (sb < 0) else -q)" if is_div
+                  else "(q if sa >= 0 else -q)")
+        return _Part(
+            ("divrr" if is_div else "modrr"),
+            [("rd", rd), ("rs", rs), ("rt", rt)],
+            head + ["sb = value[rt{i}]",
+                    "if sb >= 2147483648:",
+                    "    sb -= 4294967296",
+                    "if sb == 0:",
+                    "    raise _dbz()",
+                    compute,
+                    "value[rd{i}] = %s & %s" % (result, _M32)] + meta)
+    sk = to_signed(instr.imm or 0)
+    if sk == 0:
+        return _Part("dbz", [], ["raise _dbz()"])
+    if is_div:
+        body = ["q = abs(sa) // ka{i}",
+                "value[rd{i}] = (q if (sa < 0) == kn{i} else -q) & "
+                + _M32]
+    else:
+        body = ["q = abs(sa) % ka{i}",
+                "value[rd{i}] = (q if sa >= 0 else -q) & " + _M32]
+    return _Part(("divri" if is_div else "modri"),
+                 [("rd", rd), ("rs", rs), ("ka", abs(sk)),
+                  ("kn", sk < 0)],
+                 head + body + meta)
+
+
+#: ``rd <- f(rs)`` ops: value expression, then the base and bound
+#: written after it
+_UNARY = {
+    Op.NEG: ("(-value[rs{i}]) & " + _M32, "0", "0"),
+    Op.NOT: ("(~value[rs{i}]) & " + _M32, "0", "0"),
+    Op.READBASE: ("rbase[rs{i}]", "0", "0"),
+    Op.READBOUND: ("rbound[rs{i}]", "0", "0"),
+    Op.SETUNSAFE: ("value[rs{i}]", "0", _MAX),
+    Op.CLRBND: ("value[rs{i}]", "0", "0"),
+}
+
+
+def _unary_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
+    expr, base, bound = _UNARY[instr.op]
+    return _Part(instr.op.value, [("rd", instr.rd), ("rs", instr.rs)],
+                 ["value[rd{i}] = " + expr,
+                  "rbase[rd{i}] = " + base,
+                  "rbound[rd{i}] = " + bound])
+
+
+def _setcode_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
+    """``setcode``: a code pointer, base = bound = MAXINT."""
+    if instr.rs is not None:
+        shape, params = "setcode_r", [("rd", instr.rd), ("rs", instr.rs)]
+        src = "value[rs{i}]"
+    else:
+        shape, params = "setcode_i", [("rd", instr.rd),
+                                      ("k", instr.imm & MASK32)]
+        src = "k{i}"
+    return _Part(shape, params, ["value[rd{i}] = " + src,
+                                 "rbase[rd{i}] = " + _MAX,
+                                 "rbound[rd{i}] = " + _MAX])
+
+
+def _setbound_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
+    """``setbound``, the legacy handler line for line."""
+    params = [("rd", instr.rd), ("rs", instr.rs)]
     lines = ["v = value[rs{i}]"]
     if instr.rt is not None:
-        params.append(("rt%d" % i, instr.rt))
+        params.append(("rt", instr.rt))
         lines.append("sz = value[rt{i}]")
         form = "r"
     else:
-        params.append(("k%d" % i, instr.imm or 0))
+        params.append(("k", instr.imm or 0))
         lines.append("sz = k{i}")
         form = "i"
     lines += [
@@ -775,274 +958,158 @@ def _setbound_part(instr, i: int, ctx: _FuseCtx) -> _Part:
     return _Part(shape, params, lines)
 
 
-def _sbrk_part(instr, i: int) -> _Part:
-    """Fused ``sbrk`` (build_sbrk mirrored line for line)."""
-    return _Part("sbrk",
-                 [("rd%d" % i, instr.rd), ("rs%d" % i, instr.rs)],
+def _markfree_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
+    """``markfree``: poison the freed range for the temporal tracker,
+    a no-op without one."""
+    if not ctx.has_temporal:
+        return _Part("markfree0", [], ["pass"])
+    if instr.rt is not None:
+        shape, size, src = "markfree_r", ("rt", instr.rt), "value[rt{i}]"
+    else:
+        shape, size, src = "markfree_i", ("k", instr.imm or 0), "k{i}"
+    return _Part(shape, [("rs", instr.rs), size],
+                 ["v = value[rs{i}]",
+                  "sz = " + src,
+                  "if sz > 0:",
+                  "    _tmp.mark_freed(v, (v + sz) & %s)" % _M32])
+
+
+def _sbrk_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
+    return _Part("sbrk", [("rd", instr.rd), ("rs", instr.rs)],
                  ["v = _sbrk(_tsg(value[rs{i}]))",
                   "value[rd{i}] = v",
                   "rbase[rd{i}] = 0",
                   "rbound[rd{i}] = 0"])
 
 
-def _closure_part(i: int, terminator: bool, pc: int) -> _Part:
-    """Call of the decoded closure for ``pc`` (bound per run, see
-    :class:`_CodeRef`)."""
-    if terminator:
-        return _Part("ft", [("f%d" % i, None), ("t%d" % i, pc)],
-                     ["return f{i}(t{i})"], closure_pc=pc)
-    return _Part("f", [("f%d" % i, None)], ["f{i}(0)"], closure_pc=pc)
+#: output ops: the text each one emits
+_EMITS = {
+    Op.PRINT: '"%d\\n" % _tsg(value[rs{i}])',
+    Op.PRINTC: "chr(value[rs{i}] & 255)",
+    Op.PRINTS: "_rcs(value[rs{i}])",
+}
 
 
-def _template_part(instr, i: int, pc: int,
-                   ctx: _FuseCtx) -> Optional[_Part]:
-    """Template for one instruction, or ``None`` to use its closure.
+def _emit_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
+    return _Part(instr.op.value, [("rs", instr.rs)],
+                 ["_emit(%s)" % _EMITS[instr.op]])
 
-    Every template is a source-level copy of the corresponding
-    decoded closure body (same statement order, same trap types);
-    the engine differential suite enforces the equivalence.
-    """
-    op = instr.op
-    observer_none = ctx.observer_none
-    full_mode = ctx.full_mode
-    rd, rs, rt = instr.rd, instr.rs, instr.rt
-    if op in (Op.LOAD, Op.STORE):
-        part = _mem_part(instr, i, ctx)
-        if part is None:
-            part = _memgen_part(instr, i, ctx)
-        return part
-    if op is Op.SETBOUND:
-        return _setbound_part(instr, i, ctx)
-    if op is Op.SBRK:
-        return _sbrk_part(instr, i)
-    if op is Op.MOV:
-        if rs is not None:
-            return _Part("movrr", [("rd%d" % i, rd), ("rs%d" % i, rs)],
-                         ["value[rd{i}] = value[rs{i}]",
-                          "rbase[rd{i}] = rbase[rs{i}]",
-                          "rbound[rd{i}] = rbound[rs{i}]"])
-        return _Part("movri",
-                     [("rd%d" % i, rd),
-                      ("k%d" % i, (instr.imm or 0) & MASK32)],
-                     ["value[rd{i}] = k{i}",
-                      "rbase[rd{i}] = 0",
-                      "rbound[rd{i}] = 0"])
-    if op in (Op.ADD, Op.SUB) and observer_none:
-        if rt is not None:
-            sign = "-" if op is Op.SUB else "+"
-            return _Part("addsubrr" + sign,
-                         [("rd%d" % i, rd), ("rs%d" % i, rs),
-                          ("rt%d" % i, rt)],
-                         ["v = (value[rs{i}] %s value[rt{i}]) & %s"
-                          % (sign, _M32),
-                          "if rbase[rs{i}] or rbound[rs{i}]:",
-                          "    value[rd{i}] = v",
-                          "    rbase[rd{i}] = rbase[rs{i}]",
-                          "    rbound[rd{i}] = rbound[rs{i}]",
-                          "else:",
-                          "    value[rd{i}] = v",
-                          "    rbase[rd{i}] = rbase[rt{i}]",
-                          "    rbound[rd{i}] = rbound[rt{i}]"])
-        k = instr.imm or 0
-        if op is Op.SUB:
-            k = -k
-        return _Part("addsubri",
-                     [("rd%d" % i, rd), ("rs%d" % i, rs),
-                      ("k%d" % i, k)],
-                     ["v = (value[rs{i}] + k{i}) & %s" % _M32,
-                      "if rbase[rs{i}] or rbound[rs{i}]:",
-                      "    value[rd{i}] = v",
-                      "    rbase[rd{i}] = rbase[rs{i}]",
-                      "    rbound[rd{i}] = rbound[rs{i}]",
-                      "else:",
-                      "    value[rd{i}] = v",
-                      "    rbase[rd{i}] = 0",
-                      "    rbound[rd{i}] = 0"])
-    if op in _CMP_RR:
-        if rt is not None:
-            expr = _CMP_RR[op]
-            shape = "cmp_rr_" + op.value
-            params = [("rd%d" % i, rd), ("rs%d" % i, rs),
-                      ("rt%d" % i, rt)]
-        else:
-            # mirror build_cmp's immediate pre-transformations
-            k = instr.imm or 0
-            if op in (Op.SEQ, Op.SNE):
-                k &= MASK32
-            elif op in _SIGNED_CMPS:
-                k = (k & MASK32) ^ 0x80000000
-            expr = _CMP_RI[op]
-            shape = "cmp_ri_" + op.value
-            params = [("rd%d" % i, rd), ("rs%d" % i, rs),
-                      ("k%d" % i, k)]
-        return _Part(shape, params,
-                     ["value[rd{i}] = 1 if " + expr + " else 0",
-                      "rbase[rd{i}] = 0",
-                      "rbound[rd{i}] = 0"])
-    if op in _NONPROP:
-        if op in _NP_RR_EXPR:
-            if rt is not None:
-                expr = _NP_RR_EXPR[op]
-                params = [("rd%d" % i, rd), ("rs%d" % i, rs),
-                          ("rt%d" % i, rt)]
-                shape = "npx_rr_" + op.value
-            else:
-                expr = _NP_RI_EXPR[op]
-                params = [("rd%d" % i, rd), ("rs%d" % i, rs),
-                          ("k%d" % i, _np_imm(op, instr.imm or 0))]
-                shape = "npx_ri_" + op.value
-            return _Part(shape, params,
-                         ["value[rd{i}] = (" + expr + ") & %s" % _M32,
-                          "rbase[rd{i}] = 0",
-                          "rbound[rd{i}] = 0"])
-        if op in (Op.DIV, Op.MOD):
-            # inline C truncating division/remainder: a source-level
-            # copy of decode._div/_mod (closure-call free).  Register
-            # values are always in [0, 2**32), so the sign test is
-            # the plain to_signed branch.
-            is_div = op is Op.DIV
-            compute = ("q = abs(sa) // abs(sb)" if is_div
-                       else "q = abs(sa) % abs(sb)")
-            result = ("(q if (sa < 0) == (sb < 0) else -q)" if is_div
-                      else "(q if sa >= 0 else -q)")
-            head = ["sa = value[rs{i}]",
-                    "if sa >= 2147483648:",
-                    "    sa -= 4294967296"]
-            tail = [compute,
-                    "value[rd{i}] = %s & %s" % (result, _M32),
-                    "rbase[rd{i}] = 0",
-                    "rbound[rd{i}] = 0"]
-            if rt is not None:
-                return _Part(
-                    ("divrr" if is_div else "modrr"),
-                    [("rd%d" % i, rd), ("rs%d" % i, rs),
-                     ("rt%d" % i, rt)],
-                    head + ["sb = value[rt{i}]",
-                            "if sb >= 2147483648:",
-                            "    sb -= 4294967296",
-                            "if sb == 0:",
-                            "    raise _dbz()"] + tail)
-            sk = to_signed(instr.imm or 0)
-            if sk != 0:
-                # the immediate's sign and magnitude are bind-time
-                # constants; a zero immediate keeps the closure
-                # fallback (raises the identical trap every time)
-                if is_div:
-                    ri_lines = [
-                        "q = abs(sa) // ka{i}",
-                        "value[rd{i}] = (q if (sa < 0) == kn{i}"
-                        " else -q) & %s" % _M32]
-                else:
-                    ri_lines = [
-                        "q = abs(sa) % ka{i}",
-                        "value[rd{i}] = (q if sa >= 0 else -q)"
-                        " & %s" % _M32]
-                return _Part(
-                    ("divri" if is_div else "modri"),
-                    [("rd%d" % i, rd), ("rs%d" % i, rs),
-                     ("ka%d" % i, abs(sk)), ("kn%d" % i, sk < 0)],
-                    head + ri_lines
-                    + ["rbase[rd{i}] = 0", "rbound[rd{i}] = 0"])
-        return None
-    if op is Op.JMP:
-        return _Part("jmp", [("t%d" % i, instr.target)],
-                     ["return t{i}"])
-    if op is Op.BEQZ:
-        return _Part("beqz", [("t%d" % i, instr.target),
-                              ("rs%d" % i, rs)],
-                     ["return t{i} if value[rs{i}] == 0 else None"])
-    if op is Op.BNEZ:
-        return _Part("bnez", [("t%d" % i, instr.target),
-                              ("rs%d" % i, rs)],
-                     ["return t{i} if value[rs{i}] != 0 else None"])
-    if op is Op.CALL:
-        return _Part("call", [("t%d" % i, instr.target),
-                              ("r%d" % i, (pc + 1) & MASK32)],
-                     ["value[%s] = r{i}" % _RA,
-                      "rbase[%s] = %s" % (_RA, _MAX),
-                      "rbound[%s] = %s" % (_RA, _MAX),
-                      "return t{i}"])
-    if op is Op.RET:
-        lines = ["t = value[%s]" % _RA]
-        if full_mode:
-            lines += ["if rbase[%s] != %s or rbound[%s] != %s:"
-                      % (_RA, _MAX, _RA, _MAX),
-                      "    raise _icpe(t)"]
-        lines += ["if t >= _n:",
-                  "    raise _icpe(t)",
-                  "return t"]
-        return _Part("ret%d" % full_mode, [], lines)
-    if op is Op.CALLR:
-        lines = ["t = value[rs{i}]"]
-        if full_mode:
-            lines += ["if rbase[rs{i}] != %s or rbound[rs{i}] != %s:"
-                      % (_MAX, _MAX),
-                      "    raise _icpe(t)"]
-        lines += ["if t >= _n:",
-                  "    raise _icpe(t)",
-                  "value[%s] = r{i}" % _RA,
+
+def _jmp_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
+    return _Part("jmp", [("t", instr.target)], ["return t{i}"])
+
+
+def _branch_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
+    test = "==" if instr.op is Op.BEQZ else "!="
+    return _Part(instr.op.value, [("t", instr.target), ("rs", instr.rs)],
+                 ["return t{i} if value[rs{i}] %s 0 else None" % test])
+
+
+def _call_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
+    return _Part("call", [("t", instr.target), ("r", (pc + 1) & MASK32)],
+                 ["value[%s] = r{i}" % _RA,
                   "rbase[%s] = %s" % (_RA, _MAX),
                   "rbound[%s] = %s" % (_RA, _MAX),
-                  "return t"]
-        return _Part("callr%d" % full_mode,
-                     [("rs%d" % i, rs), ("r%d" % i, (pc + 1) & MASK32)],
-                     lines)
-    return None
+                  "return t{i}"])
+
+
+def _ret_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
+    lines = ["t = value[%s]" % _RA]
+    if ctx.full_mode:
+        lines += ["if rbase[%s] != %s or rbound[%s] != %s:"
+                  % (_RA, _MAX, _RA, _MAX),
+                  "    raise _icpe(t)"]
+    lines += ["if t >= _n:",
+              "    raise _icpe(t)",
+              "return t"]
+    return _Part("ret%d" % ctx.full_mode, [], lines)
+
+
+def _callr_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
+    lines = ["t = value[rs{i}]"]
+    if ctx.full_mode:
+        lines += ["if rbase[rs{i}] != %s or rbound[rs{i}] != %s:"
+                  % (_MAX, _MAX),
+                  "    raise _icpe(t)"]
+    lines += ["if t >= _n:",
+              "    raise _icpe(t)",
+              "value[%s] = r{i}" % _RA,
+              "rbase[%s] = %s" % (_RA, _MAX),
+              "rbound[%s] = %s" % (_RA, _MAX),
+              "return t"]
+    return _Part("callr%d" % ctx.full_mode,
+                 [("rs", instr.rs), ("r", (pc + 1) & MASK32)], lines)
+
+
+#: stop ops: the exception each one raises
+_STOPS = {Op.HALT: "_halt", Op.ABORT: "_abort"}
+
+
+def _stop_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
+    """``halt`` / ``abort`` with the register's signed value or the
+    immediate as the code."""
+    raise_ = "raise %s(" % _STOPS[instr.op]
+    if instr.rs is not None:
+        return _Part(instr.op.value + "_r", [("rs", instr.rs)],
+                     [raise_ + "_tsg(value[rs{i}]))"])
+    return _Part(instr.op.value + "_i", [("k", instr.imm or 0)],
+                 [raise_ + "k{i})"])
+
+
+#: opcode -> template builder ``(instr, pc, ctx) -> _Part``
+_TEMPLATES = {
+    Op.LOAD: _mem_part, Op.STORE: _mem_part,
+    Op.MOV: _mov_part, Op.LEA: _lea_part, Op.XCHG: _xchg_part,
+    Op.ADD: _addsub_part, Op.SUB: _addsub_part,
+    Op.DIV: _divmod_part, Op.MOD: _divmod_part,
+    Op.SETCODE: _setcode_part, Op.SETBOUND: _setbound_part,
+    Op.MARKFREE: _markfree_part, Op.SBRK: _sbrk_part,
+    Op.JMP: _jmp_part, Op.BEQZ: _branch_part, Op.BNEZ: _branch_part,
+    Op.CALL: _call_part, Op.CALLR: _callr_part, Op.RET: _ret_part,
+    Op.HALT: _stop_part, Op.ABORT: _stop_part,
+}
+_TEMPLATES.update(dict.fromkeys(_CMP_RR, _cmp_part))
+_TEMPLATES.update(dict.fromkeys(_NP_RR_EXPR, _nonprop_part))
+_TEMPLATES.update(dict.fromkeys(_UNARY, _unary_part))
+_TEMPLATES.update(dict.fromkeys(_EMITS, _emit_part))
+
+
+def _template_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
+    """The template for the instruction at ``pc``.
+
+    Every template mirrors its legacy ``CPU._op_*`` handler (same
+    statement order, same counter increments, same trap types); the
+    engine differential suite and the fuzz oracle check the
+    equivalence.  A part's parameter names carry no block offset: the
+    fuser compiler appends it, as it formats ``{i}`` in the lines.
+    """
+    return _TEMPLATES[instr.op](instr, pc, ctx)
 
 
 #: pseudo-filename of the generated fuser source (shows in tracebacks)
 _FUSE_FILENAME = "<repro-block-fuse>"
 
-#: shape signature -> (fuse function, names of the env values it takes)
+#: shape signature -> (fuser code, its globals, names of the env
+#: values it takes)
 _fuse_cache: Dict[Tuple[str, ...], tuple] = {}
-#: block code object -> {line number -> instruction offset}
+#: fuser code object -> {line number -> instruction offset}
 _line_maps: Dict[object, Dict[int, int]] = {}
 
-
-class _CodeRef:
-    """Spec marker: 'this argument is the run's closure for ``pc``'."""
-
-    __slots__ = ("pc",)
-
-    def __init__(self, pc: int):
-        self.pc = pc
-
-
-class _Plan:
-    """Program-keyed fusion plan.
-
-    The expensive parts of fusing a program — CFG discovery and
-    template selection — depend only on the program and the
-    template-selection context, not on the run.  A plan records their
-    outcome per block as ``(start, length, signature, spec)``: the
-    signature keys the compiled fuser in ``_fuse_cache``, the spec is
-    the flat closure-argument vector with per-run decoded closures
-    marked by :class:`_CodeRef`.  Re-running the same program (the
-    sharded harness and the benchmarks do, constantly) then reduces
-    fusion to re-binding.  ``fallback`` is the build's tally of
-    instructions left to their decoded closures, by op name.
-    """
-
-    __slots__ = ("blocks", "fallback")
-
-    def __init__(self):
-        self.blocks = None
-        self.fallback: Dict[str, int] = {}
-
-
-#: Program -> {plan key: _Plan}; weak so plans die with their program
+#: Program -> {template-selection context key: fusion plan}; weak so
+#: plans die with their program.  A plan is the program's block
+#: records (see :func:`_record`): CFG discovery and template selection
+#: depend only on the program and the context, not on the run, so
+#: re-running the same program (the sharded harness and the
+#: benchmarks do, constantly) reduces fusion to re-binding.
 _plan_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def _part_spec(parts: List[_Part]) -> list:
-    """Flat closure-argument vector with closure slots marked."""
-    spec: list = []
-    for part in parts:
-        values = [value for _, value in part.params]
-        if part.closure_pc is not None:
-            values[0] = _CodeRef(part.closure_pc)
-        spec.extend(values)
-    return spec
+def _record(start: int, parts: List[_Part]) -> tuple:
+    """A fuser's ``(start, length, signature, spec)``: the signature
+    keys the compiled fuser in ``_fuse_cache``, the spec is the flat
+    operand-argument vector it is bound with."""
+    return (start, len(parts), tuple([part.shape for part in parts]),
+            [value for part in parts for _, value in part.params])
 
 
 #: shared environment names a template may reference -> the
@@ -1050,9 +1117,10 @@ def _part_spec(parts: List[_Part]) -> list:
 #: register arrays and program length, the memory environment (arena
 #: cells, segment bounds, raw spill entry points), the HardBound
 #: metadata environment, the fast timing model's probes with their
-#: composite-hit cells, and the generic entry points the generic
-#: templates call (``sbrk``, the byte-level memory accessors, the
-#: timing/temporal/observer hooks and the metadata-engine methods)
+#: composite-hit cells, and the entry points the generic templates
+#: call (``sbrk``, the byte-level memory accessors, the
+#: timing/temporal/observer hooks, the metadata-engine methods and
+#: the output channel)
 _ENV_FIELDS = {
     "value": "value", "rbase": "rbase", "rbound": "rbound",
     "_n": "n_instrs",
@@ -1069,15 +1137,16 @@ _ENV_FIELDS = {
     "_da": "data_access", "_tc": "temporal_check", "_ob": "observer",
     "_tmp": "temporal", "_hbc": "hb_check", "_hblw": "hb_load_word",
     "_hbls": "hb_load_sub", "_hbsw": "hb_store_word",
-    "_hbss": "hb_store_sub",
+    "_hbss": "hb_store_sub", "_emit": "emit", "_rcs": "read_cstring",
 }
 
 #: environment names bound to the same object in every run: the trap
-#: constructors the templates raise and ``to_signed``
+#: and stop constructors the templates raise and ``to_signed``
 _ENV_CONSTANTS = {
     "_icpe": InvalidCodePointerError, "_be": BoundsError,
     "_npe": NonPointerError, "_mf": MemoryFault,
-    "_dbz": DivideByZeroError, "_tsg": to_signed,
+    "_dbz": DivideByZeroError, "_halt": HaltSignal,
+    "_abort": AbortError, "_tsg": to_signed,
 }
 
 #: every shared environment name, in fuser-signature order (``_cpu``
@@ -1087,131 +1156,135 @@ _ENV_NAMES = tuple(_ENV_FIELDS) + ("_cpu",) + tuple(_ENV_CONSTANTS)
 
 def _compile_fuser(signature: Tuple[str, ...],
                    parts: List[_Part]) -> int:
-    """Compile the fuser for a block shape signature into
-    ``_fuse_cache``; returns the generated source's size in bytes.
+    """Compile the fuser for a shape signature into ``_fuse_cache``;
+    returns the generated source's size in bytes.
 
-    The fuser takes the parts' operand parameters followed by the
-    shared environment names the block body references, and
-    re-binds each as a default-valued parameter of the generated
-    block function: CPython then reads it as a fast local instead of
-    a closure cell on every access, at the cost of one default copy
-    per call.
+    The fuser's parameters after ``pc`` are the parts' operands
+    followed by the shared environment names the body references.
+    Binding (:meth:`_Fuser.entry`) makes a function of the compiled
+    code with their values as defaults: CPython then reads each as a
+    fast local instead of a closure cell on every access, at the cost
+    of one default copy per call.
     """
     body: List[str] = []
     line_of: Dict[int, int] = {}
-    names: List[str] = []
+    names = ["pc"]
     for offset, part in enumerate(parts):
-        names.extend(name for name, _ in part.params)
+        names.extend("%s%d" % (name, offset) for name, _ in part.params)
         for raw in part.lines:
-            body.append("        " + raw.format(i=offset))
-            # +2: the fuse and block headers precede the body
-            line_of[len(body) + 2] = offset
+            body.append("    " + raw.format(i=offset))
+            # +1: the def header precedes the body
+            line_of[len(body) + 1] = offset
     referenced = set(re.findall(r"[A-Za-z_]\w*", "\n".join(body)))
     env_names = tuple(name for name in _ENV_NAMES if name in referenced)
-    bound = [name for name in names if name in referenced]
-    bound += env_names
     source = "\n".join(
-        ["def _fuse(%s):" % ", ".join(names + list(env_names)),
-         "    def _block(pc%s):" % "".join(", %s=%s" % (name, name)
-                                          for name in bound)]
-        + body + ["    return _block"])
+        ["def _block(%s):" % ", ".join(names + list(env_names))] + body)
     namespace: dict = {}
     exec(compile(source, _FUSE_FILENAME, "exec"), namespace)
-    fuse = namespace["_fuse"]
-    block_code = next(const for const in fuse.__code__.co_consts
-                      if isinstance(const, types.CodeType)
-                      and const.co_name == "_block")
-    _fuse_cache[signature] = (fuse, env_names)
-    _line_maps[block_code] = line_of
+    code = namespace["_block"].__code__
+    _fuse_cache[signature] = (code, namespace, env_names)
+    _line_maps[code] = line_of
     return len(source)
 
 
 class _Fuser:
     """Per-run fusion state.
 
-    Holds the decoded closures, the template-selection context and
-    the run's environment values, turns blocks into parts and
-    records, and binds compiled fusers into block-table entries.
-    ``compiles`` / ``source_bytes`` count the fusers this run handed
-    to CPython's ``compile()`` and the source they took,
-    ``compile_s`` the seconds spent compiling pending blocks.
+    Holds the template-selection context and the run's environment
+    values, turns instruction runs into parts and records, and binds
+    compiled fusers.  ``steps`` is the pc-indexed table of
+    one-instruction fusers (``None`` until :meth:`step` first builds
+    a pc's entry); each keeps the ``fn(pc) -> next pc or None``
+    contract, and an out-of-range pc raises ``IndexError`` there, which
+    the run loops translate into fetch faults.  ``compiles`` /
+    ``source_bytes`` count the fusers this run handed to CPython's
+    ``compile()`` and the source they took, ``compile_s`` the seconds
+    the run loop spent building, compiling and binding fusers.
+    ``env_args`` memoizes the environment values each distinct set of
+    shared names binds to.
     """
 
-    __slots__ = ("cpu", "code", "instrs", "ctx", "env_map",
+    __slots__ = ("instrs", "ctx", "env_map", "env_args", "steps",
                  "compiles", "source_bytes", "compile_s")
 
-    def __init__(self, cpu, code: list, env):
-        self.cpu = cpu
-        self.code = code
+    def __init__(self, cpu, env):
         self.instrs = cpu.program.instrs
         self.ctx = _FuseCtx(env)
         self.env_map = {name: getattr(env, field)
                         for name, field in _ENV_FIELDS.items()}
         self.env_map.update(_ENV_CONSTANTS, _cpu=cpu)
+        self.env_args: Dict[tuple, list] = {}
+        self.steps: list = [None] * len(self.instrs)
         self.compiles = 0
         self.source_bytes = 0
         self.compile_s = 0.0
 
-    def make_parts(self, start: int, end: int,
-                   fallback: Dict[str, int]) -> List[_Part]:
-        """Parts for the block ``[start, end)``; closure fallbacks are
-        tallied by op name into ``fallback``."""
+    def make_parts(self, start: int, end: int) -> List[_Part]:
+        """Parts for the instructions ``[start, end)``."""
         instrs, ctx = self.instrs, self.ctx
-        parts: List[_Part] = []
-        for i, pc in enumerate(range(start, end)):
-            instr = instrs[pc]
-            part = _template_part(instr, i, pc, ctx)
-            if part is None:
-                key = instr.op.value
-                fallback[key] = fallback.get(key, 0) + 1
-                part = _closure_part(i, pc == end - 1, pc)
-            parts.append(part)
-        return parts
+        return [_template_part(instrs[pc], pc, ctx)
+                for pc in range(start, end)]
 
     def entry(self, record: tuple) -> tuple:
         """Bind a record's compiled fuser: the ``(fn, len, fall,
         last)`` block-table entry."""
         start, length, signature, spec = record
-        fuse, env_names = _fuse_cache[signature]
-        code, env_map = self.code, self.env_map
-        args = [code[value.pc] if type(value) is _CodeRef else value
-                for value in spec]
-        args += [env_map[name] for name in env_names]
-        return (fuse(*args), length, start + length, start + length - 1)
+        code, namespace, env_names = _fuse_cache[signature]
+        env_args = self.env_args.get(env_names)
+        if env_args is None:
+            env_map = self.env_map
+            env_args = self.env_args[env_names] = [
+                env_map[name] for name in env_names]
+        fn = types.FunctionType(code, namespace, "_block",
+                                (*spec, *env_args))
+        return (fn, length, start + length, start + length - 1)
 
-    def compile(self, record: tuple) -> tuple:
-        """Table entry for a pending record, compiling its fuser
-        unless a block of the same signature already did."""
-        t0 = perf_counter()
+    def _bind(self, record: tuple, parts=None) -> tuple:
+        """:meth:`entry`, compiling the fuser first unless a record
+        of the same signature already did (from ``parts``, or parts
+        rebuilt from the program)."""
         start, length, signature, _ = record
         if signature not in _fuse_cache:
-            parts = self.make_parts(start, start + length, {})
+            if parts is None:
+                parts = self.make_parts(start, start + length)
             self.source_bytes += _compile_fuser(signature, parts)
             self.compiles += 1
-        entry = self.entry(record)
+        return self.entry(record)
+
+    def compile(self, record: tuple) -> tuple:
+        """Table entry for a pending block's first dispatch."""
+        t0 = perf_counter()
+        entry = self._bind(record)
         self.compile_s += perf_counter() - t0
         return entry
 
-    def block_table(self, plan: _Plan) -> Tuple[list, dict]:
+    def step(self, pc: int):
+        """Build, bind and table the one-instruction fuser for ``pc``."""
+        t0 = perf_counter()
+        parts = [_template_part(self.instrs[pc], pc, self.ctx)]
+        fn = self.steps[pc] = self._bind(_record(pc, parts), parts)[0]
+        self.compile_s += perf_counter() - t0
+        return fn
+
+    def block_table(self, program) -> Tuple[list, dict]:
         """The pc-indexed ``(fn, len, fall, last)`` table (``None``
         at non-block pcs) and the ``{start: record}`` map of blocks
         left to compile on first dispatch.
 
-        Records every CFG block into ``plan`` when it has none yet;
-        blocks whose signature is already compiled bind now.
+        Records every CFG block into the program's plan when it has
+        none yet; blocks whose signature is already compiled bind now.
         """
-        if plan.blocks is None:
-            records = []
-            for block in build_cfg(self.cpu.program):
-                parts = self.make_parts(block.start, block.end,
-                                        plan.fallback)
-                records.append((block.start, block.length,
-                                tuple(part.shape for part in parts),
-                                _part_spec(parts)))
-            plan.blocks = records
-        table = [None] * len(self.code)
+        plans = _plan_cache.setdefault(program, {})
+        key = self.ctx.key()
+        records = plans.get(key)
+        if records is None:
+            records = plans[key] = [
+                _record(block.start,
+                        self.make_parts(block.start, block.end))
+                for block in build_cfg(program)]
+        table = [None] * len(self.instrs)
         pending = {}
-        for record in plan.blocks:
+        for record in records:
             if record[2] in _fuse_cache:
                 table[record[0]] = self.entry(record)
             else:
@@ -1220,13 +1293,13 @@ class _Fuser:
 
 
 def _trap_offset(exc: BaseException) -> Optional[int]:
-    """Instruction offset within the dispatched block, if any.
+    """Instruction offset within the dispatched fuser, if any.
 
-    Walks the exception's traceback for a generated block frame and
-    maps its line number through the block's line table to the
+    Walks the exception's traceback for a generated fuser frame and
+    maps its line number through the fuser's line table to the
     instruction offset that raised.  Returns ``None`` when the
-    exception did not pass through a block closure (single-step
-    dispatch, or a fault in the driver itself).
+    exception did not pass through a fuser (a fault in the driver
+    itself).
     """
     tb = exc.__traceback__
     offset = None
@@ -1245,8 +1318,7 @@ def _rewind(exc: BaseException, icount: int, lpc: int, blen: int):
     exception maps to an instruction offset inside the generated
     frame, the unexecuted tail is refunded and the faulting pc
     recovered.  Returns ``None`` when the exception did not pass
-    through a generated frame (single-step dispatch or the driver
-    itself).
+    through a generated frame (the driver itself).
     """
     offset = _trap_offset(exc)
     if offset is None:
@@ -1264,28 +1336,24 @@ def execute_blocks(cpu):
     same faulting pc and instruction count on every exit path.  The
     fast path dispatches whole blocks; control transfers into
     non-leader pcs and blocks that could cross the instruction limit
-    are single-stepped on the underlying decoded closures.  A block
-    whose fuser is not compiled yet is compiled when the loop first
-    reaches its leader; those seconds are charged to ``cfg_fusion``,
-    not ``execute``.  The build's closure-fallback tally is left in
-    ``cpu.closure_fallbacks``, this run's fuser compiles and their
-    source bytes in ``cpu.fuser_compiles`` /
-    ``cpu.fuser_source_bytes``.
+    are single-stepped on one-instruction fusers.  A block whose fuser
+    is not compiled yet is compiled when the loop first reaches its
+    leader; those seconds, and the single-step fusers' builds, are
+    charged to ``cfg_fusion``, not ``execute``.  This run's fuser
+    compiles and their source bytes are left in
+    ``cpu.fuser_compiles`` / ``cpu.fuser_source_bytes``.
     """
     from repro.machine.cpu import RunResult
-    from repro.machine.decode import bind_env, decode_program
+    from repro.machine.decode import bind_env
 
-    env = bind_env(cpu)
-    # lazy: the templates leave most closures to the single-step path
-    code = decode_program(cpu, env, lazy=True)
     t0 = perf_counter()
-    fuser = _Fuser(cpu, code, env)
-    plans = _plan_cache.setdefault(cpu.program, {})
-    plan = plans.setdefault(fuser.ctx.key(), _Plan())
-    table, pending = fuser.block_table(plan)
-    cpu.closure_fallbacks = dict(plan.fallback)
-    fusion_s = perf_counter() - t0
-    n = len(code)
+    fuser = _Fuser(cpu, bind_env(cpu))
+    t1 = perf_counter()
+    cpu.timers.add("decode", t1 - t0)
+    table, pending = fuser.block_table(cpu.program)
+    steps = fuser.steps
+    fusion_s = perf_counter() - t1
+    n = len(table)
     limit = cpu.config.max_instructions
     pc = cpu.pc
     lpc = pc
@@ -1310,16 +1378,21 @@ def execute_blocks(cpu):
                 table[pc] = fuser.compile(pending.pop(pc))
                 continue
             # single-step: mid-block entry, or the limit may fire
-            # within the block — mirror the decoded loop exactly
+            # within the block — one instruction, rewound as a block
+            # of length 1, exactly like the decoded loop
             lpc = pc
+            blen = 1
             icount += 1
             if icount > limit:
                 raise InstructionLimitExceeded(limit)
-            npc = code[pc](pc)
+            fn = steps[pc]
+            if fn is None:
+                fn = fuser.step(pc)
+            npc = fn(pc)
             pc = pc + 1 if npc is None else npc
     except HaltSignal as halt:
         # the phases must land before RunResult snapshots them
-        _charge(cpu, fuser, fusion_s, perf_counter() - t0)
+        _charge(cpu, fuser, "cfg_fusion", fusion_s, perf_counter() - t0)
         timed = True
         state = _rewind(halt, icount, lpc, blen)
         if state is None:
@@ -1335,7 +1408,7 @@ def execute_blocks(cpu):
             cpu.icount, cpu.pc = state
             raise
         if 0 <= pc < n:
-            # genuine IndexError in a single-stepped closure
+            # genuine IndexError in the driver
             cpu.icount = icount
             cpu.pc = lpc
             raise
@@ -1363,16 +1436,19 @@ def execute_blocks(cpu):
         raise
     finally:
         if not timed:
-            _charge(cpu, fuser, fusion_s, perf_counter() - t0)
+            _charge(cpu, fuser, "cfg_fusion", fusion_s,
+                    perf_counter() - t0)
 
 
-def _charge(cpu, fuser: _Fuser, fusion_s: float, loop_s: float):
+def _charge(cpu, fuser: _Fuser, phase: str, build_s: float,
+            loop_s: float):
     """Charge a run's phases and leave its compile counts on ``cpu``.
 
-    The first-dispatch compiles ran inside the loop's ``loop_s``;
-    they count as ``cfg_fusion``, so ``execute`` is net of them.
+    The fusers built and compiled inside the loop's ``loop_s`` count
+    as ``phase`` (the engine's build phase, besides its ``build_s``),
+    so ``execute`` is net of them.
     """
-    cpu.timers.add("cfg_fusion", fusion_s + fuser.compile_s)
+    cpu.timers.add(phase, build_s + fuser.compile_s)
     cpu.timers.add("execute", loop_s - fuser.compile_s)
     cpu.fuser_compiles = fuser.compiles
     cpu.fuser_source_bytes = fuser.source_bytes

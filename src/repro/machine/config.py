@@ -58,15 +58,15 @@ class MachineConfig:
         turn it off for speed.
     ``engine``
         Execution engine: ``"blocks"`` (default) fuses straight-line
-        runs into basic-block superinstructions — every load/store
-        form and size, ``setbound`` and ``sbrk`` included — and pairs
-        with the fast memory-timing model
-        (:class:`~repro.caches.fast.FastMemorySystem`).  ``"decoded"``
-        pre-decodes the program into per-instruction closures with
-        operand forms resolved once; ``"legacy"`` is the original
-        per-instruction dispatch loop, retained for differential
-        testing.  All three produce bit-identical
-        :class:`~repro.machine.cpu.RunResult` statistics.
+        runs of the instruction templates into basic-block
+        superinstructions and pairs with the fast memory-timing model
+        (:class:`~repro.caches.fast.FastMemorySystem`).
+        ``"decoded"`` runs the same templates one instruction per
+        dispatch, with the classic model; ``"legacy"`` is the
+        original per-instruction dispatch loop, the independent
+        executable spec both are tested against.  All three produce
+        bit-identical :class:`~repro.machine.cpu.RunResult`
+        statistics.
     ``obs_events``
         Opt-in structured event tracing (off by default, and free
         when off).  A path string makes the run append its JSONL

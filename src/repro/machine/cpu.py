@@ -224,14 +224,10 @@ class CPU:
         #: set by instrumentation (e.g. Tracer) that wraps the legacy
         #: dispatch table and therefore needs the legacy run loop
         self.force_legacy = False
-        #: {op name: static sites} the blocks engine left to decoded
-        #: closures, tallied when it builds its block table (``None``
-        #: on the other engines)
-        self.closure_fallbacks: Optional[Dict[str, int]] = None
-        #: fusers the blocks engine compiled during its run (first
-        #: dispatches of blocks no earlier run compiled) and the
-        #: generated source they took, in bytes (``None`` on the
-        #: other engines)
+        #: fusers the blocks or decoded engine compiled during its
+        #: run (first executions of shapes no earlier run compiled)
+        #: and the generated source they took, in bytes (``None`` on
+        #: the legacy engine)
         self.fuser_compiles: Optional[int] = None
         self.fuser_source_bytes: Optional[int] = None
         self._init_stack()
@@ -261,10 +257,10 @@ class CPU:
         """Execute until ``halt``; traps raise annotated exceptions.
 
         Dispatches to the engine selected by ``config.engine``: the
-        basic-block fusion engine (default), the pre-decoded
-        closure-threaded engine, or the legacy per-instruction
-        dispatch loop.  All are bit-identical
-        in results and trap behaviour.  With ``config.obs_events``
+        basic-block fusion engine (default), the decoded engine (the
+        same instruction templates, one instruction per dispatch), or
+        the legacy per-instruction dispatch loop.  All are
+        bit-identical in results and trap behaviour.  With ``config.obs_events``
         set, the run's manifest, statistics and phase times are
         emitted as ``run_start``/``run_end`` (or ``run_abort``)
         events around the engine's own event stream.

@@ -56,7 +56,7 @@ def _make_cell(base: int, capacity: int, reserve_end: int) -> list:
     """An arena cell: ``[bytearray, word-view, base, reserve_end]``.
 
     The cell is the unit the execution engines bind: growth replaces
-    the cell *contents* in place, so closures holding the cell always
+    the cell *contents* in place, so fusers holding the cell always
     see the current buffer.  ``word-view`` is a ``memoryview`` cast
     to 32-bit native words (``None`` on big-endian hosts, where the
     cast would not be little endian).  ``reserve_end`` bounds the

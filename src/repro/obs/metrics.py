@@ -92,9 +92,10 @@ class _Phase:
 class PhaseTimers:
     """Monotonic wall-clock accumulators, one per pipeline phase.
 
-    The engines charge the canonical phases ``decode`` (closure
-    specialization + env binding), ``cfg_fusion`` (block discovery
-    and template fusion, or warm-plan rebinding), ``probe_compile``
+    The engines charge the canonical phases ``decode`` (env binding,
+    plus the decoded engine's one-instruction fusers), ``cfg_fusion``
+    (block discovery and template fusion, or warm-plan rebinding,
+    plus the blocks engine's fuser compiles), ``probe_compile``
     (memory-system construction, where per-geometry probe sources
     compile) and ``execute`` (the dispatch loop, wall-clock, entry
     to exit).  Nothing enforces that set — ad-hoc phases time fine —

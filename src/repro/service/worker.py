@@ -6,10 +6,11 @@ back.  Everything expensive a per-invocation pool pays per sweep —
 interpreter start, ``import repro``, MiniC compiles
 (:data:`repro.harness.runner._program_cache`), generated probe
 sources (per-geometry compiled by the fast memory model), block
-fusion plans (the program-keyed ``_Plan`` cache) — stays resident
-here across requests.  That residency is the service's whole point:
-the second request for a workload skips compile and plan formation
-entirely, which the per-job ``warm`` flag and the run's
+fusion plans (the program-keyed ``blocks._plan_cache``) and compiled
+fusers (``blocks._fuse_cache``) — stays resident here across
+requests.  That residency is the service's whole point: the second
+request for a workload skips compile and plan formation entirely,
+which the per-job ``warm`` flag and the run's
 ``probe_compile``/``decode`` phase timers make observable.
 
 Protocol (dispatcher → worker over a duplex pipe):

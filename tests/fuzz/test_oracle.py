@@ -1,4 +1,4 @@
-"""The differential oracle: outcome capture, diffing, invariants."""
+"""The differential oracle: outcome capture and diffing."""
 
 import dataclasses
 
@@ -7,8 +7,6 @@ import pytest
 import repro.fuzz.oracle as oracle
 from repro.fuzz.oracle import (
     Divergence,
-    Outcome,
-    check_invariants,
     config_for_seed,
     diff_engines,
     diff_minic,
@@ -91,33 +89,6 @@ class TestDiffEngines:
     def test_functional_only_timing_subset(self):
         program = assemble("main:\n    mov r1, 1\n    halt r1\n")
         assert diff_engines(program, timings=(False,)) == []
-
-
-class TestInvariants:
-    def test_fallback_invariant_flags_memory_ops(self):
-        outcome = Outcome(status="exit", output="", icount=1, pc=1,
-                          closure_fallbacks={"load": 3, "print": 1})
-        [found] = check_invariants("blocks", outcome, False)
-        assert found.fields == ["closure_fallbacks"]
-        assert "load" in found.detail
-
-    def test_temporal_runs_exempt_from_fallback_invariant(self):
-        outcome = Outcome(status="exit", output="", icount=1, pc=1,
-                          closure_fallbacks={"load": 3})
-        assert check_invariants("blocks", outcome, False,
-                                temporal=True) == []
-
-    def test_non_exit_outcomes_skip_invariants(self):
-        outcome = Outcome(status="trap", output="", icount=1, pc=1,
-                          closure_fallbacks={"load": 3})
-        assert check_invariants("blocks", outcome, False) == []
-
-    def test_blocks_runs_record_their_fallback_tally(self):
-        program = assemble("main:\n    mov r1, 2\n    print r1\n"
-                           "    halt r1\n")
-        config = MachineConfig(engine="blocks", timing=False)
-        assert run_once(program, config).closure_fallbacks == {
-            "print": 1, "halt": 1}
 
 
 class TestDiffMinic:

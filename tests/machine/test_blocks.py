@@ -46,7 +46,10 @@ def run_all(program, mode_fn, timing=False, **kw):
 
 
 def trap_states(program, mode_fn, error, **kw):
-    """Run every engine into ``error``; assert identical attribution."""
+    """Run every engine into ``error``; assert identical attribution.
+
+    Returns the shared ``(message, trap pc, icount, final pc)``.
+    """
     traps = {}
     for engine in ENGINES:
         cpu = CPU(program, mode_fn(timing=False, engine=engine, **kw))
@@ -56,6 +59,7 @@ def trap_states(program, mode_fn, error, **kw):
                          cpu.pc)
     for engine in ENGINES[1:]:
         assert traps[engine] == traps["legacy"], engine
+    return traps["legacy"]
 
 
 LOOP = """
@@ -378,6 +382,31 @@ class TestMidBlockTraps:
         """)
         trap_states(program, MachineConfig.plain, DivideByZeroError)
 
+    def test_single_step_trap_right_after_a_block(self):
+        """A trap in a single-stepped instruction dispatched right
+        after a whole block rewinds as a block of length 1: it is
+        attributed to its own pc and count, not to the block before
+        it."""
+        from repro.machine import DivideByZeroError
+        program = assemble("""
+        main:
+            mov r1, 10
+            mov r2, 0
+            mov r7, 0
+            setcode r5, tgt
+            add r5, r5, 1
+            callr r5
+        tgt:
+            mov r3, 1
+            div r4, r1, r2
+            halt 0
+        """)
+        # the callr lands on pc 7, inside the block at tgt
+        assert 7 not in find_leaders(program)
+        _, pc, icount, final_pc = trap_states(
+            program, MachineConfig.plain, DivideByZeroError)
+        assert (pc, icount, final_pc) == (7, 7, 7)
+
     def test_mid_block_bounds_trap(self):
         """A HardBound violation inside a fused memory template keeps
         per-instruction attribution."""
@@ -451,9 +480,8 @@ class TestMidBlockTraps:
 
 class TestFullCoverageTemplates:
     def test_subword_and_env_ops_fuse(self):
-        """Sub-word load/store and setbound/sbrk never appear in the
-        closure-fallback tally — the full-coverage templates fuse
-        them."""
+        """Sub-word load/store and setbound/sbrk fused into a hot
+        loop's block match every engine, timed."""
         program = assemble("""
         main:
             mov r1, 4096
@@ -471,12 +499,7 @@ class TestFullCoverageTemplates:
         done:
             halt r5
         """)
-        cpu = run_all(program, MachineConfig.hardbound, timing=True)
-        fallback = cpu.closure_fallbacks
-        assert fallback is not None
-        for op in ("load", "store", "loadb", "storeb", "loadh",
-                   "storeh", "setbound", "sbrk"):
-            assert op not in fallback, fallback
+        run_all(program, MachineConfig.hardbound, timing=True)
 
     @pytest.mark.parametrize("timing", (False, True))
     def test_subword_traffic_identical(self, timing):
@@ -532,13 +555,29 @@ done:
 """
 
 
+def slow_compiles(monkeypatch, nap):
+    """Fresh fuser cache; every fuser compile sleeps ``nap`` s."""
+    import time
+
+    import repro.machine.blocks as blocks_mod
+    monkeypatch.setattr(blocks_mod, "_fuse_cache", {})
+    real = blocks_mod._compile_fuser
+
+    def slow(signature, parts):
+        time.sleep(nap)
+        return real(signature, parts)
+
+    monkeypatch.setattr(blocks_mod, "_compile_fuser", slow)
+
+
 class TestFirstDispatchCompile:
-    """Fusers compile when their block is first dispatched, and the
-    compile seconds count as ``cfg_fusion``."""
+    """Fusers compile when their block (or, single-stepped, their
+    instruction) is first dispatched, and the compile seconds count
+    as the engine's build phase: ``cfg_fusion`` for blocks,
+    ``decode`` for decoded."""
 
     def test_never_entered_block_is_not_compiled(self, monkeypatch):
         import repro.machine.blocks as blocks_mod
-        monkeypatch.setattr(blocks_mod, "_fuse_cache", {})
         compiled = []
         real = blocks_mod._compile_fuser
 
@@ -551,41 +590,36 @@ class TestFirstDispatchCompile:
         # the block after the jmp is a leader nothing jumps to
         dead = blocks_by_start(program)[2]
         assert dead.length == 3
-        cpu = run_all(program, MachineConfig.plain)
-        assert len(compiled) == cpu.fuser_compiles == 2
-        assert ("f", "movri", "jmp") not in compiled, compiled
-        assert cpu.fuser_source_bytes > 0
-        # the plan still covers the dead block's print
-        assert cpu.closure_fallbacks == {"print": 1, "halt": 1}
-        # a rerun binds the compiled fusers at start
-        rerun = CPU(program, MachineConfig.plain(timing=False,
-                                                 engine="blocks"))
-        rerun.run()
-        assert rerun.fuser_compiles == 0
-        assert rerun.closure_fallbacks == cpu.closure_fallbacks
-
-    def test_other_engines_leave_counts_unset(self):
-        program = assemble(DEAD_PRINT)
-        for engine in ("legacy", "decoded"):
+        run_all(program, MachineConfig.plain)
+        # each engine's count, from a cold fuser cache, on its own CPU:
+        # blocks compiles its two entered blocks, decoded the three
+        # instructions that run
+        for engine, runs in (("blocks", 2), ("decoded", 3)):
+            monkeypatch.setattr(blocks_mod, "_fuse_cache", {})
+            del compiled[:]
             cpu = CPU(program, MachineConfig.plain(timing=False,
                                                    engine=engine))
             cpu.run()
-            assert cpu.fuser_compiles is None
-            assert cpu.fuser_source_bytes is None
+            assert len(compiled) == cpu.fuser_compiles == runs, engine
+            assert ("print", "movri", "jmp") not in compiled, compiled
+            assert ("print",) not in compiled, compiled
+            assert cpu.fuser_source_bytes > 0
+            # a rerun binds the compiled fusers
+            rerun = CPU(program, MachineConfig.plain(timing=False,
+                                                     engine=engine))
+            rerun.run()
+            assert rerun.fuser_compiles == 0
+
+    def test_other_engines_leave_counts_unset(self):
+        cpu = CPU(assemble(DEAD_PRINT),
+                  MachineConfig.plain(timing=False, engine="legacy"))
+        cpu.run()
+        assert cpu.fuser_compiles is None
+        assert cpu.fuser_source_bytes is None
 
     def test_compile_seconds_charge_cfg_fusion(self, monkeypatch):
-        import time
-
-        import repro.machine.blocks as blocks_mod
-        monkeypatch.setattr(blocks_mod, "_fuse_cache", {})
-        real = blocks_mod._compile_fuser
         nap = 0.05
-
-        def slow(signature, parts):
-            time.sleep(nap)
-            return real(signature, parts)
-
-        monkeypatch.setattr(blocks_mod, "_compile_fuser", slow)
+        slow_compiles(monkeypatch, nap)
         cpu = CPU(assemble(LOOP), MachineConfig.plain(timing=False,
                                                       engine="blocks"))
         result = cpu.run()
@@ -594,6 +628,19 @@ class TestFirstDispatchCompile:
         # share a shape signature, hence one fuser
         assert cpu.fuser_compiles == 4
         assert result.phases["cfg_fusion"] >= slept
+        assert result.phases["execute"] < slept / 2
+
+    def test_compile_seconds_charge_decode(self, monkeypatch):
+        nap = 0.05
+        slow_compiles(monkeypatch, nap)
+        cpu = CPU(assemble(LOOP), MachineConfig.plain(timing=False,
+                                                      engine="decoded"))
+        result = cpu.run()
+        slept = nap * cpu.fuser_compiles
+        # mov r1/r2 share "movri", the two jmps "jmp", and "add r1,
+        # r1, 3" / "sub r2, r2, 1" the add-immediate shape
+        assert cpu.fuser_compiles == 5
+        assert result.phases["decode"] >= slept
         assert result.phases["execute"] < slept / 2
 
     def test_cache_geometries_share_fusers(self):
@@ -618,6 +665,101 @@ class TestFirstDispatchCompile:
             assert snaps["blocks"] == snaps["decoded"], assoc
             compiles.append(r.cpu.fuser_compiles)
         assert compiles[1:] == [0, 0], compiles
+
+
+#: one program holding every op in every operand form: memory ops in
+#: base, frame, base+index, index-only and absolute form at every
+#: size, ALU ops in reg and imm form (div/mod by immediate 0 too), and
+#: setcode/halt/abort in reg and imm form
+_OPERANDS = ("[r3 + 4]", "[sp + 8]", "[r3 + r2*4 + 4]", "[fp + r2*4]",
+             "[r2*4 + 4]", "[4096]")
+_ALU = ("add", "sub", "mul", "div", "mod", "and", "or", "xor", "shl",
+        "shr", "sra", "seq", "sne", "slt", "sle", "sgt", "sge", "sltu",
+        "sgeu")
+EVERY_OP = "\n".join(
+    ["main:",
+     "    mov r1, 4096", "    mov r2, r1", "    xchg r1, r2",
+     "    sbrk r1", "    setbound r3, r1, 64", "    setbound r4, r1, r2"]
+    + ["    lea r5, %s" % operand for operand in _OPERANDS]
+    + ["    %s r6, r5, %s" % (op, rt) for op in _ALU
+       for rt in ("r4", "7", "-3")]
+    + ["    div r6, r5, 0", "    mod r6, r5, 0"]
+    + ["    %s r6, r5" % op for op in ("neg", "not", "readbase",
+                                       "readbound", "setunsafe",
+                                       "clrbnd")]
+    + ["    setcode r7, tgt", "    setcode r7, r6",
+       "    markfree r3, r2", "    markfree r3, 64"]
+    + ["    %s r6, %s" % (op, operand) for op in ("load", "loadh", "loadb")
+       for operand in _OPERANDS]
+    + ["    %s %s, r6" % (op, operand)
+       for op in ("store", "storeh", "storeb") for operand in _OPERANDS]
+    + ["    print r6", "    printc r6", "    prints r6",
+       "    beqz r6, tgt", "    bnez r6, tgt", "    call tgt",
+       "    callr r7", "    jmp tgt", "    abort r6", "    abort 3",
+       "    halt r6",
+       "tgt:", "    ret", "    halt 0", ""])
+
+
+def template_contexts():
+    """``(label, config, observer)`` for every template-selection
+    context a run can reach."""
+    from repro.baselines.fatptr import SoftBoundEngine
+    from repro.baselines.objtable import ObjectTableModel
+    from repro.metadata.encodings import ENCODINGS
+
+    # functional, classic-timed (decoded) and fast-timed (blocks)
+    engines = (("blocks", False), ("decoded", True), ("blocks", True))
+    safety = [("plain", MachineConfig.plain, {}),
+              ("malloc-only", MachineConfig.malloc_only, {})]
+    safety += [(name, MachineConfig.hardbound, {"encoding": name})
+               for name in sorted(ENCODINGS)]
+    knobs = [("temporal", {"temporal": True}),
+             ("check_uop", {"check_uop": True}),
+             ("check_access_extent", {"check_access_extent": True}),
+             ("engine_factory", {"engine_factory": SoftBoundEngine})]
+    for engine, timing in engines:
+        where = "%s timing=%s" % (engine, timing)
+        for name, mode_fn, kw in safety:
+            yield (name + " " + where,
+                   mode_fn(engine=engine, timing=timing, **kw), None)
+        for name, kw in knobs:
+            yield (name + " " + where, MachineConfig.hardbound(
+                engine=engine, timing=timing, **kw), None)
+        for name, mode_fn in (("plain", MachineConfig.plain),
+                              ("full", MachineConfig.hardbound)):
+            yield ("observer/%s %s" % (name, where),
+                   mode_fn(engine=engine, timing=timing),
+                   ObjectTableModel())
+
+
+class TestTemplateCoverage:
+    def test_every_instruction_has_a_compiling_template(
+            self, monkeypatch):
+        """Under every template-selection context, every instruction
+        of :data:`EVERY_OP` has a template, and both its
+        one-instruction fuser and its block's fuser compile and bind
+        — no instruction is left without generated code."""
+        import repro.machine.blocks as blocks_mod
+        from repro.isa.opcodes import Op
+        from repro.machine.decode import bind_env
+        monkeypatch.setattr(blocks_mod, "_fuse_cache", {})
+        program = assemble(EVERY_OP)
+        missing = set(Op) - {instr.op for instr in program.instrs}
+        assert not missing, missing
+        contexts = 0
+        for label, config, observer in template_contexts():
+            cpu = CPU(program, config)
+            cpu.observer = observer
+            fuser = blocks_mod._Fuser(cpu, bind_env(cpu))
+            for pc, instr in enumerate(program.instrs):
+                part = blocks_mod._template_part(instr, pc, fuser.ctx)
+                assert isinstance(part, blocks_mod._Part), (label, instr)
+                assert callable(fuser.step(pc)), (label, instr)
+            _, pending = fuser.block_table(program)
+            for record in pending.values():
+                assert callable(fuser.compile(record)[0]), label
+            contexts += 1
+        assert contexts == 3 * 12
 
 
 class TestInlineCompressibleExpr:

@@ -1,6 +1,6 @@
 """Differential testing: every execution engine against the legacy one.
 
-The decoded closure engine and the basic-block fusion engine must be
+The decoded engine and the basic-block fusion engine must be
 *bit-identical* to the legacy interpreter: same exit codes, program output, instruction/µop/cycle
 counts, same HardBound and memory-system statistics, the same final
 memory image, and the same traps (type, message, faulting pc) on
@@ -313,6 +313,32 @@ class TestTemporalEquivalence:
         }"""
         config = MachineConfig.hardbound(timing=False, temporal=True)
         program = compile_program(source, mode_for_config(config))
+        traps = {}
+        for engine in ENGINES:
+            cpu = CPU(program, MachineConfig.hardbound(
+                timing=False, temporal=True, engine=engine))
+            with pytest.raises(UseAfterFreeError) as exc:
+                cpu.run()
+            traps[engine] = (str(exc.value), exc.value.pc, cpu.icount)
+        for engine in NEW_ENGINES:
+            assert traps[engine] == traps["legacy"]
+
+    @pytest.mark.parametrize("size", ("r3", "16"))
+    def test_markfree_forms_identical(self, size):
+        """``markfree`` with a register or an immediate size poisons
+        the same range on every engine."""
+        from repro.isa import assemble
+        from repro.machine.errors import UseAfterFreeError
+        program = assemble("""
+        main:
+            mov r1, 64
+            sbrk r1
+            setbound r2, r1, 16
+            mov r3, 16
+            markfree r2, %s
+            load r4, [r2 + 4]
+            halt 0
+        """ % size)
         traps = {}
         for engine in ENGINES:
             cpu = CPU(program, MachineConfig.hardbound(
