@@ -4,9 +4,10 @@ Not a paper figure — this tracks the simulator's own hot path across
 all three engines on the Olden sweep (plain + HardBound per
 workload):
 
-* the decoded engine (one instruction template per dispatch) must
-  stay at least 2x faster than the legacy dispatch loop on the
-  functional sweep;
+* the decoded engine (the blocks engine's run loop with an empty
+  fusion plan: one instruction template per dispatch) must stay at
+  least 2x faster than the legacy dispatch loop on the functional
+  sweep;
 * the basic-block fusion engine (the same templates fused per block
   over the flat-bytearray heap, the inlined fast memory-timing
   charges, fast-local rebinding of bound names, program-keyed fusion
@@ -44,8 +45,9 @@ report of ``python -m repro.obs.report``).
 The measured seconds and speedups are written to
 ``results/BENCH_engine.json`` so CI keeps a machine-readable record,
 and CI's ``bench-gate`` step fails the build if the freshly emitted
-``timed.blocks_vs_decoded``, ``timed.blocks_vs_legacy`` or
-``cold.blocks_vs_decoded`` falls below its committed floor (see
+``timed.blocks_vs_decoded``, ``timed.blocks_vs_legacy``,
+``cold.blocks_vs_decoded``, ``obs_overhead.ratio`` or
+``service_warm_vs_cold.ratio`` falls below its committed floor (see
 ``benchmarks/check_bench_gate.py``).
 """
 

@@ -4,7 +4,8 @@ Reuses the comparison contract of
 ``tests/machine/test_engine_differential.py`` — exit status, output,
 instruction/µop/stall/cycle counters, HardBound and memory-system
 statistics, final live memory image, and traps compared as
-``(type, message, pc, icount, final pc)`` — but packages it as a
+``(type, message, pc, icount, final pc)`` plus the same counters and
+image at the trap or instruction limit — but packages it as a
 library, so the fuzzer, the minimizer and the CLI can all consume
 mismatches as data (:class:`Divergence`) instead of assertion text.
 
@@ -86,11 +87,12 @@ class Outcome:
                 zip(self._FIELDS, mine, theirs) if a != b]
 
     def observable(self) -> tuple:
-        """The optimize-invariant subset: exit/output/trap class and
-        live pages below the stack (dead stack residue and counters
-        shift with the instruction stream)."""
+        """The optimize-invariant subset: exit/output/trap class and,
+        at exit, live pages below the stack (dead stack residue and
+        counters shift with the instruction stream, and the optimizer
+        promises identical live memory only at exit)."""
         pages = None
-        if self.image is not None:
+        if self.status == "exit":
             nonzero, brk, glob = self.image
             pages = (tuple(sorted((p, bytes(d))
                                   for p, d in nonzero.items()
@@ -124,24 +126,28 @@ class Divergence:
 
 
 def run_once(program, config: MachineConfig) -> Outcome:
-    """Execute one program under one configuration, trap-safely."""
+    """Execute one program under one configuration, trap-safely.
+
+    Every outcome, whether exit, trap or limit, is read off the CPU
+    the same way, so a trap or a limit is compared on its counters and
+    memory image too."""
     cpu = CPU(program, config)
+    status, exit_code, trap = "exit", None, None
     try:
-        r = cpu.run()
+        exit_code = cpu.run().exit_code
     except Trap as exc:
-        return Outcome(status="trap", output="".join(cpu.output),
-                       icount=cpu.icount, pc=cpu.pc,
-                       trap=(type(exc).__name__, str(exc), exc.pc))
+        status, trap = "trap", (type(exc).__name__, str(exc), exc.pc)
     except InstructionLimitExceeded:
-        return Outcome(status="limit", output="".join(cpu.output),
-                       icount=cpu.icount, pc=cpu.pc)
+        status = "limit"
+    uops = cpu.uop_count()
+    mem = cpu.memsys.stats if cpu.memsys else None
+    stalls = mem.total_stall_cycles() if mem else 0
     return Outcome(
-        status="exit", output=r.output, icount=cpu.icount, pc=cpu.pc,
-        exit_code=r.exit_code, uops=r.uops,
-        stall_cycles=r.stall_cycles, cycles=r.cycles,
-        setbound_uops=r.setbound_uops,
-        hb=r.hb_stats.as_dict() if r.hb_stats else None,
-        mem=r.mem_stats.as_dict() if r.mem_stats else None,
+        status=status, output="".join(cpu.output), icount=cpu.icount,
+        pc=cpu.pc, exit_code=exit_code, uops=uops, stall_cycles=stalls,
+        cycles=uops + stalls, setbound_uops=cpu.setbound_count,
+        hb=cpu.hb.stats.as_dict() if cpu.hb else None,
+        mem=mem.as_dict() if mem else None, trap=trap,
         image=(cpu.memory.nonzero_pages(), cpu.memory.brk,
                cpu.memory.globals_limit))
 

@@ -8,13 +8,13 @@ legacy handler — same statement order, same counter increments, same
 trap types and messages — and the engine differential suite and the
 fuzz oracle check the two against each other.
 
-Both template-driven engines run *fusers*: generated functions that
-execute a run of instructions in one call.  The ``decoded`` engine
-(:func:`repro.machine.decode.execute_decoded`) runs one-instruction
-fusers, one dispatch per instruction; the ``blocks`` engine
-(:func:`execute_blocks`) amortizes that dispatch tax — a table
-lookup, a limit compare, a faulting-pc store, a call and a next-pc
-select — over straight-line runs:
+Both template-driven engines run *fusers*, generated functions that
+execute a run of instructions in one call, on one run loop
+(:func:`execute_blocks`).  The ``decoded`` engine has no fusion plan
+and runs one-instruction fusers, one dispatch per instruction; the
+``blocks`` engine amortizes that dispatch tax — a table lookup, a
+limit compare, a faulting-pc store, a call and a next-pc select —
+over straight-line runs:
 
 1. **Block discovery** — a linear pass over the linked program finds
    block leaders (the entry point, branch/call targets, fallthrough
@@ -66,11 +66,12 @@ slowing the happy path: the generator records which source line
 belongs to which instruction offset, so when something raises, the
 faulting offset is recovered from the exception traceback's line
 number in the fuser frame and the instruction count is rewound to
-exactly what the per-instruction engines would report.  Control
-transfers into the middle of a block (a computed ``callr`` into a
-non-leader pc), and any block that could bust the instruction limit
-mid-flight, are single-stepped on the same one-instruction fusers
-the ``decoded`` engine runs, each rewound as a block of length 1.
+exactly what the per-instruction engines would report.  A control
+transfer into the middle of a block (a computed ``callr`` into a
+non-leader pc) dispatches the landing pc's one-instruction fuser, the
+entry the ``decoded`` engine gives every pc, and any block that could
+bust the instruction limit mid-flight is single-stepped, each
+instruction rewound as a block of length 1.
 """
 
 from __future__ import annotations
@@ -82,6 +83,8 @@ import weakref
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
+from repro.caches.fast import FastMemorySystem
+from repro.hardbound.engine import HardBoundEngine
 from repro.isa.opcodes import Op, REG_FP, REG_RA, REG_SP
 from repro.isa.program import Program
 from repro.layout import (
@@ -90,8 +93,13 @@ from repro.layout import (
     MASK32,
     MAXINT,
     STACK_TOP,
+    TAG1_BASE,
+    TAG1_SHIFT,
+    TAG4_BASE,
+    TAG4_SHIFT,
     to_signed,
 )
+from repro.machine.config import ENGINE_DECODED
 from repro.machine.errors import (
     AbortError,
     BoundsError,
@@ -103,6 +111,7 @@ from repro.machine.errors import (
     NonPointerError,
     Trap,
 )
+from repro.metadata.encodings import inline_compressible_expr
 
 #: opcodes that end a basic block (transfer or stop control)
 TERMINATORS = frozenset({
@@ -119,20 +128,13 @@ MAX_BLOCK_LEN = 64
 
 
 class BasicBlock:
-    """One CFG node: a maximal straight-line instruction run.
+    """One CFG node: a maximal straight-line instruction run."""
 
-    ``succs`` holds the *static* successor pcs: branch targets and
-    fallthrough points.  Indirect transfers (``callr``/``ret``) and
-    program exit have no static successors.
-    """
+    __slots__ = ("start", "length")
 
-    __slots__ = ("start", "length", "succs")
-
-    def __init__(self, start: int, length: int,
-                 succs: Tuple[int, ...]):
+    def __init__(self, start: int, length: int):
         self.start = start
         self.length = length
-        self.succs = succs
 
     @property
     def end(self) -> int:
@@ -140,8 +142,7 @@ class BasicBlock:
         return self.start + self.length
 
     def __repr__(self):
-        return ("BasicBlock(%d..%d -> %s)"
-                % (self.start, self.end - 1, list(self.succs)))
+        return "BasicBlock(%d..%d)" % (self.start, self.end - 1)
 
 
 def find_leaders(program: Program) -> set:
@@ -177,27 +178,6 @@ def find_leaders(program: Program) -> set:
     return leaders
 
 
-def _static_succs(program: Program, start: int,
-                  length: int) -> Tuple[int, ...]:
-    instrs = program.instrs
-    n = len(instrs)
-    last = instrs[start + length - 1]
-    op = last.op
-    fall = start + length
-    if op is Op.JMP:
-        return (last.target,)
-    if op in (Op.BEQZ, Op.BNEZ):
-        succs = [last.target]
-        if fall < n:
-            succs.append(fall)
-        return tuple(succs)
-    if op is Op.CALL:
-        return (last.target,)
-    if op in (Op.CALLR, Op.RET, Op.HALT, Op.ABORT):
-        return ()
-    return (fall,) if fall < n else ()
-
-
 def build_cfg(program: Program) -> List[BasicBlock]:
     """Discover the basic blocks of a linked program, in pc order.
 
@@ -229,9 +209,7 @@ def build_cfg(program: Program) -> List[BasicBlock]:
                     next_starts.append(nxt)
                     break
                 j = nxt
-            length = j - start + 1
-            blocks.append(BasicBlock(
-                start, length, _static_succs(program, start, length)))
+            blocks.append(BasicBlock(start, j - start + 1))
         starts = sorted(next_starts)
     blocks.sort(key=lambda b: b.start)
     return blocks
@@ -345,34 +323,46 @@ class _FuseCtx:
                  "hb_present", "inline_check", "use_words",
                  "has_temporal", "timing", "comp_expr", "comp_tag")
 
-    def __init__(self, env):
-        self.observer_none = env.observer is None
-        self.full_mode = env.full_mode
-        self.hb_present = env.hb is not None
-        self.inline_check = env.inline_check
-        self.use_words = env.use_words
-        self.has_temporal = env.temporal_check is not None
+    def __init__(self, cpu):
+        hb, memory, memsys = cpu.hb, cpu.memory, cpu.memsys
+        self.observer_none = cpu.observer is None
+        self.full_mode = cpu.full_mode
+        self.hb_present = hb is not None
+        self.has_temporal = cpu.temporal is not None
+        # word-view access needs native little-endian casts on all
+        # three arenas (true everywhere but big-endian hosts)
+        self.use_words = (memory.heap_cell[1] is not None
+                          and memory.globals_cell[1] is not None
+                          and memory.stack_cell[1] is not None)
         # splice the stock encodings' compressibility decision
-        # straight into the metadata templates (subclassed encodings
-        # return None and keep the _isc call)
+        # straight into the metadata templates; subclassed encodings
+        # get None and never take the inline word templates
         self.comp_expr = None
         self.comp_tag = ""
-        if env.hb is not None:
-            from repro.metadata.encodings import inline_compressible_expr
-            expr = inline_compressible_expr(env.hb.encoding,
-                                            "v", "mb", "mbd")
-            if expr is not None:
-                self.comp_expr = expr
-                self.comp_tag = "_c" + type(env.hb.encoding).__name__
-        mem_ok = (env.use_words and env.temporal_check is None
-                  and self.observer_none)
-        timing = env.memsys is not None
+        if hb is not None:
+            self.comp_expr = inline_compressible_expr(hb.encoding,
+                                                      "v", "mb", "mbd")
+            if self.comp_expr is not None:
+                self.comp_tag = "_c" + type(hb.encoding).__name__
+        # the stock engine with paper-default knobs and a stock
+        # encoding is inlined into the word templates; ablations and
+        # substituted engines/encodings take the generic template
+        self.inline_check = (type(hb) is HardBoundEngine
+                             and not hb.check_uop
+                             and not hb.check_access_extent
+                             and self.comp_expr is not None)
+        # the fast timing model's probes serve the inline word
+        # templates; the classic model takes the generic template
+        timing = memsys is not None
+        fast = isinstance(memsys, FastMemorySystem)
         self.timing = timing
-        self.hb_timing = env.wprobe is not None
-        self.fuse_hb_mem = (mem_ok and env.inline_check
+        self.hb_timing = fast and self.inline_check
+        self.plain_timing = fast
+        mem_ok = (self.use_words and not self.has_temporal
+                  and self.observer_none)
+        self.fuse_hb_mem = (mem_ok and self.inline_check
                             and (not timing or self.hb_timing))
-        self.plain_timing = env.dprobe is not None
-        self.fuse_plain_mem = (mem_ok and env.hb is None
+        self.fuse_plain_mem = (mem_ok and hb is None
                                and (not timing or self.plain_timing))
 
     def key(self) -> tuple:
@@ -514,9 +504,8 @@ def _hb_check_lines(acc: str, si: bool, frame: bool,
 def _load_meta_lines(timing: bool, comp: str) -> List[str]:
     """HardBound word-load metadata path (``load_word_meta`` inlined).
 
-    ``comp`` is the compressibility test: the decision spliced in as
-    an inline expression (stock encodings), or the ``_isc`` closure
-    call.
+    ``comp`` is the stock encoding's compressibility decision as an
+    inline expression over ``v``, ``mb`` and ``mbd``.
     """
     lines = [
         "meta = _mg(ea & -4)",
@@ -689,8 +678,8 @@ def _mem_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
     The generic template covers every other shape — sub-word sizes,
     index-only and absolute forms, ablated or substituted metadata
     engines, the classic timing model, observers and the temporal
-    tracker — by calling the env-bound entry points (``mem_read``,
-    ``data_access``, ``hb.check``, ``hb.load_word_meta``, ...) in the
+    tracker — by calling the env-bound entry points (``memory.read``,
+    ``memsys.access``, ``hb.check``, ``hb.load_word_meta``, ...) in the
     legacy handler's statement order, with the constant branches (is
     an engine attached? an observer? word or sub-word?) resolved at
     template-build time.
@@ -709,7 +698,7 @@ def _mem_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
                                      timing, ctx.comp_tag),
                 params,
                 _word_lines(load, form, frame, True, ctx.full_mode,
-                            timing, ctx.comp_expr or "_isc(v, mb, mbd)"))
+                            timing, ctx.comp_expr))
         if ctx.fuse_plain_mem:
             timing = ctx.plain_timing
             return _Part("%spl_%s%d%d" % (ld, form, frame, timing), params,
@@ -1112,36 +1101,8 @@ def _record(start: int, parts: List[_Part]) -> tuple:
             [value for part in parts for _, value in part.params])
 
 
-#: shared environment names a template may reference -> the
-#: :func:`~repro.machine.decode.bind_env` field bound to each: the
-#: register arrays and program length, the memory environment (arena
-#: cells, segment bounds, raw spill entry points), the HardBound
-#: metadata environment, the fast timing model's probes with their
-#: composite-hit cells, and the entry points the generic templates
-#: call (``sbrk``, the byte-level memory accessors, the
-#: timing/temporal/observer hooks, the metadata-engine methods and
-#: the output channel)
-_ENV_FIELDS = {
-    "value": "value", "rbase": "rbase", "rbound": "rbound",
-    "_n": "n_instrs",
-    "_mem": "memory", "_heap": "heap_cell", "_glob": "glob_cell",
-    "_stk": "stack_cell", "_gl": "globals_limit", "_sb": "stack_base",
-    "_rr": "raw_read", "_rw": "raw_write",
-    "_hbs": "hb_stats", "_meta": "meta_map", "_mg": "meta_get",
-    "_mp": "meta_pop", "_isc": "is_comp", "_sp": "sprobe",
-    "_wp": "wprobe", "_wpm": "wp_mru", "_wps": "wp_shift",
-    "_wdc": "wp_dctr", "_wtc": "wp_tctr",
-    "_dp": "dprobe", "_dpm": "dp_mru", "_dps": "dp_shift",
-    "_dpc": "dp_ctr",
-    "_sbrk": "mem_sbrk", "_mr": "mem_read", "_mw": "mem_write",
-    "_da": "data_access", "_tc": "temporal_check", "_ob": "observer",
-    "_tmp": "temporal", "_hbc": "hb_check", "_hblw": "hb_load_word",
-    "_hbls": "hb_load_sub", "_hbsw": "hb_store_word",
-    "_hbss": "hb_store_sub", "_emit": "emit", "_rcs": "read_cstring",
-}
-
-#: environment names bound to the same object in every run: the trap
-#: and stop constructors the templates raise and ``to_signed``
+#: shared names bound to the same object in every run: the trap and
+#: stop constructors the templates raise and ``to_signed``
 _ENV_CONSTANTS = {
     "_icpe": InvalidCodePointerError, "_be": BoundsError,
     "_npe": NonPointerError, "_mf": MemoryFault,
@@ -1149,9 +1110,68 @@ _ENV_CONSTANTS = {
     "_abort": AbortError, "_tsg": to_signed,
 }
 
-#: every shared environment name, in fuser-signature order (``_cpu``
-#: is the running CPU)
-_ENV_NAMES = tuple(_ENV_FIELDS) + ("_cpu",) + tuple(_ENV_CONSTANTS)
+#: the shared names in template source: the register arrays and every
+#: name that begins with ``_`` (template locals and operand parameters
+#: never do)
+_ENV_NAME = re.compile(r"\b(?:value|rbase|rbound|_\w+)\b")
+
+
+def bind_env(cpu, ctx: _FuseCtx) -> dict:
+    """Map every shared template name to this run's value.
+
+    Every fuser of a run, block or one-instruction, binds its shared
+    names from this one map, so all of them share the *same* probe
+    closures, counter cells and memory arena cells.  Besides the
+    register arrays, arenas and metadata tables the inline templates
+    touch, the map holds every entry point the generic templates call
+    in the legacy handlers' order.  A name whose engine this run lacks
+    (metadata engine, timing model, temporal tracker) is left out:
+    ``ctx`` never selects a template that references it, and binding
+    one would fail loudly.  ``ctx`` also decides which fast-model
+    probes to build.
+    """
+    regs, memory, memsys = cpu.regs, cpu.memory, cpu.memsys
+    env = {
+        "value": regs.value, "rbase": regs.base, "rbound": regs.bound,
+        "_n": len(cpu.program.instrs), "_cpu": cpu,
+        # flat-arena fast path: the arena cells (stable across heap
+        # growth, see repro.machine.memory), the fixed segment bounds
+        # (only the heap break moves, so templates re-read it from
+        # ``_mem``) and the unaligned spill entry points
+        "_mem": memory, "_heap": memory.heap_cell,
+        "_glob": memory.globals_cell, "_stk": memory.stack_cell,
+        "_gl": memory.globals_limit, "_sb": memory.stack_base,
+        "_rr": memory.raw_read, "_rw": memory.raw_write,
+        "_sbrk": memory.sbrk, "_mr": memory.read, "_mw": memory.write,
+        "_rcs": memory.read_cstring, "_emit": cpu._emit,
+        "_ob": cpu.observer,
+    }
+    env.update(_ENV_CONSTANTS)
+    if cpu.temporal is not None:
+        env["_tmp"] = cpu.temporal
+        env["_tc"] = cpu.temporal.check
+    hb = cpu.hb
+    if hb is not None:
+        meta = hb.meta._meta
+        env.update(_hbs=hb.stats, _meta=meta, _mg=meta.get,
+                   _mp=meta.pop, _hbc=hb.check,
+                   _hblw=hb.load_word_meta, _hbls=hb.load_sub_meta,
+                   _hbsw=hb.store_word_meta, _hbss=hb.store_sub_meta)
+    if memsys is not None:
+        env["_da"] = memsys.access
+    # the fast timing model hands out single-call probes for the hot
+    # access shapes, plus the cells the templates read to inline their
+    # composite-hit path; every fuser of the run calls these probes
+    if ctx.hb_timing:
+        tag = ((TAG4_BASE, TAG4_SHIFT) if hb.encoding.tag_bits == 4
+               else (TAG1_BASE, TAG1_SHIFT))
+        (env["_wp"], env["_wpm"], env["_wdc"], env["_wtc"],
+         env["_wps"]) = memsys.word_probe_parts(*tag)
+        env["_sp"] = memsys.make_shadow_probe()
+    if ctx.plain_timing:
+        (env["_dp"], env["_dpm"], env["_dpc"],
+         env["_dps"]) = memsys.data_probe_parts()
+    return env
 
 
 def _compile_fuser(signature: Tuple[str, ...],
@@ -1160,11 +1180,11 @@ def _compile_fuser(signature: Tuple[str, ...],
     returns the generated source's size in bytes.
 
     The fuser's parameters after ``pc`` are the parts' operands
-    followed by the shared environment names the body references.
-    Binding (:meth:`_Fuser.entry`) makes a function of the compiled
-    code with their values as defaults: CPython then reads each as a
-    fast local instead of a closure cell on every access, at the cost
-    of one default copy per call.
+    followed by the shared names the body references.  Binding
+    (:meth:`_Fuser.entry`) makes a function of the compiled code with
+    their values as defaults: CPython then reads each as a fast local
+    instead of a closure cell on every access, at the cost of one
+    default copy per call.
     """
     body: List[str] = []
     line_of: Dict[int, int] = {}
@@ -1175,8 +1195,7 @@ def _compile_fuser(signature: Tuple[str, ...],
             body.append("    " + raw.format(i=offset))
             # +1: the def header precedes the body
             line_of[len(body) + 1] = offset
-    referenced = set(re.findall(r"[A-Za-z_]\w*", "\n".join(body)))
-    env_names = tuple(name for name in _ENV_NAMES if name in referenced)
+    env_names = tuple(sorted(set(_ENV_NAME.findall("\n".join(body)))))
     source = "\n".join(
         ["def _block(%s):" % ", ".join(names + list(env_names))] + body)
     namespace: dict = {}
@@ -1190,31 +1209,27 @@ def _compile_fuser(signature: Tuple[str, ...],
 class _Fuser:
     """Per-run fusion state.
 
-    Holds the template-selection context and the run's environment
-    values, turns instruction runs into parts and records, and binds
-    compiled fusers.  ``steps`` is the pc-indexed table of
-    one-instruction fusers (``None`` until :meth:`step` first builds
-    a pc's entry); each keeps the ``fn(pc) -> next pc or None``
-    contract, and an out-of-range pc raises ``IndexError`` there, which
-    the run loops translate into fetch faults.  ``compiles`` /
+    Holds the template-selection context and the run's shared-name
+    map (:func:`bind_env`), turns instruction runs into parts and
+    records, and binds compiled fusers as ``(fn, len, fall, last)``
+    dispatch-table entries: ``fn(pc)`` runs the instructions and
+    returns the next pc or ``None`` (fall through to ``fall``), and
+    ``last`` is the pc of the last instruction.  ``compiles`` /
     ``source_bytes`` count the fusers this run handed to CPython's
     ``compile()`` and the source they took, ``compile_s`` the seconds
     the run loop spent building, compiling and binding fusers.
-    ``env_args`` memoizes the environment values each distinct set of
-    shared names binds to.
+    ``env_args`` memoizes the values each distinct set of shared names
+    binds to.
     """
 
-    __slots__ = ("instrs", "ctx", "env_map", "env_args", "steps",
-                 "compiles", "source_bytes", "compile_s")
+    __slots__ = ("instrs", "ctx", "env_map", "env_args", "compiles",
+                 "source_bytes", "compile_s")
 
-    def __init__(self, cpu, env):
+    def __init__(self, cpu):
         self.instrs = cpu.program.instrs
-        self.ctx = _FuseCtx(env)
-        self.env_map = {name: getattr(env, field)
-                        for name, field in _ENV_FIELDS.items()}
-        self.env_map.update(_ENV_CONSTANTS, _cpu=cpu)
+        self.ctx = _FuseCtx(cpu)
+        self.env_map = bind_env(cpu, self.ctx)
         self.env_args: Dict[tuple, list] = {}
-        self.steps: list = [None] * len(self.instrs)
         self.compiles = 0
         self.source_bytes = 0
         self.compile_s = 0.0
@@ -1258,13 +1273,13 @@ class _Fuser:
         self.compile_s += perf_counter() - t0
         return entry
 
-    def step(self, pc: int):
-        """Build, bind and table the one-instruction fuser for ``pc``."""
+    def step(self, pc: int) -> tuple:
+        """The one-instruction table entry for ``pc``."""
         t0 = perf_counter()
         parts = [_template_part(self.instrs[pc], pc, self.ctx)]
-        fn = self.steps[pc] = self._bind(_record(pc, parts), parts)[0]
+        entry = self._bind(_record(pc, parts), parts)
         self.compile_s += perf_counter() - t0
-        return fn
+        return entry
 
     def block_table(self, program) -> Tuple[list, dict]:
         """The pc-indexed ``(fn, len, fall, last)`` table (``None``
@@ -1329,29 +1344,37 @@ def _rewind(exc: BaseException, icount: int, lpc: int, blen: int):
 # -- block-threaded run loop -------------------------------------------------
 
 def execute_blocks(cpu):
-    """Run ``cpu`` to halt on fused basic blocks.
+    """Run ``cpu`` to halt on the instruction templates.
 
-    Observable behaviour is bit-identical to the legacy and decoded
-    engines: the same statistics, the same trap types/messages, the
-    same faulting pc and instruction count on every exit path.  The
-    fast path dispatches whole blocks; control transfers into
-    non-leader pcs and blocks that could cross the instruction limit
-    are single-stepped on one-instruction fusers.  A block whose fuser
-    is not compiled yet is compiled when the loop first reaches its
-    leader; those seconds, and the single-step fusers' builds, are
-    charged to ``cfg_fusion``, not ``execute``.  This run's fuser
+    Serves both template engines.  ``blocks`` dispatches the fused
+    basic blocks of the program's fusion plan; ``decoded`` has no
+    plan, so every pc it reaches gets a one-instruction entry.
+    Observable behaviour is bit-identical to the legacy engine: the
+    same statistics, the same trap types/messages, the same faulting
+    pc and instruction count on every exit path.
+
+    A pc without a table entry gets one on its first dispatch: its
+    block's fuser if it leads a block still waiting to compile, else
+    its one-instruction entry (a control transfer into the middle of
+    a block on ``blocks``, every pc on ``decoded``).  An entry whose
+    whole-length charge would cross the instruction limit is
+    single-stepped instead, each instruction rewound as a block of
+    length 1.  Phases: :func:`bind_env` is ``decode``; the fusion plan
+    and every fuser built, compiled and bound in the loop are
+    ``cfg_fusion``; ``execute`` is net of them.  This run's fuser
     compiles and their source bytes are left in
     ``cpu.fuser_compiles`` / ``cpu.fuser_source_bytes``.
     """
     from repro.machine.cpu import RunResult
-    from repro.machine.decode import bind_env
 
     t0 = perf_counter()
-    fuser = _Fuser(cpu, bind_env(cpu))
+    fuser = _Fuser(cpu)
     t1 = perf_counter()
     cpu.timers.add("decode", t1 - t0)
-    table, pending = fuser.block_table(cpu.program)
-    steps = fuser.steps
+    if cpu.config.engine == ENGINE_DECODED:
+        table, pending = [None] * len(fuser.instrs), {}
+    else:
+        table, pending = fuser.block_table(cpu.program)
     fusion_s = perf_counter() - t1
     n = len(table)
     limit = cpu.config.max_instructions
@@ -1373,26 +1396,25 @@ def execute_blocks(cpu):
                     npc = fn(pc)
                     pc = fall if npc is None else npc
                     continue
-            elif pc in pending:
-                # first dispatch of this block: compile, bind, retry
-                table[pc] = fuser.compile(pending.pop(pc))
+            else:
+                # first dispatch of this pc: build its entry, retry
+                record = pending.pop(pc, None)
+                table[pc] = (fuser.step(pc) if record is None
+                             else fuser.compile(record))
                 continue
-            # single-step: mid-block entry, or the limit may fire
-            # within the block — one instruction, rewound as a block
-            # of length 1, exactly like the decoded loop
+            # the limit may fire within the entry: one instruction,
+            # rewound as a block of length 1, its entry rebuilt rather
+            # than stored over the block's
             lpc = pc
             blen = 1
             icount += 1
             if icount > limit:
                 raise InstructionLimitExceeded(limit)
-            fn = steps[pc]
-            if fn is None:
-                fn = fuser.step(pc)
-            npc = fn(pc)
+            npc = fuser.step(pc)[0](pc)
             pc = pc + 1 if npc is None else npc
     except HaltSignal as halt:
         # the phases must land before RunResult snapshots them
-        _charge(cpu, fuser, "cfg_fusion", fusion_s, perf_counter() - t0)
+        _charge(cpu, fuser, fusion_s, perf_counter() - t0)
         timed = True
         state = _rewind(halt, icount, lpc, blen)
         if state is None:
@@ -1436,19 +1458,17 @@ def execute_blocks(cpu):
         raise
     finally:
         if not timed:
-            _charge(cpu, fuser, "cfg_fusion", fusion_s,
-                    perf_counter() - t0)
+            _charge(cpu, fuser, fusion_s, perf_counter() - t0)
 
 
-def _charge(cpu, fuser: _Fuser, phase: str, build_s: float,
-            loop_s: float):
+def _charge(cpu, fuser: _Fuser, plan_s: float, loop_s: float):
     """Charge a run's phases and leave its compile counts on ``cpu``.
 
     The fusers built and compiled inside the loop's ``loop_s`` count
-    as ``phase`` (the engine's build phase, besides its ``build_s``),
-    so ``execute`` is net of them.
+    as ``cfg_fusion``, besides the table's ``plan_s``, so ``execute``
+    is net of them.
     """
-    cpu.timers.add(phase, build_s + fuser.compile_s)
+    cpu.timers.add("cfg_fusion", plan_s + fuser.compile_s)
     cpu.timers.add("execute", loop_s - fuser.compile_s)
     cpu.fuser_compiles = fuser.compiles
     cpu.fuser_source_bytes = fuser.source_bytes

@@ -62,7 +62,8 @@ class MachineConfig:
         superinstructions and pairs with the fast memory-timing model
         (:class:`~repro.caches.fast.FastMemorySystem`).
         ``"decoded"`` runs the same templates one instruction per
-        dispatch, with the classic model; ``"legacy"`` is the
+        dispatch on the same run loop (an empty fusion plan), with
+        the classic model; ``"legacy"`` is the
         original per-instruction dispatch loop, the independent
         executable spec both are tested against.  All three produce
         bit-identical :class:`~repro.machine.cpu.RunResult`

@@ -257,9 +257,10 @@ class CPU:
         """Execute until ``halt``; traps raise annotated exceptions.
 
         Dispatches to the engine selected by ``config.engine``: the
-        basic-block fusion engine (default), the decoded engine (the
-        same instruction templates, one instruction per dispatch), or
-        the legacy per-instruction dispatch loop.  All are
+        basic-block fusion engine (default) and the decoded engine
+        (the same instruction templates, one instruction per
+        dispatch) share :func:`repro.machine.blocks.execute_blocks`;
+        ``legacy`` is the per-instruction dispatch loop.  All are
         bit-identical in results and trap behaviour.  With ``config.obs_events``
         set, the run's manifest, statistics and phase times are
         emitted as ``run_start``/``run_end`` (or ``run_abort``)
@@ -288,13 +289,10 @@ class CPU:
         return result
 
     def _dispatch_engine(self) -> RunResult:
-        if not self.force_legacy:
-            if self.config.engine == ENGINE_DECODED:
-                from repro.machine.decode import execute_decoded
-                return execute_decoded(self)
-            if self.config.engine == ENGINE_BLOCKS:
-                from repro.machine.blocks import execute_blocks
-                return execute_blocks(self)
+        if not self.force_legacy and self.config.engine in (
+                ENGINE_BLOCKS, ENGINE_DECODED):
+            from repro.machine.blocks import execute_blocks
+            return execute_blocks(self)
         return self._run_legacy()
 
     def _run_legacy(self) -> RunResult:

@@ -159,51 +159,6 @@ ENCODINGS: Dict[str, Type[Encoding]] = {
 _WINDOW_TOP = (1 << 32) - _INTERNAL_WINDOW
 
 
-def make_inline_compressible(encoding: Encoding):
-    """Plain-closure equivalent of ``encoding.is_compressible``.
-
-    The decoded execution engine calls ``is_compressible`` on every
-    pointer load/store; for the four stock encodings the bound-method
-    dispatch (plus the ``_small_object``/``_in_internal_window``
-    helper calls) is pure overhead, so this returns a flat closure
-    with the same decision procedure and no sub-calls.  Returns
-    ``None`` for subclassed or unknown encodings — callers must then
-    fall back to the method (exact-type checks, so an override can
-    never be silently bypassed).
-    """
-    cls = type(encoding)
-    if cls is UncompressedEncoding:
-        def never_compressible(value, base, bound):
-            return False
-        return never_compressible
-    if cls is External4Encoding:
-        def extern4_compressible(value, base, bound):
-            return (value == base and bound > base
-                    and (bound - base) % 4 == 0
-                    and bound - base <= 56)
-        return extern4_compressible
-    if cls is Internal4Encoding:
-        def intern4_compressible(value, base, bound):
-            return (value == base and bound > base
-                    and (bound - base) % 4 == 0
-                    and bound - base <= 56
-                    and (value < _INTERNAL_WINDOW
-                         or value >= _WINDOW_TOP))
-        return intern4_compressible
-    if cls is Internal11Encoding:
-        max_size = Internal11Encoding.max_size
-
-        def intern11_compressible(value, base, bound):
-            if value != base or bound <= base:
-                return False
-            size = bound - base
-            if size % 4 or size > max_size:
-                return False
-            return value < _INTERNAL_WINDOW or value >= _WINDOW_TOP
-        return intern11_compressible
-    return None
-
-
 def inline_compressible_expr(encoding: Encoding, value: str,
                              base: str, bound: str):
     """Source-expression equivalent of ``encoding.is_compressible``.
@@ -213,8 +168,8 @@ def inline_compressible_expr(encoding: Encoding, value: str,
     ``is_compressible`` (no sub-calls, no method dispatch) — the
     blocks engine's fused metadata templates splice it straight
     into generated code.  Returns ``None`` for subclassed or unknown
-    encodings, exactly like :func:`make_inline_compressible`, so an
-    override can never be silently bypassed.
+    encodings (exact-type checks), so an override can never be
+    silently bypassed.
     """
     cls = type(encoding)
     if cls is UncompressedEncoding:

@@ -92,14 +92,15 @@ class _Phase:
 class PhaseTimers:
     """Monotonic wall-clock accumulators, one per pipeline phase.
 
-    The engines charge the canonical phases ``decode`` (env binding,
-    plus the decoded engine's one-instruction fusers), ``cfg_fusion``
-    (block discovery and template fusion, or warm-plan rebinding,
-    plus the blocks engine's fuser compiles), ``probe_compile``
-    (memory-system construction, where per-geometry probe sources
-    compile) and ``execute`` (the dispatch loop, wall-clock, entry
-    to exit).  Nothing enforces that set — ad-hoc phases time fine —
-    but the report CLI knows how to present the canonical ones.
+    The engines charge the canonical phases ``decode`` (env binding),
+    ``cfg_fusion`` (block discovery and template fusion, or warm-plan
+    rebinding, plus every fuser the run loop builds, compiles and
+    binds, block or one-instruction, on both template engines),
+    ``probe_compile`` (memory-system construction, where per-geometry
+    probe sources compile) and ``execute`` (the dispatch loop,
+    wall-clock, entry to exit, net of the fuser builds).  Nothing
+    enforces that set — ad-hoc phases time fine — but the report CLI
+    knows how to present the canonical ones.
     """
 
     __slots__ = ("seconds", "calls")

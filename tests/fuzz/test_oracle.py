@@ -50,6 +50,25 @@ class TestRunOnce:
         assert outcome.status == "limit"
         assert outcome.icount >= 100
 
+    def test_timed_trap_outcome_carries_counters_and_image(self):
+        """A trap is compared on its counters and memory image too."""
+        for engine in ("legacy", "decoded", "blocks"):
+            outcome = outcome_of(
+                "main:\n    mov r1, 64\n    sbrk r1\n"
+                "    setbound r2, r1, 8\n    mov r3, 5\n"
+                "    store [r2], r3\n    load r3, [r2 + 8]\n"
+                "    halt r3\n",
+                engine=engine, timing=True, mode=SafetyMode.FULL,
+                encoding="intern11")
+            assert outcome.status == "trap", engine
+            assert outcome.hb["checks"] == 2, engine
+            assert outcome.mem["data"]["accesses"] == 1, engine
+            nonzero, brk, _ = outcome.image
+            assert nonzero and brk > 0, engine
+            assert outcome.cycles == outcome.uops + outcome.stall_cycles
+            # the optimizer promises identical live memory only at exit
+            assert outcome.observable()[4] is None, engine
+
 
 class TestOutcomeDiff:
     def test_identical_outcomes_have_no_diff(self):

@@ -78,6 +78,32 @@ done:
 """
 
 
+#: a hot loop whose second pass enters the "step" block through a
+#: computed call into its interior (pc 7, the "jmp head")
+HOT_LOOP_ENTRY = """
+main:
+    mov r1, 0
+    mov r2, 40
+    mov r7, 0
+head:
+    beqz r2, after
+    add r1, r1, 3
+    jmp step
+step:
+    sub r2, r2, 1
+    jmp head
+after:
+    bnez r7, fin
+    mov r7, 1
+    mov r2, 5
+    setcode r5, step
+    add r5, r5, 1
+    callr r5
+fin:
+    halt r1
+"""
+
+
 class TestLeaderDiscovery:
     def test_straight_line_has_single_leader(self):
         program = assemble("""
@@ -89,7 +115,6 @@ class TestLeaderDiscovery:
         assert find_leaders(program) == {0}
         [block] = build_cfg(program)
         assert (block.start, block.length) == (0, 3)
-        assert block.succs == ()
 
     def test_branch_targets_and_fallthroughs_are_leaders(self):
         program = assemble("""
@@ -106,7 +131,6 @@ class TestLeaderDiscovery:
         blocks = blocks_by_start(program)
         assert blocks[0].length == 1          # mov feeds the loop head
         assert blocks[1].length == 2          # sub + bnez
-        assert set(blocks[1].succs) == {1, 3}  # taken + fallthrough
         assert blocks[3].length == 2          # mov + halt
 
     def test_self_loop_is_its_own_block(self):
@@ -114,7 +138,6 @@ class TestLeaderDiscovery:
         assert find_leaders(program) == {0}
         [block] = build_cfg(program)
         assert (block.start, block.length) == (0, 1)
-        assert block.succs == (0,)
 
     def test_call_creates_target_and_return_leaders(self):
         program = assemble("""
@@ -127,9 +150,7 @@ class TestLeaderDiscovery:
         """)
         assert find_leaders(program) == {0, 1, 2}
         blocks = blocks_by_start(program)
-        assert blocks[0].succs == (2,)        # call edge only
         assert blocks[2].length == 2          # mov + ret
-        assert blocks[2].succs == ()          # indirect return
 
     def test_setcode_immediate_is_a_leader(self):
         program = assemble("""
@@ -171,11 +192,10 @@ class TestLeaderDiscovery:
         assert len(blocks) == 2
         first, second = blocks
         assert first.length == MAX_BLOCK_LEN
-        assert first.succs == (second.start,)
         assert second.start == MAX_BLOCK_LEN
 
     def test_basicblock_repr_and_end(self):
-        block = BasicBlock(4, 3, (9,))
+        block = BasicBlock(4, 3)
         assert block.end == 7
         assert "4..6" in repr(block)
 
@@ -450,32 +470,71 @@ class TestMidBlockTraps:
         """A computed call into a pc interior to a hot loop's block
         single-steps to the next leader, then dispatches blocks
         again."""
-        program = assemble("""
-        main:
-            mov r1, 0
-            mov r2, 40
-            mov r7, 0
-        head:
-            beqz r2, after
-            add r1, r1, 3
-            jmp step
-        step:
-            sub r2, r2, 1
-            jmp head
-        after:
-            bnez r7, fin
-            mov r7, 1
-            mov r2, 5
-            setcode r5, step
-            add r5, r5, 1
-            callr r5
-        fin:
-            halt r1
-        """)
+        program = assemble(HOT_LOOP_ENTRY)
         # the callr lands on pc 7, the "jmp head" inside the step
         # block, skipping its decrement once, then re-enters the loop
         assert 7 not in find_leaders(program)
         run_all(program, MachineConfig.plain)
+
+    def test_instruction_limit_at_every_offset_of_a_capped_run(self):
+        """Every limit from the first instruction to past the halt,
+        across a capped block and its fallthrough tail, lands all
+        engines on the same status, count, pc and register."""
+        from repro.machine import InstructionLimitExceeded
+        program = assemble("main:\n    mov r1, 0\n"
+                           + "    add r1, r1, 1\n" * (MAX_BLOCK_LEN + 6)
+                           + "    halt r1\n")
+        n = len(program.instrs)
+        assert [b.length for b in build_cfg(program)] == \
+            [MAX_BLOCK_LEN, n - MAX_BLOCK_LEN]
+        for limit in range(1, n + 2):
+            states = {}
+            for engine in ENGINES:
+                cpu = CPU(program, MachineConfig.plain(
+                    timing=False, engine=engine,
+                    max_instructions=limit))
+                try:
+                    cpu.run()
+                    status = "halt"
+                except InstructionLimitExceeded:
+                    status = "limit"
+                states[engine] = (status, cpu.icount, cpu.pc,
+                                  cpu.regs.value[1])
+            for engine in ENGINES[1:]:
+                assert states[engine] == states["legacy"], (engine,
+                                                            limit)
+            assert states["legacy"][0] == ("halt" if limit >= n
+                                           else "limit"), limit
+
+    def test_mid_block_entry_builds_only_its_landing_pc(
+            self, monkeypatch):
+        """On ``blocks``, a computed call into a block's interior gives
+        one-instruction entries only to the non-leader pcs it lands
+        on; the loop's leaders keep dispatching their blocks."""
+        import repro.machine.blocks as blocks_mod
+        stepped, bound = [], {}
+        real_step = blocks_mod._Fuser.step
+        real_entry = blocks_mod._Fuser.entry
+
+        def step(fuser, pc):
+            stepped.append(pc)
+            return real_step(fuser, pc)
+
+        def entry(fuser, record):
+            bound.setdefault(record[0], set()).add(record[1])
+            return real_entry(fuser, record)
+
+        monkeypatch.setattr(blocks_mod._Fuser, "step", step)
+        monkeypatch.setattr(blocks_mod._Fuser, "entry", entry)
+        program = assemble(HOT_LOOP_ENTRY)
+        cpu = CPU(program, MachineConfig.plain(timing=False,
+                                               engine="blocks"))
+        assert cpu.run().exit_code == 135
+        assert stepped == [7]
+        # the loop body's two-instruction blocks, at 4 and at step
+        blocks = blocks_by_start(program)
+        for leader in (4, 6):
+            assert bound[leader] == {blocks[leader].length} == {2}
 
 
 class TestFullCoverageTemplates:
@@ -571,10 +630,9 @@ def slow_compiles(monkeypatch, nap):
 
 
 class TestFirstDispatchCompile:
-    """Fusers compile when their block (or, single-stepped, their
-    instruction) is first dispatched, and the compile seconds count
-    as the engine's build phase: ``cfg_fusion`` for blocks,
-    ``decode`` for decoded."""
+    """Fusers compile when their block (or, one-instruction, their
+    pc) is first dispatched, and the compile seconds count as
+    ``cfg_fusion`` on both template engines."""
 
     def test_never_entered_block_is_not_compiled(self, monkeypatch):
         import repro.machine.blocks as blocks_mod
@@ -618,30 +676,23 @@ class TestFirstDispatchCompile:
         assert cpu.fuser_source_bytes is None
 
     def test_compile_seconds_charge_cfg_fusion(self, monkeypatch):
+        import repro.machine.blocks as blocks_mod
         nap = 0.05
         slow_compiles(monkeypatch, nap)
-        cpu = CPU(assemble(LOOP), MachineConfig.plain(timing=False,
-                                                      engine="blocks"))
-        result = cpu.run()
-        slept = nap * cpu.fuser_compiles
-        # five blocks; "add r1, r1, 3; jmp" and "sub r2, r2, 1; jmp"
-        # share a shape signature, hence one fuser
-        assert cpu.fuser_compiles == 4
-        assert result.phases["cfg_fusion"] >= slept
-        assert result.phases["execute"] < slept / 2
-
-    def test_compile_seconds_charge_decode(self, monkeypatch):
-        nap = 0.05
-        slow_compiles(monkeypatch, nap)
-        cpu = CPU(assemble(LOOP), MachineConfig.plain(timing=False,
-                                                      engine="decoded"))
-        result = cpu.run()
-        slept = nap * cpu.fuser_compiles
+        # blocks: five blocks, and "add r1, r1, 3; jmp" / "sub r2, r2,
+        # 1; jmp" share a shape signature, hence one fuser.  decoded:
         # mov r1/r2 share "movri", the two jmps "jmp", and "add r1,
         # r1, 3" / "sub r2, r2, 1" the add-immediate shape
-        assert cpu.fuser_compiles == 5
-        assert result.phases["decode"] >= slept
-        assert result.phases["execute"] < slept / 2
+        for engine, compiles in (("blocks", 4), ("decoded", 5)):
+            monkeypatch.setattr(blocks_mod, "_fuse_cache", {})
+            cpu = CPU(assemble(LOOP), MachineConfig.plain(
+                timing=False, engine=engine))
+            result = cpu.run()
+            slept = nap * cpu.fuser_compiles
+            assert cpu.fuser_compiles == compiles, engine
+            assert result.phases["cfg_fusion"] >= slept, engine
+            assert result.phases["execute"] < slept / 2, engine
+            assert result.phases["decode"] < slept / 2, engine
 
     def test_cache_geometries_share_fusers(self):
         """Templates no longer depend on the cache geometry: blocks
@@ -741,7 +792,6 @@ class TestTemplateCoverage:
         — no instruction is left without generated code."""
         import repro.machine.blocks as blocks_mod
         from repro.isa.opcodes import Op
-        from repro.machine.decode import bind_env
         monkeypatch.setattr(blocks_mod, "_fuse_cache", {})
         program = assemble(EVERY_OP)
         missing = set(Op) - {instr.op for instr in program.instrs}
@@ -750,11 +800,11 @@ class TestTemplateCoverage:
         for label, config, observer in template_contexts():
             cpu = CPU(program, config)
             cpu.observer = observer
-            fuser = blocks_mod._Fuser(cpu, bind_env(cpu))
+            fuser = blocks_mod._Fuser(cpu)
             for pc, instr in enumerate(program.instrs):
                 part = blocks_mod._template_part(instr, pc, fuser.ctx)
                 assert isinstance(part, blocks_mod._Part), (label, instr)
-                assert callable(fuser.step(pc)), (label, instr)
+                assert callable(fuser.step(pc)[0]), (label, instr)
             _, pending = fuser.block_table(program)
             for record in pending.values():
                 assert callable(fuser.compile(record)[0]), label
@@ -765,7 +815,10 @@ class TestTemplateCoverage:
 class TestInlineCompressibleExpr:
     def test_expr_matches_methods(self):
         """The spliced compressibility expressions agree with the
-        stock encodings' is_compressible on a value grid."""
+        stock encodings' is_compressible on a value grid, random
+        triples and the internal window's edges."""
+        import random
+
         from repro.metadata.encodings import (
             ENCODINGS,
             inline_compressible_expr,
@@ -776,6 +829,15 @@ class TestInlineCompressibleExpr:
                 bound = (base + size) & 0xFFFFFFFF
                 for value in (base, base + 4, 0):
                     cases.append((value, base, bound))
+        rng = random.Random(7)
+        for _ in range(500):
+            base = rng.randrange(1 << 32)
+            odd = rng.randrange(1 << 16) & ~3 | rng.randrange(4)
+            size = rng.choice((0, 4, 8, 56, 60, 8192, 8196, odd))
+            value = rng.choice((base, base + 4, rng.randrange(1 << 32)))
+            cases.append((value, base, (base + size) & 0xFFFFFFFF))
+        cases += [(0, 0, 0), (0x07FFFFFC, 0x07FFFFFC, 0x08000000),
+                  (0xF8000000, 0xF8000000, 0xF8000020)]
         for name, cls in ENCODINGS.items():
             enc = cls()
             expr = inline_compressible_expr(enc, "v", "b", "bd")

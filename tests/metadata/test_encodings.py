@@ -112,47 +112,3 @@ def test_nonmultiple_of_four_never_compresses(value, size):
         for name in ("extern4", "intern4", "intern11"):
             assert not get_encoding(name).is_compressible(
                 value, value, value + size)
-
-
-class TestInlineCompressible:
-    """The flat closures must agree with the methods everywhere."""
-
-    def test_matches_method_on_random_triples(self):
-        import random
-
-        from repro.metadata.encodings import (
-            ENCODINGS,
-            get_encoding,
-            make_inline_compressible,
-        )
-        rng = random.Random(7)
-        triples = []
-        for _ in range(500):
-            base = rng.randrange(1 << 32)
-            size = rng.choice((0, 4, 8, 56, 60, 8192, 8196,
-                               rng.randrange(1 << 16) & ~3 | rng.randrange(4)))
-            value = rng.choice((base, base + 4, rng.randrange(1 << 32)))
-            triples.append((value, base, (base + size) & 0xFFFFFFFF))
-        # the window edges and zero-metadata cases
-        triples += [(0, 0, 0), (0x07FFFFFC, 0x07FFFFFC, 0x08000000),
-                    (0xF8000000, 0xF8000000, 0xF8000020)]
-        for name in ENCODINGS:
-            enc = get_encoding(name)
-            inline = make_inline_compressible(enc)
-            assert inline is not None, name
-            for value, base, bound in triples:
-                assert inline(value, base, bound) == \
-                    enc.is_compressible(value, base, bound), \
-                    (name, value, base, bound)
-
-    def test_subclass_falls_back_to_method(self):
-        from repro.metadata.encodings import (
-            Internal11Encoding,
-            make_inline_compressible,
-        )
-
-        class Custom(Internal11Encoding):
-            def is_compressible(self, value, base, bound):
-                return True
-
-        assert make_inline_compressible(Custom()) is None
