@@ -112,3 +112,78 @@ def test_nonmultiple_of_four_never_compresses(value, size):
         for name in ("extern4", "intern4", "intern11"):
             assert not get_encoding(name).is_compressible(
                 value, value, value + size)
+
+
+class TestInlineCompressible:
+    """The spliced compressibility expressions must agree with the
+    methods everywhere, and a subclass's override must be honoured."""
+
+    def test_matches_method_on_random_triples(self):
+        import random
+
+        from repro.metadata.encodings import inline_compressible_expr
+        rng = random.Random(7)
+        triples = []
+        for _ in range(500):
+            base = rng.randrange(1 << 32)
+            size = rng.choice((0, 4, 8, 56, 60, 8192, 8196,
+                               rng.randrange(1 << 16) & ~3 | rng.randrange(4)))
+            value = rng.choice((base, base + 4, rng.randrange(1 << 32)))
+            triples.append((value, base, (base + size) & 0xFFFFFFFF))
+        # the window edges and zero-metadata cases
+        triples += [(0, 0, 0), (0x07FFFFFC, 0x07FFFFFC, 0x08000000),
+                    (0xF8000000, 0xF8000000, 0xF8000020)]
+        for name in ENCODINGS:
+            enc = get_encoding(name)
+            expr = inline_compressible_expr(enc, "v", "b", "bd")
+            assert expr is not None, name
+            inline = eval("lambda v, b, bd: bool(%s)" % expr)
+            for value, base, bound in triples:
+                assert inline(value, base, bound) == \
+                    enc.is_compressible(value, base, bound), \
+                    (name, value, base, bound)
+
+    def test_subclass_falls_back_to_method(self):
+        """A subclassed encoding gets no inline expression, so both
+        template engines call its ``is_compressible`` on every
+        pointer store."""
+        from repro.hardbound.engine import HardBoundEngine
+        from repro.isa import assemble
+        from repro.machine import CPU, MachineConfig
+        from repro.metadata.encodings import inline_compressible_expr
+
+        calls = []
+
+        class Custom(Internal11Encoding):
+            def is_compressible(self, value, base, bound):
+                calls.append((value, base, bound))
+                return False
+
+        assert inline_compressible_expr(Custom(), "v", "b", "bd") is None
+
+        def factory(encoding, memsys, check_uop, check_access_extent):
+            return HardBoundEngine(Custom(), memsys, check_uop,
+                                   check_access_extent)
+
+        program = assemble("""
+        main:
+            mov r1, 4096
+            sbrk r1
+            setbound r3, r1, 16
+            store [r3], r3
+            load r4, [r3]
+            load r5, [r4 + 4]
+            halt r5
+        """)
+        for engine in ("decoded", "blocks"):
+            del calls[:]
+            stock = CPU(program, MachineConfig.hardbound(
+                timing=False, engine=engine))
+            stock.run()
+            assert stock.hb.stats.compressed_stores == 1, engine
+            cpu = CPU(program, MachineConfig.hardbound(
+                timing=False, engine=engine, engine_factory=factory))
+            cpu.run()
+            assert calls, engine
+            assert cpu.hb.stats.pointer_stores == 1, engine
+            assert cpu.hb.stats.compressed_stores == 0, engine
