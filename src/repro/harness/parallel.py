@@ -583,4 +583,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    # ``python -m`` runs this file a second time as ``__main__`` (the
+    # package already imported it): run the imported module's main,
+    # so cells and results pickle as ``repro.harness.parallel.*``
+    from repro.harness.parallel import main as _main
+    raise SystemExit(_main())

@@ -83,7 +83,11 @@ import weakref
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
-from repro.caches.fast import FastMemorySystem
+from repro.caches.fast import (
+    DATA_CHARGE,
+    WORD_CHARGE,
+    FastMemorySystem,
+)
 from repro.hardbound.engine import HardBoundEngine
 from repro.isa.opcodes import Op, REG_FP, REG_RA, REG_SP
 from repro.isa.program import Program
@@ -386,25 +390,6 @@ _HEAP = str(HEAP_BASE)
 _GLOB = str(GLOBAL_BASE)
 _STOP = str(STACK_TOP)
 
-# The fast memory-model charges: the composite-MRU hit inline (only
-# the access counters advance), every other access through the run's
-# shared probe.
-_WPROBE_LINES = [
-    "wkey = ea >> _wps",
-    "if wkey == _wpm[0] and (ea + 3) >> _wps == wkey:",
-    "    _wdc[0] += 1",
-    "    _wtc[0] += 1",
-    "else:",
-    "    _wp(ea)",
-]
-_DPROBE_LINES = [
-    "bkey = ea >> _dps",
-    "if bkey == _dpm[0] and (ea + 3) >> _dps == bkey:",
-    "    _dpc[0] += 1",
-    "else:",
-    "    _dp(ea)",
-]
-
 
 def _word_read_lines(acc: str, stack_first: bool) -> List[str]:
     """Merged segment check + flat-arena word read into ``v``.
@@ -594,7 +579,9 @@ def _word_lines(load: bool, form: str, frame: bool, hb: bool,
     else:
         lines += _word_write_lines(acc, frame)
     if timing:
-        lines += _WPROBE_LINES if hb else _DPROBE_LINES
+        # the fast model's composite hit inline (only the access
+        # counters advance), else the run's shared probe
+        lines += WORD_CHARGE if hb else DATA_CHARGE
     if hb:
         meta_lines = _load_meta_lines if load else _store_meta_lines
         lines += meta_lines(timing, comp)
@@ -1160,17 +1147,15 @@ def bind_env(cpu, ctx: _FuseCtx) -> dict:
     if memsys is not None:
         env["_da"] = memsys.access
     # the fast timing model hands out single-call probes for the hot
-    # access shapes, plus the cells the templates read to inline their
-    # composite-hit path; every fuser of the run calls these probes
+    # access shapes, with the cells their inline charges read; every
+    # fuser of the run calls these probes
     if ctx.hb_timing:
         tag = ((TAG4_BASE, TAG4_SHIFT) if hb.encoding.tag_bits == 4
                else (TAG1_BASE, TAG1_SHIFT))
-        (env["_wp"], env["_wpm"], env["_wdc"], env["_wtc"],
-         env["_wps"]) = memsys.word_probe_parts(*tag)
+        env.update(memsys.word_charge(*tag))
         env["_sp"] = memsys.make_shadow_probe()
     if ctx.plain_timing:
-        (env["_dp"], env["_dpm"], env["_dpc"],
-         env["_dps"]) = memsys.data_probe_parts()
+        env.update(memsys.data_charge())
     return env
 
 

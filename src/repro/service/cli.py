@@ -110,11 +110,10 @@ def cmd_status(args) -> int:
     counters = status.get("counters", {})
     print("workers (%d):" % len(status.get("workers", ())))
     for worker in status.get("workers", ()):
-        print("  w%-3s pid=%-8s %-5s jobs=%-5d warm=%-5d queued=%d"
+        print("  w%-3s pid=%-8s %-5s jobs=%-5d warm=%d"
               % (worker["wid"], worker["pid"],
                  "busy" if worker["busy"] else "idle",
-                 worker["jobs_done"], worker["warm_jobs"],
-                 worker["queued"]))
+                 worker["jobs_done"], worker["warm_jobs"]))
     print("queued=%d running=%d inflight_keys=%d"
           % (status.get("queued", 0), status.get("running", 0),
              status.get("inflight_keys", 0)))

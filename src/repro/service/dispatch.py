@@ -1,16 +1,14 @@
-"""Work-stealing dispatcher over a pool of persistent daemon workers.
+"""FIFO dispatcher over a pool of persistent daemon workers.
 
 :class:`Service` owns N long-lived worker processes
 (:func:`repro.service.worker.worker_main`) and distributes jobs to
-them with the classic coordination patterns (McKenney, *Is Parallel
-Programming Hard…*):
+them:
 
-* **partitioned ownership** — every worker has its *own* job deque;
-  submissions land on the shortest deque, so the common case touches
-  one owner's queue and no global structure is contended;
-* **work stealing** — a worker that drains its own deque steals from
-  the *tail* of the longest other deque (the opposite end from the
-  owner's head), so imbalanced batches still finish at pool speed;
+* **one FIFO queue** — :meth:`submit` appends, a crash requeue goes
+  to the front, and an idle worker takes the head.  Every queue
+  operation already runs under the one service lock, so per-worker
+  queues (McKenney's partitioned ownership, *Is Parallel Programming
+  Hard…*) would contend for nothing and only reorder jobs;
 * **safe concurrent publication** — results are published to the
   shared :class:`~repro.harness.parallel.ResultCache` directory by
   the workers themselves via tmp-file + atomic rename; the
@@ -28,10 +26,10 @@ On top of that sits the submission API:
   freshly spawned replacement, and a ``job_requeue`` obs event
   records it; a job that outlives its ``timeout`` fails with
   :class:`JobTimeout` and its worker is recycled; :meth:`drain`
-  stops intake and waits for the queues to empty; :meth:`shutdown`
+  stops intake and waits for the queue to empty; :meth:`shutdown`
   drains (optionally) and retires the fleet.
 
-A single dispatcher thread owns all worker pipes and queues; public
+A single dispatcher thread owns all worker pipes and the queue; public
 methods only touch the job table under one lock and wake the
 dispatcher through a self-pipe.  With event tracing configured
 (``obs=`` path/EventLog, or the harness's ``REPRO_OBS`` env knob)
@@ -118,7 +116,7 @@ class _Job:
 
 class _Worker:
     __slots__ = ("wid", "process", "conn", "job_id", "jobs_done",
-                 "warm_jobs", "queue", "stopping")
+                 "warm_jobs", "stopping")
 
     def __init__(self, wid: int, process, conn):
         self.wid = wid
@@ -127,13 +125,11 @@ class _Worker:
         self.job_id: Optional[int] = None
         self.jobs_done = 0
         self.warm_jobs = 0
-        #: partitioned ownership: this worker's own job deque
-        self.queue: Deque[int] = deque()
         self.stopping = False
 
 
 class Service:
-    """Persistent worker fleet + work-stealing dispatcher (see module).
+    """Persistent worker fleet + FIFO dispatcher (see module).
 
     ``store`` is a :class:`ResultCache`, a directory path, or
     ``None``; ``obs`` is an :class:`EventLog`, a JSONL path, or
@@ -163,6 +159,8 @@ class Service:
         self._max_attempts = max_attempts
         self._lock = threading.RLock()
         self._jobs: Dict[int, _Job] = {}
+        #: job ids waiting for a worker, oldest first
+        self._queue: Deque[int] = deque()
         self._inflight: Dict[str, int] = {}
         self._workers: Dict[int, _Worker] = {}
         self._next_job = itertools.count(1)
@@ -172,7 +170,7 @@ class Service:
         self.counters: Dict[str, int] = dict.fromkeys(
             ("submitted", "dispatched", "completed", "failed",
              "deduped", "store_hits", "requeued", "crashes",
-             "timeouts", "steals"), 0)
+             "timeouts"), 0)
         self._wake_r, self._wake_w = os.pipe()
         os.set_blocking(self._wake_r, False)
         for _ in range(workers):
@@ -218,7 +216,7 @@ class Service:
             self._jobs[job.id] = job
             if spec.key is not None:
                 self._inflight[spec.key] = job.id
-            self._enqueue(job.id)
+            self._queue.append(job.id)
         self._wake()
         return job.future
 
@@ -261,6 +259,7 @@ class Service:
                     job.future.set_exception(
                         ServiceClosed("service shut down"))
             self._jobs.clear()
+            self._queue.clear()
             self._inflight.clear()
         self._wake()
         self._thread.join(timeout)
@@ -291,7 +290,7 @@ class Service:
         self.shutdown(drain=exc == (None, None, None))
 
     def status(self) -> dict:
-        """Point-in-time snapshot: fleet, queues, counters, store."""
+        """Point-in-time snapshot: fleet, queue, counters, store."""
         with self._lock:
             workers = [{
                 "wid": worker.wid,
@@ -300,12 +299,10 @@ class Service:
                 "busy": worker.job_id is not None,
                 "jobs_done": worker.jobs_done,
                 "warm_jobs": worker.warm_jobs,
-                "queued": len(worker.queue),
             } for worker in self._workers.values()]
             status = {
                 "workers": workers,
-                "queued": sum(len(w.queue)
-                              for w in self._workers.values()),
+                "queued": len(self._queue),
                 "running": sum(1 for w in self._workers.values()
                                if w.job_id is not None),
                 "inflight_keys": len(self._inflight),
@@ -344,37 +341,13 @@ class Service:
         self._workers[wid] = worker
         return worker
 
-    def _enqueue(self, job_id: int, front: bool = False) -> None:
-        """Partitioned ownership: append to the shortest deque."""
-        target = min(self._workers.values(),
-                     key=lambda w: len(w.queue))
-        if front:
-            target.queue.appendleft(job_id)
-        else:
-            target.queue.append(job_id)
-
-    def _take_job_for(self, worker: _Worker) -> Optional[int]:
-        """Own queue head first; else steal the longest queue's tail."""
-        if worker.queue:
-            return worker.queue.popleft()
-        victim = None
-        for other in self._workers.values():
-            if other is worker or not other.queue:
-                continue
-            if victim is None or len(other.queue) > len(victim.queue):
-                victim = other
-        if victim is None:
-            return None
-        self.counters["steals"] += 1
-        return victim.queue.pop()
-
     def _dispatch_ready(self) -> None:
         for worker in list(self._workers.values()):
+            if not self._queue:
+                return
             if worker.job_id is not None or worker.stopping:
                 continue
-            job_id = self._take_job_for(worker)
-            if job_id is None:
-                continue
+            job_id = self._queue.popleft()
             job = self._jobs.get(job_id)
             if job is None:
                 continue
@@ -427,20 +400,8 @@ class Service:
         except OSError:
             pass
         worker.process.join(0.1)
-        orphaned = list(worker.queue)
-        worker.queue.clear()
         replacement = (self._spawn_worker()
                        if not self._closed else None)
-        for job_id in orphaned:  # re-home the dead worker's backlog
-            if self._workers:
-                self._enqueue(job_id)
-            else:  # closing with no fleet left: fail, don't strand
-                job = self._jobs.pop(job_id, None)
-                if job is not None and not job.future.done():
-                    if job.spec.key is not None:
-                        self._inflight.pop(job.spec.key, None)
-                    job.future.set_exception(
-                        ServiceClosed("service shut down"))
         job = (self._jobs.get(worker.job_id)
                if worker.job_id is not None else None)
         if job is None or job.timed_out:
@@ -462,7 +423,7 @@ class Service:
             self._emit("job_requeue", job=job.id, reason="crash",
                        worker=worker.wid, exitcode=exitcode,
                        attempt=job.attempts)
-            self._enqueue(job.id, front=True)
+            self._queue.appendleft(job.id)
 
     def _check_timeouts(self) -> None:
         now = time.monotonic()

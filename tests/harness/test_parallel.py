@@ -126,6 +126,31 @@ class TestShardedMatrix:
         assert cache.stats() == {"hits": 1, "misses": 0,
                                  "writes": 2, "corrupt": 1}
 
+    def test_cli_cache_entries_are_readable_by_the_library(
+            self, tmp_path):
+        """Regression: ``python -m`` runs a second copy of the module
+        as ``__main__``; the CLI must still pickle its results as
+        ``repro.harness.parallel.*``, or the library reads the
+        object-table cell as corrupt."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        cache_dir = str(tmp_path / "cache")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.harness.parallel",
+             "--workers", "1", "--figure", "7",
+             "--workloads", "treeadd", "--cache-dir", cache_dir],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        cache = ResultCache(cache_dir)
+        run_benchmark_matrix(["treeadd"], cache=cache)
+        assert (cache.hits, cache.corrupt) == (6, 0)
+
     def test_source_change_invalidates_cell_key(self):
         a = ResultCache.key_of(
             cell_descriptor("treeadd", "intern11", True, "decoded"))
@@ -282,9 +307,12 @@ class TestShardedSweeps:
         sweep = run_sweep(spec, workers=2, cache=cache)
         assert set(sweep) == {("treeadd", 512), ("treeadd", 8192)}
         for size in spec.grid:
+            # the legacy engine runs the classic model, whose tag
+            # cache is an independent Cache
             run = run_workload(
                 "treeadd",
                 MachineConfig.hardbound(encoding="extern4",
+                                        engine="legacy",
                                         retain_cpu=True),
                 cache_params=CacheParams(tag_cache_size=size))
             cell = sweep[("treeadd", size)]
