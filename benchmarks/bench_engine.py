@@ -37,6 +37,14 @@ workload):
   ``tests/machine/test_engine_differential.py`` and
   ``tests/machine/test_blocks.py``).
 
+Inside the same ladder rounds, the plain and HardBound cells are
+timed apart (``ablation``: engine × timing × {plain, hardbound}, each
+the best of the rounds), which gives the timing model's share of a
+timed HardBound ``blocks`` sweep (``timing_share``: 1 − functional /
+timed).  ``drain_exits`` records the fast timing model's exit ledger
+(word charges, full walks, TLB walks, demotions) over the timed
+HardBound ``blocks`` cells.
+
 The events-on sweep also leaves CI-uploadable artifacts behind:
 ``results/obs_olden.jsonl`` (the full Olden event stream) and
 ``results/obs_report.txt`` (the rendered per-run and phase-time
@@ -138,18 +146,42 @@ def _optimizer_instruction_counts():
     return out
 
 
-def _sweep_seconds(engine, timing, obs=None):
-    start = time.perf_counter()
+def _sweep_split(engine, timing, obs=None):
+    """One sweep's ``{"plain": s, "hardbound": s}`` seconds (plain +
+    HardBound per workload, interleaved)."""
+    split = {"plain": 0.0, "hardbound": 0.0}
     for name in WORKLOADS:
-        run_workload(name, MachineConfig.plain(engine=engine,
-                                               timing=timing,
-                                               obs_events=obs),
-                     optimize=LADDER_OPTIMIZE)
-        run_workload(name, MachineConfig.hardbound(
-            encoding="intern11", engine=engine, timing=timing,
-            obs_events=obs),
-            optimize=LADDER_OPTIMIZE)
-    return time.perf_counter() - start
+        for cell, config in (
+                ("plain", MachineConfig.plain(engine=engine,
+                                              timing=timing,
+                                              obs_events=obs)),
+                ("hardbound", MachineConfig.hardbound(
+                    encoding="intern11", engine=engine, timing=timing,
+                    obs_events=obs))):
+            start = time.perf_counter()
+            run_workload(name, config, optimize=LADDER_OPTIMIZE)
+            split[cell] += time.perf_counter() - start
+    return split
+
+
+def _sweep_seconds(engine, timing, obs=None):
+    return sum(_sweep_split(engine, timing, obs).values())
+
+
+def _drain_exits():
+    """The fast model's exit ledger summed over the timed HardBound
+    ``blocks`` cells, with each count's share of the word charges."""
+    exits = {}
+    for name in WORKLOADS:
+        result = run_workload(name, MachineConfig.hardbound(
+            encoding="intern11", engine="blocks", timing=True,
+            retain_cpu=True), optimize=LADDER_OPTIMIZE)
+        for key, count in result.cpu.memsys.exits.items():
+            exits[key] = exits.get(key, 0) + count
+    words = exits["word_charges"]
+    exits.update({key + "_per_word": exits[key] / words
+                  for key in ("full_walks", "tlb_walks", "demotions")})
+    return exits
 
 
 def _cold_seconds():
@@ -273,7 +305,7 @@ def _service_warm_vs_cold():
 
 def test_engine_speedups(benchmark):
     def measure():
-        seconds = {}
+        seconds, ablation = {}, {}
         for timing in (False, True):
             _warm_compile_cache(timing)
             # the first run of a program records its fusion plan and
@@ -282,16 +314,29 @@ def test_engine_speedups(benchmark):
             # engines carry no cross-run state.
             _sweep_seconds("blocks", timing)
             best = {engine: float("inf") for engine in ENGINES}
+            cells = {engine: {"plain": float("inf"),
+                              "hardbound": float("inf")}
+                     for engine in ENGINES}
             # interleave rounds so machine-load drift hits every
             # engine equally
             for _ in range(ROUNDS):
                 for engine in ENGINES:
+                    split = _sweep_split(engine, timing)
                     best[engine] = min(best[engine],
-                                       _sweep_seconds(engine, timing))
+                                       sum(split.values()))
+                    for cell, cell_s in split.items():
+                        cells[engine][cell] = min(cells[engine][cell],
+                                                  cell_s)
             seconds[timing] = best
-        return seconds
+            ablation[timing] = cells
+        return seconds, ablation
 
-    seconds = benchmark.pedantic(measure, rounds=1, iterations=1)
+    seconds, ablation = benchmark.pedantic(measure, rounds=1,
+                                           iterations=1)
+    timing_share = 1.0 - (ablation[False]["blocks"]["hardbound"]
+                          / ablation[True]["blocks"]["hardbound"])
+    print("\ntiming model share of the timed HardBound blocks sweep: "
+          "%.1f%%" % (100.0 * timing_share))
     cold = _cold_seconds()
 
     speedups = {}
@@ -317,6 +362,8 @@ def test_engine_speedups(benchmark):
     print("\n" + table)
     write_result("engine_speedup.txt", table)
 
+    drain_exits = _drain_exits()
+    print("drain exits: %s" % drain_exits)
     obs_overhead = _obs_overhead()
     service_warm = _service_warm_vs_cold()
     print("\nservice warm-vs-cold: cold %.3fs, warm %.3fs, %.2fx "
@@ -348,6 +395,12 @@ def test_engine_speedups(benchmark):
             "functional": speedups[False],
             "timed": speedups[True],
         },
+        "ablation": {
+            "functional": ablation[False],
+            "timed": ablation[True],
+        },
+        "timing_share": timing_share,
+        "drain_exits": drain_exits,
         "cold": cold,
         "optimizer_instructions": optimizer,
         "obs_overhead": obs_overhead,

@@ -28,7 +28,8 @@ run; this script is the step right after it and fails the build when
   that silently dropped the equivalence proof must not be green, or
 * (when ``--fuzz-junit`` is given) the differential fuzz smoke
   (``pytest -m fuzz``, fixed seeds, >= 200 programs through all three
-  engines x both memory models) did not run and pass — same
+  engines x both memory models, plus the cache-geometry smoke
+  ``tests/fuzz/test_geometry.py``) did not run and pass — same
   present/zero-failure/zero-skip demands against the smoke's junit
   record, or
 * the record's ``service_warm_vs_cold.ratio`` (timed Olden sweep
@@ -115,9 +116,11 @@ REQUIRED_SUITES = (
 )
 
 #: test modules whose presence in the fuzz junit record proves the
-#: differential fuzz smoke (``pytest -m fuzz``) ran in this build
+#: differential fuzz smoke (``pytest -m fuzz``) and its cache-geometry
+#: axis ran in this build
 REQUIRED_FUZZ = (
     "tests.fuzz.test_smoke",
+    "tests.fuzz.test_geometry",
 )
 
 #: test modules whose presence in the service junit record proves

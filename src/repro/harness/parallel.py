@@ -24,14 +24,12 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import functools
 import hashlib
 import json
 import os
 import pickle
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import repro
 from repro.baselines.fatptr import SoftBoundEngine, ccured_sim_config
 from repro.baselines.objtable import ObjectTableModel
 from repro.caches.hierarchy import CacheParams
@@ -48,6 +46,8 @@ from repro.machine.config import (
     SafetyMode,
 )
 from repro.obs.events import EventLog
+# re-exported: every cell key reads it through this module
+from repro.obs.manifest import code_digest
 from repro.obs.metrics import REGISTRY
 from repro.workloads.registry import WORKLOADS
 
@@ -237,26 +237,6 @@ def _cell_config(kind: str, timing: bool, engine: str) -> MachineConfig:
         return MachineConfig.hardbound(timing=False, engine=engine)
     return MachineConfig.hardbound(encoding=kind, timing=timing,
                                    engine=engine)
-
-
-@functools.lru_cache(maxsize=None)
-def code_digest() -> str:
-    """sha256 over the ``repro`` package's ``.py`` sources.
-
-    Part of every cell key, so an entry written by different
-    simulator code is a miss rather than a stale hit.  Computed once
-    per process, on the first key anything asks for.
-    """
-    root = os.path.dirname(os.path.abspath(repro.__file__))
-    paths = sorted(os.path.join(dirpath, name)
-                   for dirpath, _dirs, names in os.walk(root)
-                   for name in names if name.endswith(".py"))
-    digest = hashlib.sha256()
-    for path in paths:
-        digest.update(os.path.relpath(path, root).encode("utf-8"))
-        with open(path, "rb") as fh:
-            digest.update(hashlib.sha256(fh.read()).digest())
-    return digest.hexdigest()
 
 
 def descriptor(workload: str, **fields) -> dict:

@@ -33,13 +33,14 @@ over straight-line runs:
    address arithmetic, the HardBound bounds check, the flat-heap
    segment check (which doubles as arena routing — see
    :mod:`repro.machine.memory`), the word-view access, the timing
-   charge and the pointer-metadata load/store.  The charge inlines
-   only the composite-MRU hit of the
-   :class:`~repro.caches.fast.FastMemorySystem` probe (an access
-   repeating the previous probe's granule, which just bumps the
-   access counters); everything else calls the run's shared word+tag
-   or data probe, so a memory op costs a few lines of generated
-   source whatever the cache geometry.  Every other memory shape —
+   charge and the pointer-metadata load/store.  The charge is one
+   append to the :class:`~repro.caches.fast.FastMemorySystem` log
+   (:data:`~repro.caches.fast.LOG_WORD`: the word, plus its tag byte
+   in a HardBound run), and an uncompressed pointer appends its
+   shadow access (:data:`~repro.caches.fast.LOG_SHADOW`); the run
+   loop drains the log (see :func:`execute_blocks`), so a memory op
+   costs one line of generated source whatever the cache geometry.
+   Every other memory shape —
    sub-word sizes, index-only and absolute forms, ablated or
    substituted metadata engines, the classic timing model, observers,
    the temporal tracker — fuses through the *generic* template, which
@@ -83,11 +84,7 @@ import weakref
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
-from repro.caches.fast import (
-    DATA_CHARGE,
-    WORD_CHARGE,
-    FastMemorySystem,
-)
+from repro.caches.fast import LOG_SHADOW, LOG_WORD, FastMemorySystem
 from repro.hardbound.engine import HardBoundEngine
 from repro.isa.opcodes import Op, REG_FP, REG_RA, REG_SP
 from repro.isa.program import Program
@@ -129,6 +126,12 @@ _TARGETED = frozenset({Op.JMP, Op.BEQZ, Op.BNEZ, Op.CALL})
 #: cap on fused block length; the capped tail simply becomes the next
 #: block, entered by fallthrough
 MAX_BLOCK_LEN = 64
+
+#: the run loop drains the fast timing model's log at least this
+#: often, in instructions, which bounds the log at a few entries per
+#: instruction; far above ``MAX_BLOCK_LEN``, so every block fits
+#: between two drain stops
+DRAIN_EVERY = 1 << 16
 
 
 class BasicBlock:
@@ -311,7 +314,7 @@ class _FuseCtx:
     ``fuse_hb_mem`` / ``fuse_plain_mem`` hold exactly when the inline
     word templates apply: the stock metadata engine (or none), the
     flat word views, no temporal tracker, no observer, and either no
-    timing model or the fast model's probes.  Every other
+    timing model or the fast model's log.  Every other
     configuration runs its memory ops through the generic template.
 
     The remaining facts specialize the generic memory, ``setbound``,
@@ -355,7 +358,7 @@ class _FuseCtx:
                              and not hb.check_uop
                              and not hb.check_access_extent
                              and self.comp_expr is not None)
-        # the fast timing model's probes serve the inline word
+        # the fast timing model's log serves the inline word
         # templates; the classic model takes the generic template
         timing = memsys is not None
         fast = isinstance(memsys, FastMemorySystem)
@@ -493,7 +496,8 @@ def _load_meta_lines(timing: bool, comp: str) -> List[str]:
     inline expression over ``v``, ``mb`` and ``mbd``.
     """
     lines = [
-        "meta = _mg(ea & -4)",
+        "key = ea & -4",
+        "meta = _mg(key)",
         "if meta is None:",
         "    value[rd{i}] = v",
         "    rbase[rd{i}] = 0",
@@ -507,7 +511,7 @@ def _load_meta_lines(timing: bool, comp: str) -> List[str]:
         "        _hbs.meta_uops += 1",
     ]
     if timing:
-        lines.append("        _sp(ea & -4)")
+        lines.append("        " + LOG_SHADOW)
     lines += [
         "    value[rd{i}] = v",
         "    rbase[rd{i}] = mb",
@@ -534,7 +538,7 @@ def _store_meta_lines(timing: bool, comp: str) -> List[str]:
         "        _hbs.meta_uops += 1",
     ]
     if timing:
-        lines.append("        _sp(key)")
+        lines.append("        " + LOG_SHADOW)
     return lines
 
 
@@ -579,9 +583,9 @@ def _word_lines(load: bool, form: str, frame: bool, hb: bool,
     else:
         lines += _word_write_lines(acc, frame)
     if timing:
-        # the fast model's composite hit inline (only the access
-        # counters advance), else the run's shared probe
-        lines += WORD_CHARGE if hb else DATA_CHARGE
+        # one append to the fast model's log, which charges the word
+        # (and, with HardBound, its tag byte) when it drains
+        lines.append(LOG_WORD)
     if hb:
         meta_lines = _load_meta_lines if load else _store_meta_lines
         lines += meta_lines(timing, comp)
@@ -1107,15 +1111,15 @@ def bind_env(cpu, ctx: _FuseCtx) -> dict:
     """Map every shared template name to this run's value.
 
     Every fuser of a run, block or one-instruction, binds its shared
-    names from this one map, so all of them share the *same* probe
-    closures, counter cells and memory arena cells.  Besides the
-    register arrays, arenas and metadata tables the inline templates
-    touch, the map holds every entry point the generic templates call
-    in the legacy handlers' order.  A name whose engine this run lacks
+    names from this one map, so all of them share the *same* timing
+    log, counter cells and memory arena cells.  Besides the register
+    arrays, arenas and metadata tables the inline templates touch,
+    the map holds every entry point the generic templates call in the
+    legacy handlers' order.  A name whose engine this run lacks
     (metadata engine, timing model, temporal tracker) is left out:
     ``ctx`` never selects a template that references it, and binding
-    one would fail loudly.  ``ctx`` also decides which fast-model
-    probes to build.
+    one would fail loudly.  ``ctx`` also decides what the fast model's
+    word entries charge.
     """
     regs, memory, memsys = cpu.regs, cpu.memory, cpu.memsys
     env = {
@@ -1146,16 +1150,15 @@ def bind_env(cpu, ctx: _FuseCtx) -> dict:
                    _hbsw=hb.store_word_meta, _hbss=hb.store_sub_meta)
     if memsys is not None:
         env["_da"] = memsys.access
-    # the fast timing model hands out single-call probes for the hot
-    # access shapes, with the cells their inline charges read; every
-    # fuser of the run calls these probes
+    # the inline word templates append to the fast model's log: a
+    # HardBound word entry charges the word and its tag byte, a plain
+    # one the word alone
     if ctx.hb_timing:
-        tag = ((TAG4_BASE, TAG4_SHIFT) if hb.encoding.tag_bits == 4
-               else (TAG1_BASE, TAG1_SHIFT))
-        env.update(memsys.word_charge(*tag))
-        env["_sp"] = memsys.make_shadow_probe()
-    if ctx.plain_timing:
-        env.update(memsys.data_charge())
+        env["_lg"] = memsys.logger(
+            (TAG4_BASE, TAG4_SHIFT) if hb.encoding.tag_bits == 4
+            else (TAG1_BASE, TAG1_SHIFT))
+    elif ctx.plain_timing:
+        env["_lg"] = memsys.logger()
     return env
 
 
@@ -1344,11 +1347,18 @@ def execute_blocks(cpu):
     a block on ``blocks``, every pc on ``decoded``).  An entry whose
     whole-length charge would cross the instruction limit is
     single-stepped instead, each instruction rewound as a block of
-    length 1.  Phases: :func:`bind_env` is ``decode``; the fusion plan
-    and every fuser built, compiled and bound in the loop are
-    ``cfg_fusion``; ``execute`` is net of them.  This run's fuser
-    compiles and their source bytes are left in
-    ``cpu.fuser_compiles`` / ``cpu.fuser_source_bytes``.
+    length 1.
+
+    With the fast timing model, the loop also stops every
+    :data:`DRAIN_EVERY` instructions to drain the model's log: the
+    stop is folded into the limit compare (``stop`` is the nearer of
+    the two), so the dispatch path does no extra work, and a block
+    that reaches a drain stop is dispatched whole after the drain.
+    Every exit drains too.  Phases: :func:`bind_env` is ``decode``;
+    the fusion plan and every fuser built, compiled and bound in the
+    loop are ``cfg_fusion``; ``execute`` is net of them and includes
+    the drains.  This run's fuser compiles and their source bytes are
+    left in ``cpu.fuser_compiles`` / ``cpu.fuser_source_bytes``.
     """
     from repro.machine.cpu import RunResult
 
@@ -1367,6 +1377,9 @@ def execute_blocks(cpu):
     lpc = pc
     icount = cpu.icount
     blen = 1
+    drain = (cpu.memsys.drain
+             if isinstance(cpu.memsys, FastMemorySystem) else None)
+    stop = limit if drain is None else min(limit, icount + DRAIN_EVERY)
     t0 = perf_counter()
     timed = False
     try:
@@ -1375,11 +1388,15 @@ def execute_blocks(cpu):
             if entry is not None:
                 fn, blen, fall, last = entry
                 nic = icount + blen
-                if nic <= limit:
+                if nic <= stop:
                     icount = nic
                     lpc = last
                     npc = fn(pc)
                     pc = fall if npc is None else npc
+                    continue
+                if stop < limit:
+                    drain()
+                    stop = min(limit, icount + DRAIN_EVERY)
                     continue
             else:
                 # first dispatch of this pc: build its entry, retry
@@ -1399,7 +1416,7 @@ def execute_blocks(cpu):
             pc = pc + 1 if npc is None else npc
     except HaltSignal as halt:
         # the phases must land before RunResult snapshots them
-        _charge(cpu, fuser, fusion_s, perf_counter() - t0)
+        _charge(cpu, fuser, fusion_s, t0, drain)
         timed = True
         state = _rewind(halt, icount, lpc, blen)
         if state is None:
@@ -1443,16 +1460,20 @@ def execute_blocks(cpu):
         raise
     finally:
         if not timed:
-            _charge(cpu, fuser, fusion_s, perf_counter() - t0)
+            _charge(cpu, fuser, fusion_s, t0, drain)
 
 
-def _charge(cpu, fuser: _Fuser, plan_s: float, loop_s: float):
-    """Charge a run's phases and leave its compile counts on ``cpu``.
+def _charge(cpu, fuser: _Fuser, plan_s: float, t0: float, drain):
+    """Drain the timing log, then charge a run's phases and leave its
+    compile counts on ``cpu``.
 
-    The fusers built and compiled inside the loop's ``loop_s`` count
-    as ``cfg_fusion``, besides the table's ``plan_s``, so ``execute``
-    is net of them.
+    The loop ran from ``t0`` until the drain ends.  The fusers built
+    and compiled inside it count as ``cfg_fusion``, besides the
+    table's ``plan_s``, so ``execute`` is net of them.
     """
+    if drain is not None:
+        drain()
+    loop_s = perf_counter() - t0
     cpu.timers.add("cfg_fusion", plan_s + fuser.compile_s)
     cpu.timers.add("execute", loop_s - fuser.compile_s)
     cpu.fuser_compiles = fuser.compiles

@@ -183,7 +183,7 @@ class CPU:
                           if self.config.engine == ENGINE_BLOCKS
                           else MemorySystem)
             # constructing the fast model compiles its per-geometry
-            # probe sources (process-cached: later CPUs re-enter in
+            # drain (process-cached: later CPUs re-enter in
             # microseconds, the first pays the compile)
             t0 = perf_counter()
             self.memsys: Optional[MemorySystem] = memsys_cls(params)

@@ -5,17 +5,21 @@ A manifest is a small JSON-safe dict attached to every
 emitted as the ``run_start`` event of an obs JSONL.  It answers the
 question a perf archaeologist asks first: *what exactly ran* —
 engine, safety mode, encoding, every knob, the full cache
-geometry, the source tree's git sha and the host that executed it.
+geometry, the source tree's git sha and code digest, and the host
+that executed it.
 
-Host and git identity are computed once per process (the git sha by
-reading ``.git/HEAD`` directly — no subprocess — so building a
+Host, git and code identity are computed once per process (the git
+sha by reading ``.git/HEAD`` directly — no subprocess — and the code
+digest by hashing the package sources, ~4 ms), so building a
 manifest stays in the microsecond range and sweeps of thousands of
-cells can afford one per cell).
+cells can afford one per cell.  The git sha names the commit; only
+the code digest sees uncommitted edits.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import platform
 import sys
@@ -54,12 +58,37 @@ def _read_git_sha() -> Optional[str]:
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """sha256 over the ``repro`` package's ``.py`` sources.
+
+    Part of every run manifest and every harness cell key, so an
+    entry written by different simulator code is a miss rather than a
+    stale hit.  Computed once per process.
+    """
+    # imported here: the fuzz oracle imports this module but needs
+    # OpenSSL's hashes only once a run asks for its manifest
+    import hashlib
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = sorted(os.path.join(dirpath, name)
+                   for dirpath, _dirs, names in os.walk(root)
+                   for name in names if name.endswith(".py"))
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(os.path.relpath(path, root).encode("utf-8"))
+        with open(path, "rb") as fh:
+            digest.update(hashlib.sha256(fh.read()).digest())
+    return digest.hexdigest()
+
+
 def _static_identity() -> dict:
     """Process-constant manifest fields, computed once."""
     global _static
     if _static is None:
         _static = {
             "git_sha": _read_git_sha(),
+            "code_digest": code_digest(),
             "host": platform.node(),
             "platform": platform.platform(),
             "python": "%d.%d.%d" % sys.version_info[:3],

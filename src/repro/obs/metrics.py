@@ -96,9 +96,10 @@ class PhaseTimers:
     ``cfg_fusion`` (block discovery and template fusion, or warm-plan
     rebinding, plus every fuser the run loop builds, compiles and
     binds, block or one-instruction, on both template engines),
-    ``probe_compile`` (memory-system construction, where per-geometry
-    probe sources compile) and ``execute`` (the dispatch loop,
-    wall-clock, entry to exit, net of the fuser builds).  Nothing
+    ``probe_compile`` (memory-system construction, where the fast
+    timing model's per-geometry drain compiles) and ``execute`` (the
+    dispatch loop, wall-clock, entry to exit, net of the fuser builds,
+    with the timing log's drains).  Nothing
     enforces that set — ad-hoc phases time fine — but the report CLI
     knows how to present the canonical ones.
     """

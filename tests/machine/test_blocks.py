@@ -893,3 +893,107 @@ class TestFullRegistryEquivalence:
                                  r.mem_stats.as_dict(),
                                  r.cpu.memory.nonzero_pages())
             assert snaps["blocks"] == snaps["decoded"]
+
+
+#: a heap pointer stored and reloaded every iteration (one word and
+#: one shadow entry each, under the uncompressed encoding), then a
+#: plain word; ``r5`` counts the iterations down
+DRAIN_LOOP = """main:
+    mov r1, 4096
+    sbrk r1
+    setbound r3, r1, 64
+    mov r5, %d
+loop:
+    store [r3 + 8], r3
+    load r6, [r3 + 8]
+    store [r3 + 4], r5
+    load r7, [r3 + 4]
+    sub r5, r5, 1
+    bnez r5, loop
+    halt r7
+"""
+
+
+class TestTimingLogDrain:
+    """The run loop drains the fast model's log at fixed instruction
+    stops and on every exit, without moving the limit or a counter."""
+
+    @staticmethod
+    def spy_drains(monkeypatch, probe=lambda: None):
+        """Record the log length, and what ``probe()`` returns, at
+        every drain of every model."""
+        from repro.caches.fast import FastMemorySystem
+        calls = []
+        make = FastMemorySystem._make_drain
+
+        def spying(model, tag):
+            drain = make(model, tag)
+
+            def spy():
+                calls.append((len(model._log), probe()))
+                drain()
+            return spy
+        monkeypatch.setattr(FastMemorySystem, "_make_drain", spying)
+        return calls
+
+    def test_long_run_drains_mid_run(self, monkeypatch):
+        import repro.machine.blocks as blocks_mod
+        interval = blocks_mod.DRAIN_EVERY
+        program = assemble(DRAIN_LOOP % (interval * 4 // 6))
+        config = MachineConfig.hardbound(encoding="uncompressed",
+                                         engine="blocks")
+        cpus = []
+        calls = self.spy_drains(
+            monkeypatch, lambda: "execute" in cpus[0].timers.seconds)
+        cpus.append(CPU(program, config))
+        result = cpus[0].run()
+        busy = [(n, charged) for n, charged in calls if n]
+        assert len(busy) >= 4
+        # two word entries and one shadow entry per three instructions
+        assert max(n for n, _ in busy) <= interval + MAX_BLOCK_LEN
+        # the exit drained what the last stop left before the phases
+        # were charged, so the drain's seconds are the loop's
+        assert busy[-1] == (busy[-1][0], False)
+        monkeypatch.setattr(blocks_mod, "DRAIN_EVERY", 1 << 40)
+        whole = CPU(program, config).run()
+        assert result.mem_stats.as_dict() == whole.mem_stats.as_dict()
+        assert result.cycles == whole.cycles
+
+    def test_instruction_limit_around_drain_points(self, monkeypatch):
+        """Every limit within a block's length of a drain stop lands
+        all engines on the same status, count, pc, registers and
+        memory-system counters."""
+        from repro.machine import InstructionLimitExceeded
+        import repro.machine.blocks as blocks_mod
+        monkeypatch.setattr(blocks_mod, "DRAIN_EVERY", 100)
+        program = assemble(DRAIN_LOOP % 40)
+        calls = self.spy_drains(monkeypatch)
+        for stop in (100, 200):
+            for limit in range(stop - 12, stop + 13):
+                states = {}
+                for engine in ENGINES:
+                    cpu = CPU(program, MachineConfig.hardbound(
+                        encoding="uncompressed", engine=engine,
+                        max_instructions=limit))
+                    with pytest.raises(InstructionLimitExceeded):
+                        cpu.run()
+                    states[engine] = (cpu.icount, cpu.pc,
+                                      tuple(cpu.regs.value),
+                                      cpu.memsys.stats.as_dict())
+                for engine in ENGINES[1:]:
+                    assert states[engine] == states["legacy"], (
+                        engine, limit)
+        assert any(n for n, _ in calls)
+
+    def test_power_takes_few_full_walks(self):
+        """The drain's exit ledger on a real workload: almost every
+        word charge is a repeat or a hot granule (0.6% full walks
+        when the ledger was added; 56% of the word charges left the
+        fused block for an out-of-line probe before the log)."""
+        result = run_workload("power", MachineConfig.hardbound(
+            encoding="intern11", engine="blocks", retain_cpu=True))
+        exits = result.cpu.memsys.exits
+        # sub-word accesses charge data and tag through ``access``
+        assert 0 < exits["word_charges"] \
+            <= result.mem_stats["data"].accesses
+        assert exits["full_walks"] <= 0.05 * exits["word_charges"]

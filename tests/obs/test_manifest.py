@@ -70,3 +70,12 @@ class TestManifest:
     def test_git_sha_present_in_this_checkout(self, live_runs):
         sha = live_runs["blocks"].manifest["git_sha"]
         assert sha is None or len(sha) >= 7
+
+    def test_manifest_carries_the_code_digest(self, live_runs):
+        """The digest of the sources that ran, the one every harness
+        cell key holds: unlike the git sha, it sees uncommitted
+        edits."""
+        from repro.harness import parallel
+        for result in live_runs.values():
+            assert result.manifest["code_digest"] == \
+                parallel.code_digest()
