@@ -37,13 +37,15 @@ workload):
   ``tests/machine/test_engine_differential.py`` and
   ``tests/machine/test_blocks.py``).
 
-Inside the same ladder rounds, the plain and HardBound cells are
-timed apart (``ablation``: engine × timing × {plain, hardbound}, each
-the best of the rounds), which gives the timing model's share of a
-timed HardBound ``blocks`` sweep (``timing_share``: 1 − functional /
-timed).  ``drain_exits`` records the fast timing model's exit ledger
-(word charges, full walks, TLB walks, demotions) over the timed
-HardBound ``blocks`` cells.
+Each ladder round runs every workload's functional and timed cells
+back to back, so host drift over a round hits both memory models
+alike; each timing keeps its best round.  Inside the same rounds, the
+plain and HardBound cells are timed apart (``ablation``: engine ×
+timing × {plain, hardbound}, each the best of the rounds), which
+gives the timing model's share of a timed HardBound ``blocks`` sweep
+(``timing_share``: 1 − functional / timed).  ``drain_exits`` records
+the fast timing model's exit ledger (word charges, full walks, TLB
+walks, demotions) over the timed HardBound ``blocks`` cells.
 
 The events-on sweep also leaves CI-uploadable artifacts behind:
 ``results/obs_olden.jsonl`` (the full Olden event stream) and
@@ -119,10 +121,9 @@ print(time.perf_counter() - t0)
 """ % (LADDER_OPTIMIZE, LADDER_OPTIMIZE)
 
 
-def _warm_compile_cache(timing):
+def _warm_compile_cache():
     for name in WORKLOADS:
-        for config in (MachineConfig.plain(timing=timing),
-                       MachineConfig.hardbound(timing=timing)):
+        for config in (MachineConfig.plain(), MachineConfig.hardbound()):
             compile_cached(WORKLOADS[name].source,
                            mode_for_config(config),
                            optimize=LADDER_OPTIMIZE)
@@ -146,26 +147,30 @@ def _optimizer_instruction_counts():
     return out
 
 
-def _sweep_split(engine, timing, obs=None):
-    """One sweep's ``{"plain": s, "hardbound": s}`` seconds (plain +
-    HardBound per workload, interleaved)."""
-    split = {"plain": 0.0, "hardbound": 0.0}
+#: a sweep's cells per workload: name, config factory, its keywords
+_CELLS = (("plain", MachineConfig.plain, {}),
+          ("hardbound", MachineConfig.hardbound, {"encoding": "intern11"}))
+
+
+def _sweep_split(engine, timings=(False, True), obs=None):
+    """One round's ``{timing: {"plain": s, "hardbound": s}}`` seconds:
+    plain + HardBound per workload, each cell run under every timing
+    of ``timings`` back to back."""
+    split = {timing: {"plain": 0.0, "hardbound": 0.0}
+             for timing in timings}
     for name in WORKLOADS:
-        for cell, config in (
-                ("plain", MachineConfig.plain(engine=engine,
-                                              timing=timing,
-                                              obs_events=obs)),
-                ("hardbound", MachineConfig.hardbound(
-                    encoding="intern11", engine=engine, timing=timing,
-                    obs_events=obs))):
-            start = time.perf_counter()
-            run_workload(name, config, optimize=LADDER_OPTIMIZE)
-            split[cell] += time.perf_counter() - start
+        for cell, mode_fn, kw in _CELLS:
+            for timing in timings:
+                config = mode_fn(engine=engine, timing=timing,
+                                 obs_events=obs, **kw)
+                start = time.perf_counter()
+                run_workload(name, config, optimize=LADDER_OPTIMIZE)
+                split[timing][cell] += time.perf_counter() - start
     return split
 
 
 def _sweep_seconds(engine, timing, obs=None):
-    return sum(_sweep_split(engine, timing, obs).values())
+    return sum(_sweep_split(engine, (timing,), obs)[timing].values())
 
 
 def _drain_exits():
@@ -305,30 +310,29 @@ def _service_warm_vs_cold():
 
 def test_engine_speedups(benchmark):
     def measure():
-        seconds, ablation = {}, {}
-        for timing in (False, True):
-            _warm_compile_cache(timing)
-            # the first run of a program records its fusion plan and
-            # compiles its fusers; warm both so the rounds below
-            # measure the engine, not the cold build.  The other
-            # engines carry no cross-run state.
-            _sweep_seconds("blocks", timing)
-            best = {engine: float("inf") for engine in ENGINES}
-            cells = {engine: {"plain": float("inf"),
-                              "hardbound": float("inf")}
-                     for engine in ENGINES}
-            # interleave rounds so machine-load drift hits every
-            # engine equally
-            for _ in range(ROUNDS):
-                for engine in ENGINES:
-                    split = _sweep_split(engine, timing)
-                    best[engine] = min(best[engine],
-                                       sum(split.values()))
+        timings = (False, True)
+        _warm_compile_cache()
+        # the first run of a program records its fusion plan and
+        # compiles its fusers; warm both so the rounds below measure
+        # the engine, not the cold build.  The other engines carry no
+        # cross-run state.
+        _sweep_split("blocks")
+        seconds = {timing: {engine: float("inf") for engine in ENGINES}
+                   for timing in timings}
+        ablation = {timing: {engine: {"plain": float("inf"),
+                                      "hardbound": float("inf")}
+                             for engine in ENGINES}
+                    for timing in timings}
+        # interleave rounds so machine-load drift hits every engine
+        # equally, and each cell's memory models within a round
+        for _ in range(ROUNDS):
+            for engine in ENGINES:
+                for timing, split in _sweep_split(engine).items():
+                    seconds[timing][engine] = min(
+                        seconds[timing][engine], sum(split.values()))
+                    cells = ablation[timing][engine]
                     for cell, cell_s in split.items():
-                        cells[engine][cell] = min(cells[engine][cell],
-                                                  cell_s)
-            seconds[timing] = best
-            ablation[timing] = cells
+                        cells[cell] = min(cells[cell], cell_s)
         return seconds, ablation
 
     seconds, ablation = benchmark.pedantic(measure, rounds=1,

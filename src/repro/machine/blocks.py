@@ -47,6 +47,9 @@ over straight-line runs:
    calls the env-bound engine entry points in the legacy handler's
    order.
 
+   A functional run binds the charge names to no-op sinks (see
+   :func:`bind_env`), so it shares its fusers with the fast-timed run.
+
 3. **Fusion plans** — CFG discovery and template selection depend
    only on the program and the template-selection context, so their
    outcome is recorded per program; a later run of the same program
@@ -77,6 +80,7 @@ instruction rewound as a block of length 1.
 
 from __future__ import annotations
 
+import collections
 import functools
 import re
 import types
@@ -316,6 +320,7 @@ class _FuseCtx:
     flat word views, no temporal tracker, no observer, and either no
     timing model or the fast model's log.  Every other
     configuration runs its memory ops through the generic template.
+    No fact tells a functional run from a fast-timed one.
 
     The remaining facts specialize the generic memory, ``setbound``,
     ``add``/``sub`` and ``markfree`` templates, which call the
@@ -326,9 +331,8 @@ class _FuseCtx:
     """
 
     __slots__ = ("observer_none", "full_mode", "fuse_hb_mem",
-                 "hb_timing", "fuse_plain_mem", "plain_timing",
-                 "hb_present", "inline_check", "use_words",
-                 "has_temporal", "timing", "comp_expr", "comp_tag")
+                 "fuse_plain_mem", "hb_present", "inline_check",
+                 "use_words", "has_temporal", "comp_expr", "comp_tag")
 
     def __init__(self, cpu):
         hb, memory, memsys = cpu.hb, cpu.memory, cpu.memsys
@@ -358,27 +362,20 @@ class _FuseCtx:
                              and not hb.check_uop
                              and not hb.check_access_extent
                              and self.comp_expr is not None)
-        # the fast timing model's log serves the inline word
-        # templates; the classic model takes the generic template
-        timing = memsys is not None
-        fast = isinstance(memsys, FastMemorySystem)
-        self.timing = timing
-        self.hb_timing = fast and self.inline_check
-        self.plain_timing = fast
+        # the inline word templates charge the fast model's log (or a
+        # sink); the classic model takes the generic template
         mem_ok = (self.use_words and not self.has_temporal
-                  and self.observer_none)
-        self.fuse_hb_mem = (mem_ok and self.inline_check
-                            and (not timing or self.hb_timing))
-        self.fuse_plain_mem = (mem_ok and hb is None
-                               and (not timing or self.plain_timing))
+                  and self.observer_none
+                  and (memsys is None
+                       or isinstance(memsys, FastMemorySystem)))
+        self.fuse_hb_mem = mem_ok and self.inline_check
+        self.fuse_plain_mem = mem_ok and hb is None
 
     def key(self) -> tuple:
         """Everything template selection depends on (the plan key)."""
         return (self.observer_none, self.full_mode, self.fuse_hb_mem,
-                self.hb_timing, self.fuse_plain_mem,
-                self.plain_timing, self.hb_present, self.inline_check,
-                self.use_words, self.has_temporal, self.timing,
-                self.comp_tag)
+                self.fuse_plain_mem, self.hb_present, self.inline_check,
+                self.use_words, self.has_temporal, self.comp_tag)
 
 
 # -- memory template fragments ----------------------------------------------
@@ -489,13 +486,13 @@ def _hb_check_lines(acc: str, si: bool, frame: bool,
     return lines
 
 
-def _load_meta_lines(timing: bool, comp: str) -> List[str]:
+def _load_meta_lines(comp: str) -> List[str]:
     """HardBound word-load metadata path (``load_word_meta`` inlined).
 
     ``comp`` is the stock encoding's compressibility decision as an
     inline expression over ``v``, ``mb`` and ``mbd``.
     """
-    lines = [
+    return [
         "key = ea & -4",
         "meta = _mg(key)",
         "if meta is None:",
@@ -509,21 +506,17 @@ def _load_meta_lines(timing: bool, comp: str) -> List[str]:
         "        _hbs.compressed_loads += 1",
         "    else:",
         "        _hbs.meta_uops += 1",
-    ]
-    if timing:
-        lines.append("        " + LOG_SHADOW)
-    lines += [
+        "        " + LOG_SHADOW,
         "    value[rd{i}] = v",
         "    rbase[rd{i}] = mb",
         "    rbound[rd{i}] = mbd",
     ]
-    return lines
 
 
-def _store_meta_lines(timing: bool, comp: str) -> List[str]:
+def _store_meta_lines(comp: str) -> List[str]:
     """HardBound word-store metadata path (``store_word_meta``
     inlined)."""
-    lines = [
+    return [
         "key = ea & -4",
         "mb = rbase[rd{i}]",
         "mbd = rbound[rd{i}]",
@@ -536,10 +529,8 @@ def _store_meta_lines(timing: bool, comp: str) -> List[str]:
         "        _hbs.compressed_stores += 1",
         "    else:",
         "        _hbs.meta_uops += 1",
+        "        " + LOG_SHADOW,
     ]
-    if timing:
-        lines.append("        " + LOG_SHADOW)
-    return lines
 
 
 #: effective-address line per operand form (``si``: base + index,
@@ -571,7 +562,7 @@ def _ea(instr) -> Tuple[list, str]:
 
 @functools.lru_cache(maxsize=None)
 def _word_lines(load: bool, form: str, frame: bool, hb: bool,
-                full: bool, timing: bool, comp: str) -> tuple:
+                full: bool, comp: str) -> tuple:
     """Lines of an inline word load/store (with HardBound metadata
     when ``hb``)."""
     acc = "read" if load else "write"
@@ -582,13 +573,12 @@ def _word_lines(load: bool, form: str, frame: bool, hb: bool,
         lines += _word_read_lines(acc, frame)
     else:
         lines += _word_write_lines(acc, frame)
-    if timing:
-        # one append to the fast model's log, which charges the word
-        # (and, with HardBound, its tag byte) when it drains
-        lines.append(LOG_WORD)
+    # one append to the fast model's log, which charges the word
+    # (and, with HardBound, its tag byte) when it drains
+    lines.append(LOG_WORD)
     if hb:
         meta_lines = _load_meta_lines if load else _store_meta_lines
-        lines += meta_lines(timing, comp)
+        lines += meta_lines(comp)
     elif load:
         lines += ["value[rd{i}] = v",
                   "rbase[rd{i}] = 0",
@@ -599,7 +589,7 @@ def _word_lines(load: bool, form: str, frame: bool, hb: bool,
 @functools.lru_cache(maxsize=None)
 def _generic_lines(load: bool, form: str, size: int, frame: bool,
                    checked: bool, full: bool, temporal: bool,
-                   timing: bool, observe: bool, hb: bool) -> tuple:
+                   observe: bool, hb: bool) -> tuple:
     """Lines of the generic load/store template."""
     acc = "read" if load else "write"
     lines = [_EA_LINES[form]]
@@ -637,8 +627,7 @@ def _generic_lines(load: bool, form: str, size: int, frame: bool,
         lines.append("v = _mr(ea, %d)" % size)
     else:
         lines += ["v = value[rd{i}]", "_mw(ea, %d, v)" % size]
-    if timing:
-        lines.append("_da(ea, %d, %s, 'data')" % (size, not load))
+    lines.append("_da(ea, %d, %s, 'data')" % (size, not load))
     if observe:
         lines.append("_ob.on_mem(ea, %d, %s)" % (size, not load))
     if load:
@@ -683,29 +672,26 @@ def _mem_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
     frame = rs in (REG_SP, REG_FP)
     if size == 4 and rs is not None:
         if ctx.fuse_hb_mem:
-            timing = ctx.hb_timing
             return _Part(
-                "%shb_%s%d%d%d%s" % (ld, form, frame, ctx.full_mode,
-                                     timing, ctx.comp_tag),
+                "%shb_%s%d%d%s" % (ld, form, frame, ctx.full_mode,
+                                   ctx.comp_tag),
                 params,
                 _word_lines(load, form, frame, True, ctx.full_mode,
-                            timing, ctx.comp_expr))
+                            ctx.comp_expr))
         if ctx.fuse_plain_mem:
-            timing = ctx.plain_timing
-            return _Part("%spl_%s%d%d" % (ld, form, frame, timing), params,
-                         _word_lines(load, form, frame, False, False,
-                                     timing, ""))
+            return _Part("%spl_%s%d" % (ld, form, frame), params,
+                         _word_lines(load, form, frame, False, False, ""))
     checked = ctx.hb_present and rs is not None
     observe = not ctx.observer_none
-    shape = "%sgen_%s%d%d%d%d%d%d%d" % (
+    shape = "%sgen_%s%d%d%d%d%d%d" % (
         ld, form, size, frame, checked, ctx.full_mode, ctx.has_temporal,
-        ctx.timing, observe)
+        observe)
     if ctx.hb_present:
         shape += "h"
     return _Part(shape, params,
                  _generic_lines(load, form, size, frame, checked,
                                 ctx.full_mode, ctx.has_temporal,
-                                ctx.timing, observe, ctx.hb_present))
+                                observe, ctx.hb_present))
 
 
 def _mov_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
@@ -1101,6 +1087,15 @@ _ENV_CONSTANTS = {
     "_abort": AbortError, "_tsg": to_signed,
 }
 
+#: a functional run's ``_lg``: a C-level append to a deque that keeps
+#: nothing, so an inline word template's charge line costs one call
+_NO_LOG = collections.deque(maxlen=0).append
+
+
+def _no_access(addr: int, size: int, write: bool, kind: str) -> None:
+    """A functional run's ``_da``: the generic templates' charge."""
+
+
 #: the shared names in template source: the register arrays and every
 #: name that begins with ``_`` (template locals and operand parameters
 #: never do)
@@ -1115,10 +1110,13 @@ def bind_env(cpu, ctx: _FuseCtx) -> dict:
     log, counter cells and memory arena cells.  Besides the register
     arrays, arenas and metadata tables the inline templates touch,
     the map holds every entry point the generic templates call in the
-    legacy handlers' order.  A name whose engine this run lacks
-    (metadata engine, timing model, temporal tracker) is left out:
-    ``ctx`` never selects a template that references it, and binding
-    one would fail loudly.  ``ctx`` also decides what the fast model's
+    legacy handlers' order.  The charges ``_da`` (the model's
+    ``access``) and ``_lg`` (the fast model's log) go to no-op sinks
+    in a functional run, so its templates are the timed run's.  Any
+    other name whose engine this run lacks (metadata engine, temporal
+    tracker, ``_lg`` under the classic model) is left out: ``ctx``
+    never selects a template that references it, and binding one
+    would fail loudly.  ``ctx`` also decides what the fast model's
     word entries charge.
     """
     regs, memory, memsys = cpu.regs, cpu.memory, cpu.memsys
@@ -1148,17 +1146,17 @@ def bind_env(cpu, ctx: _FuseCtx) -> dict:
                    _mp=meta.pop, _hbc=hb.check,
                    _hblw=hb.load_word_meta, _hbls=hb.load_sub_meta,
                    _hbsw=hb.store_word_meta, _hbss=hb.store_sub_meta)
-    if memsys is not None:
-        env["_da"] = memsys.access
+    env["_da"] = _no_access if memsys is None else memsys.access
     # the inline word templates append to the fast model's log: a
     # HardBound word entry charges the word and its tag byte, a plain
     # one the word alone
-    if ctx.hb_timing:
+    if memsys is None:
+        env["_lg"] = _NO_LOG
+    elif isinstance(memsys, FastMemorySystem):
         env["_lg"] = memsys.logger(
-            (TAG4_BASE, TAG4_SHIFT) if hb.encoding.tag_bits == 4
+            None if not ctx.inline_check
+            else (TAG4_BASE, TAG4_SHIFT) if hb.encoding.tag_bits == 4
             else (TAG1_BASE, TAG1_SHIFT))
-    elif ctx.plain_timing:
-        env["_lg"] = memsys.logger()
     return env
 
 

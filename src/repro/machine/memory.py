@@ -311,15 +311,32 @@ class Memory:
 
         Backing-store independent: the paged model and the flat model
         produce identical snapshots for identical write histories,
-        which is what the engine differential suite compares.  Every
-        page of :meth:`mapped_pages` is read back through
+        which is what the engine differential suite compares.  It
+        covers every page of :meth:`mapped_pages`.  A page wholly
+        inside one arena's buffer and reserved range is compared in
+        place, as a ``bytearray`` slice (a memcmp against
+        ``_ZERO_PAGE``); the rest are read back through
         :meth:`raw_read_bytes`, so a page that straddles an arena
         boundary (or an arena and the sparse fallback — possible when
         ``stack_base`` is not page aligned) is assembled from every
         store that owns a piece of it.
         """
         out: Dict[int, bytes] = {}
-        for no in self.mapped_pages():
+        rest = set(self._pages)
+        for cell in (self.globals_cell, self.heap_cell,
+                     self.stack_cell):
+            buf, base = cell[0], cell[2]
+            size = min(len(buf), cell[3] - base)
+            for no in range(base >> PAGE_SHIFT,
+                            (base + size + PAGE_SIZE - 1) >> PAGE_SHIFT):
+                off = (no << PAGE_SHIFT) - base
+                if off < 0 or off + PAGE_SIZE > size:
+                    rest.add(no)
+                    continue
+                page = buf[off:off + PAGE_SIZE]
+                if page != _ZERO_PAGE:
+                    out[no] = bytes(page)
+        for no in rest:
             page = self.raw_read_bytes(no << PAGE_SHIFT, PAGE_SIZE)
             if page != _ZERO_PAGE:
                 out[no] = page

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from repro.isa.assembler import assemble
@@ -13,6 +14,19 @@ from repro.minic.optimizer import optimize_asm
 from repro.minic.parser import parse
 from repro.minic.sema import analyze
 from repro.minic.stdlib import STDLIB_SOURCE
+
+
+@functools.lru_cache(maxsize=1)
+def _front_end(source: str, mode: InstrumentMode, include_stdlib: bool,
+               optimize_static: bool) -> str:
+    """Parse, analyze and generate: the unoptimized assembler text.
+
+    One entry is enough: callers that compile a source twice (the
+    fuzz oracle's optimizer-off/on pair) do so back to back.
+    """
+    if include_stdlib:
+        source = STDLIB_SOURCE + "\n" + source
+    return generate(analyze(parse(source)), mode, optimize_static)
 
 
 def compile_to_asm(source: str,
@@ -28,10 +42,7 @@ def compile_to_asm(source: str,
     shrinking the instruction stream.  ``optimize_static`` is the
     older AST-level constant folder; the two compose.
     """
-    if include_stdlib:
-        source = STDLIB_SOURCE + "\n" + source
-    unit = analyze(parse(source))
-    asm = generate(unit, mode, optimize_static)
+    asm = _front_end(source, mode, include_stdlib, optimize_static)
     if optimize:
         asm = optimize_asm(asm)
     return asm

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 import repro.fuzz.oracle as oracle
+import repro.minic.driver as driver
 from repro.fuzz.oracle import (
     Divergence,
     config_for_seed,
@@ -15,6 +16,7 @@ from repro.fuzz.oracle import (
 )
 from repro.isa.assembler import assemble
 from repro.machine.config import MachineConfig, SafetyMode
+from repro.minic.codegen import InstrumentMode
 
 
 def outcome_of(asm, **config_kw):
@@ -144,6 +146,22 @@ def work(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def parses(monkeypatch):
+    """Calls to the MiniC parser, from an empty front-end memo."""
+    calls = []
+    parse = driver.parse
+
+    def counting_parse(source):
+        calls.append(source)
+        return parse(source)
+
+    driver._front_end.cache_clear()
+    monkeypatch.setattr(driver, "parse", counting_parse)
+    yield calls
+    driver._front_end.cache_clear()
+
+
 class TestFuzzOne:
     def test_isa_seed_verdict(self):
         result = fuzz_one(1, "isa", timings=(False,))
@@ -166,6 +184,12 @@ class TestFuzzOne:
         assert fuzz_one(0, "minic").ok
         assert work == {"runs": 12, "compiles": 2}
 
+    def test_minic_seed_parses_once(self, work, parses):
+        """The optimize-off/on pair shares one front-end pass."""
+        assert fuzz_one(0, "minic").ok
+        assert work["compiles"] == 2
+        assert len(parses) == 1
+
     def test_timed_only_isa_seed_runs_its_reference(self, work):
         result = fuzz_one(2, "isa", timings=(True,))
         assert result.ok
@@ -185,6 +209,19 @@ class TestFuzzOne:
         draws = {str(config_for_seed(seed, "isa"))
                  for seed in range(40)}
         assert len(draws) >= 4   # modes and encodings both vary
+
+
+def test_front_end_memo_is_keyed_by_mode(parses):
+    """Two instrumentation modes of one source parse twice, and each
+    gets its own mode's text."""
+    source = "int main() { int a[2]; a[1] = 3; return a[1]; }\n"
+    texts = {mode: driver.compile_to_asm(source, mode, optimize=False)
+             for mode in (InstrumentMode.HARDBOUND, InstrumentMode.NONE)}
+    assert len(parses) == 2
+    assert texts[InstrumentMode.HARDBOUND] != texts[InstrumentMode.NONE]
+    for mode, text in texts.items():
+        assert text == driver._front_end.__wrapped__(
+            source, mode, True, False)
 
 
 def test_divergence_serializes():

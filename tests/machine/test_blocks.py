@@ -614,6 +614,25 @@ done:
 """
 
 
+#: word stores and loads of a pointer and a sub-word store and load
+#: in a loop
+MIXED_MEMORY = """
+main:
+    mov r1, 4096
+    sbrk r1
+    setbound r3, r1, 64
+    mov r5, 20
+loop:
+    store [r3 + 8], r3
+    load r6, [r3 + 8]
+    storeb [r3 + 1], r5
+    loadb r7, [r3 + 1]
+    sub r5, r5, 1
+    bnez r5, loop
+    halt r7
+"""
+
+
 def slow_compiles(monkeypatch, nap):
     """Fresh fuser cache; every fuser compile sleeps ``nap`` s."""
     import time
@@ -725,6 +744,38 @@ class TestFirstDispatchCompile:
             compiles.append(r.cpu.fuser_compiles)
         assert compiles[1:] == [0, 0], compiles
 
+    @pytest.mark.parametrize("first", (False, True),
+                             ids=("functional_first", "timed_first"))
+    @pytest.mark.parametrize("mode_fn, kw", (
+        (MachineConfig.plain, {}),
+        (MachineConfig.hardbound, {"encoding": "uncompressed"}),
+    ), ids=("plain", "hardbound"))
+    def test_memory_models_share_plan_and_fusers(self, monkeypatch,
+                                                 first, mode_fn, kw):
+        """A program's functional and fast-timed ``blocks`` runs share
+        one fusion plan and one set of fusers, in either order: the
+        second run compiles nothing.  The program takes the inline
+        word templates (with a shadow charge under HardBound) and the
+        generic sub-word one."""
+        import weakref
+
+        import repro.machine.blocks as blocks_mod
+        monkeypatch.setattr(blocks_mod, "_fuse_cache", {})
+        monkeypatch.setattr(blocks_mod, "_plan_cache",
+                            weakref.WeakKeyDictionary())
+        program = assemble(MIXED_MEMORY)
+        compiles, plans = [], []
+        for timing in (first, not first):
+            cpu = CPU(program, mode_fn(engine="blocks", timing=timing,
+                                       **kw))
+            assert cpu.run().exit_code == 1
+            compiles.append(cpu.fuser_compiles)
+            plans.append(dict(blocks_mod._plan_cache[program]))
+        assert compiles[0] > 0 and compiles[1] == 0, compiles
+        (key, records), = plans[0].items()
+        assert plans[1] == {key: records}
+        assert plans[1][key] is records
+
 
 #: one program holding every op in every operand form: memory ops in
 #: base, frame, base+index, index-only and absolute form at every
@@ -818,6 +869,23 @@ class TestTemplateCoverage:
                 assert callable(fuser.compile(record)[0]), label
             contexts += 1
         assert contexts == 3 * 12
+
+    def test_memory_models_share_a_plan_key(self):
+        """Every functional ``blocks`` context has the template
+        selection key of its fast-timed twin."""
+        import repro.machine.blocks as blocks_mod
+        program = assemble(EVERY_OP)
+        keys = {}
+        for label, config, observer in template_contexts():
+            cpu = CPU(program, config)
+            cpu.observer = observer
+            keys[label] = blocks_mod._FuseCtx(cpu).key()
+        functional = [label for label in keys
+                      if label.endswith("blocks timing=False")]
+        assert len(functional) == 12
+        for label in functional:
+            timed = label.replace("timing=False", "timing=True")
+            assert keys[label] == keys[timed], label
 
 
 class TestInlineCompressibleExpr:

@@ -320,3 +320,18 @@ class TestFlatHeap:
         mem.raw_write(sb, 1, 0x11)
         mem.raw_write(sb - 1, 1, 0x22)
         assert mem.nonzero_pages() == any_scan(mem)
+
+        # a heap grown past one doubling, with non-zero bytes on the
+        # last page of its break and of its buffer
+        mem = make()
+        seed = len(mem.heap_cell[0])
+        mem.sbrk(seed + PAGE_SIZE)
+        cap = len(mem.heap_cell[0])
+        assert cap >= 2 * seed
+        mem.write(mem.brk - 1, 1, 0x33)
+        mem.raw_write(HEAP_BASE + cap - 4, 4, 0x44556677)
+        pages = mem.nonzero_pages()
+        assert pages[(mem.brk - 1) >> 12][-1] == 0x33
+        assert pages[(HEAP_BASE + cap - 1) >> 12][-1] == 0x44
+        assert len(mem.heap_cell[0]) == cap
+        assert pages == any_scan(mem)

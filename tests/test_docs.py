@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -22,13 +23,28 @@ def time_table_rows(record: dict) -> list:
     return rows
 
 
-def test_architecture_time_table_matches_the_record():
+def record_and_architecture() -> tuple:
+    """The committed benchmark record and ARCHITECTURE's text."""
     with open(os.path.join(ROOT, "results", "BENCH_engine.json")) as fh:
         record = json.load(fh)
     with open(os.path.join(ROOT, "docs", "ARCHITECTURE.md"),
               encoding="utf-8") as fh:
-        doc = fh.read()
+        return record, fh.read()
+
+
+def test_architecture_time_table_matches_the_record():
+    record, doc = record_and_architecture()
     expected = time_table_rows(record)
     assert all(row in doc for row in expected), (
         "docs/ARCHITECTURE.md's \"Where the time goes\" rows should "
         "read, from results/BENCH_engine.json:\n" + "\n".join(expected))
+
+
+def test_architecture_timing_share_matches_the_record():
+    record, doc = record_and_architecture()
+    quoted = re.findall(r"`timing_share`[^%]*?\sreads\s+(\d+\.\d)%", doc)
+    expected = "%.1f" % (100.0 * record["timing_share"])
+    assert quoted == [expected], (
+        "docs/ARCHITECTURE.md should quote `timing_share` once, as "
+        "%s%% from results/BENCH_engine.json; it quotes %s"
+        % (expected, quoted))
