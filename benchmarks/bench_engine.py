@@ -25,9 +25,9 @@ workload):
   the timed sweep once, per engine, and ``cold.blocks_vs_decoded``
   must clear ``FLOOR_COLD_BLOCKS_VS_DECODED``;
 * the observability layer must be effectively free: with
-  ``obs_events`` on, the timed blocks sweep must stay within
-  ``FLOOR_OBS_OVERHEAD_RATIO`` (events-off/events-on seconds ≥
-  0.98, i.e. <2% slowdown);
+  ``obs_events`` on, the timed blocks cells must stay within
+  ``FLOOR_OBS_OVERHEAD_RATIO`` (the median of the per-cell
+  events-off/events-on seconds ≥ 0.98, i.e. <2% slowdown);
 * the service layer must make persistence pay: mapping the timed
   Olden sweep through a *warm* spawn-context worker fleet (program +
   fusion-plan caches resident) must beat a freshly spawned fleet by
@@ -47,6 +47,13 @@ gives the timing model's share of a timed HardBound ``blocks`` sweep
 the fast timing model's exit ledger (word charges, full walks, TLB
 walks, demotions) over the timed HardBound ``blocks`` cells.
 
+``cold`` also records what the ``blocks`` cold pass hands to CPython's
+``compile()``: its fuser compiles and generated source bytes, and the
+source split by template family (``source_by_family``: ops and bytes
+per family).  An extra, untimed fresh process runs the same pass with
+``blocks._compile_fuser`` wrapped to tally them, so the timed passes
+stay as they are.
+
 The events-on sweep also leaves CI-uploadable artifacts behind:
 ``results/obs_olden.jsonl`` (the full Olden event stream) and
 ``results/obs_report.txt`` (the rendered per-run and phase-time
@@ -63,6 +70,7 @@ and CI's ``bench-gate`` step fails the build if the freshly emitted
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -98,6 +106,13 @@ LADDER_OPTIMIZE = False
 #: minimum kept)
 COLD_SAMPLES = 2
 
+#: rounds of the paired events-off/events-on cells of ``_obs_overhead``:
+#: even, so each order runs as often as the other, and enough pairs
+#: (18 per round) that the median's run-to-run spread on a shared
+#: 2-vCPU host stays well inside the floor's 2% margin (7 rounds read
+#: 0.980-1.002 over ten runs of unchanged code)
+OBS_ROUNDS = 12
+
 SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        os.pardir, "src")
 
@@ -119,6 +134,54 @@ for name in WORKLOADS:
         encoding="intern11", engine=engine, timing=True), optimize=%r)
 print(time.perf_counter() - t0)
 """ % (LADDER_OPTIMIZE, LADDER_OPTIMIZE)
+
+#: template families of the cold pass's generated source, by the
+#: shape-id prefixes of ``repro.machine.blocks``; every other template
+#: is ``other``
+SOURCE_FAMILIES = (("hardbound_word", ("ldhb_", "sthb_")),
+                   ("plain_word", ("ldpl_", "stpl_")),
+                   ("addsub_imm", ("addsubri",)),
+                   ("generic_memory", ("ldgen_", "stgen_")))
+
+#: ``_COLD_PASS`` with ``blocks._compile_fuser`` wrapped to tally the
+#: fusers it compiles and their source, each part's share by template
+#: family; prints the tally as JSON after the seconds
+_SOURCE_PASS = """
+import json
+from repro.machine import blocks
+FAMILIES = %r
+compile_fuser = blocks._compile_fuser
+by_family = {name: {"ops": 0, "bytes": 0}
+             for name in [name for name, _ in FAMILIES] + ["other"]}
+tally = {"fuser_compiles": 0, "fuser_source_bytes": 0,
+         "source_by_family": by_family}
+def family(shape):
+    for name, prefixes in FAMILIES:
+        if shape.startswith(prefixes):
+            return name
+    return "other"
+def counted(signature, parts):
+    size = compile_fuser(signature, parts)
+    tally["fuser_compiles"] += 1
+    tally["fuser_source_bytes"] += size
+    rest = size
+    for offset, part in enumerate(parts):
+        # the part's indented body lines and its header parameters
+        part_bytes = (sum(len(line.format(i=offset)) + 5
+                          for line in part.lines)
+                      + sum(len(name) + len(str(offset)) + 2
+                            for name, _ in part.params))
+        cell = by_family[family(part.shape)]
+        cell["ops"] += 1
+        cell["bytes"] += part_bytes
+        rest -= part_bytes
+    # the rest of the fuser header: ``pc`` and the shared names
+    by_family["other"]["bytes"] += rest
+    return size
+blocks._compile_fuser = counted
+""" % (SOURCE_FAMILIES,) + _COLD_PASS + """
+print(json.dumps(tally))
+"""
 
 
 def _warm_compile_cache():
@@ -189,54 +252,79 @@ def _drain_exits():
     return exits
 
 
-def _cold_seconds():
-    """One-shot timed sweep seconds per engine, each in a fresh
-    interpreter: min of ``COLD_SAMPLES`` interleaved subprocesses.
-    Returns the record gated by ``FLOOR_COLD_BLOCKS_VS_DECODED``."""
+def _fresh_pass(script, engine):
+    """Run a one-shot pass script in a fresh interpreter; its stdout
+    lines."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", script, engine], env=env, check=True,
+        stdout=subprocess.PIPE, text=True).stdout.splitlines()
+
+
+def _cold_seconds():
+    """One-shot timed sweep seconds per engine, each in a fresh
+    interpreter: min of ``COLD_SAMPLES`` interleaved subprocesses.
+    Returns the record gated by ``FLOOR_COLD_BLOCKS_VS_DECODED``, with
+    the ``blocks`` pass's generated source from one more, untimed
+    process (``_SOURCE_PASS``)."""
     best = {"decoded": float("inf"), "blocks": float("inf")}
     for _ in range(COLD_SAMPLES):
         for engine in best:
-            out = subprocess.run(
-                [sys.executable, "-c", _COLD_PASS, engine], env=env,
-                check=True, stdout=subprocess.PIPE, text=True).stdout
-            best[engine] = min(best[engine], float(out.split()[-1]))
-    return {
+            out = _fresh_pass(_COLD_PASS, engine)
+            best[engine] = min(best[engine], float(out[-1]))
+    cold = {
         "decoded_seconds": best["decoded"],
         "blocks_seconds": best["blocks"],
         "blocks_vs_decoded": best["decoded"] / best["blocks"],
         "samples": COLD_SAMPLES,
     }
+    cold.update(json.loads(_fresh_pass(_SOURCE_PASS, "blocks")[-1]))
+    return cold
 
 
 def _obs_overhead():
-    """Events-on vs events-off seconds on the timed blocks sweep.
+    """Events-off over events-on seconds, cell by cell, on the timed
+    blocks sweep.
 
-    Interleaved min-of-``ROUNDS`` like the ladder itself; the
-    events-on rounds append to a throwaway file so the measurement
-    includes the real buffered-emit + flush cost.  Returns the
-    record gated by ``FLOOR_OBS_OVERHEAD_RATIO`` (off/on ≥ 0.98
+    Each of ``OBS_ROUNDS`` rounds runs every timed ``blocks`` cell
+    (workload x plain/HardBound) with events off and on back to back,
+    the order alternating by round, so a pair shares one host state;
+    the ratio is the median of the per-pair off/on ratios, with its
+    quartiles.  The events-on runs append to a throwaway file so the
+    measurement includes the real buffered-emit + flush cost.  Returns
+    the record gated by ``FLOOR_OBS_OVERHEAD_RATIO`` (off/on ≥ 0.98
     means tracing costs under ~2%).
     """
-    fd, scratch = tempfile.mkstemp(suffix=".jsonl",
-                                   prefix="repro-obs-bench-")
+    fd, log_path = tempfile.mkstemp(suffix=".jsonl",
+                                    prefix="repro-obs-bench-")
     os.close(fd)
     try:
-        best_off = best_on = float("inf")
-        for _ in range(ROUNDS):
-            best_off = min(best_off, _sweep_seconds("blocks", True))
-            best_on = min(best_on,
-                          _sweep_seconds("blocks", True, obs=scratch))
+        ratios = []
+        for round_no in range(OBS_ROUNDS):
+            order = (None, log_path) if round_no % 2 else (log_path, None)
+            for name in WORKLOADS:
+                for _, mode_fn, kw in _CELLS:
+                    seconds = {}
+                    for obs in order:
+                        config = mode_fn(engine="blocks", timing=True,
+                                         obs_events=obs, **kw)
+                        start = time.perf_counter()
+                        run_workload(name, config,
+                                     optimize=LADDER_OPTIMIZE)
+                        seconds[obs] = time.perf_counter() - start
+                    ratios.append(seconds[None] / seconds[log_path])
+        q1, median, q3 = statistics.quantiles(ratios, n=4)
         return {
-            "events_off_seconds": best_off,
-            "events_on_seconds": best_on,
-            "ratio": best_off / best_on,
-            "rounds": ROUNDS,
+            "ratio": median,
+            "ratio_q1": q1,
+            "ratio_q3": q3,
+            "pairs": len(ratios),
+            "rounds": OBS_ROUNDS,
         }
     finally:
-        os.unlink(scratch)
+        os.unlink(log_path)
 
 
 def _obs_artifacts():
@@ -366,9 +454,16 @@ def test_engine_speedups(benchmark):
     print("\n" + table)
     write_result("engine_speedup.txt", table)
 
+    print("cold blocks pass: %d fuser compiles, %d bytes of source; by "
+          "family: %s" % (cold["fuser_compiles"],
+                          cold["fuser_source_bytes"],
+                          cold["source_by_family"]))
     drain_exits = _drain_exits()
     print("drain exits: %s" % drain_exits)
     obs_overhead = _obs_overhead()
+    print("obs events-off/on: median %.3f (quartiles %.3f-%.3f, %d "
+          "pairs)" % (obs_overhead["ratio"], obs_overhead["ratio_q1"],
+                      obs_overhead["ratio_q3"], obs_overhead["pairs"]))
     service_warm = _service_warm_vs_cold()
     print("\nservice warm-vs-cold: cold %.3fs, warm %.3fs, %.2fx "
           "(%d jobs, %d workers)"

@@ -17,8 +17,9 @@ run; this script is the step right after it and fails the build when
   decoded seconds over blocks seconds) falls below
   ``FLOOR_COLD_BLOCKS_VS_DECODED``: a fresh process must not pay
   more for the fused engine than for the decoded one, or
-* the record's ``obs_overhead.ratio`` (timed blocks sweep,
-  events-off seconds over events-on seconds) falls below
+* the record's ``obs_overhead.ratio`` (the median, over the timed
+  blocks cells, of each cell's events-off seconds over its events-on
+  seconds, the two runs back to back) falls below
   ``FLOOR_OBS_OVERHEAD_RATIO`` — event tracing must stay under ~2%
   overhead, or
 * the engine differential / fast-model counter-identity suite did
@@ -86,10 +87,11 @@ FLOOR_TIMED_BLOCKS_VS_LEGACY = 4.0
 FLOOR_COLD_BLOCKS_VS_DECODED = 1.0
 
 #: committed floor for the instrumentation-overhead ratio of the
-#: observability layer: timed blocks sweep seconds with events off
-#: divided by the same sweep with ``obs_events`` on.
-#: Host-independent (both sweeps run in the same process,
-#: interleaved).  0.98 means event tracing may cost at most ~2%;
+#: observability layer: the median, over paired runs of every timed
+#: blocks cell, of the events-off seconds divided by the events-on
+#: seconds.  Host-independent (each pair runs back to back in one
+#: process, the order alternating by round).  0.98 means event
+#: tracing may cost at most ~2%;
 #: the always-on counters are covered by the engine-ladder floors
 #: above, which run events-off.
 FLOOR_OBS_OVERHEAD_RATIO = 0.98

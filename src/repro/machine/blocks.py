@@ -30,10 +30,14 @@ over straight-line runs:
    fusers) with the same instruction shapes share one compilation.
 
    The word memory templates inline the whole load/store: effective
-   address arithmetic, the HardBound bounds check, the flat-heap
-   segment check (which doubles as arena routing — see
-   :mod:`repro.machine.memory`), the word-view access, the timing
-   charge and the pointer-metadata load/store.  The charge is one
+   address arithmetic, the HardBound bounds check, the access, the
+   timing charge and the pointer-metadata load/store.  The access
+   inlines one arena, the one the operand form predicts (the stack
+   for an ``sp``/``fp`` base, the heap for every other): one compare
+   proves an aligned word mapped inside it and selects its word view
+   (see :mod:`repro.machine.memory`).  Every other address — globals,
+   the other arena, unaligned words, faults — calls ``Memory.read`` /
+   ``write``, the legacy handler's own entry points.  The charge is one
    append to the :class:`~repro.caches.fast.FastMemorySystem` log
    (:data:`~repro.caches.fast.LOG_WORD`: the word, plus its tag byte
    in a HardBound run), and an uncompressed pointer appends its
@@ -93,7 +97,6 @@ from repro.hardbound.engine import HardBoundEngine
 from repro.isa.opcodes import Op, REG_FP, REG_RA, REG_SP
 from repro.isa.program import Program
 from repro.layout import (
-    GLOBAL_BASE,
     HEAP_BASE,
     MASK32,
     MAXINT,
@@ -340,10 +343,10 @@ class _FuseCtx:
         self.full_mode = cpu.full_mode
         self.hb_present = hb is not None
         self.has_temporal = cpu.temporal is not None
-        # word-view access needs native little-endian casts on all
-        # three arenas (true everywhere but big-endian hosts)
+        # word-view access needs native little-endian casts on the
+        # two arenas the word templates inline (true everywhere but
+        # big-endian hosts)
         self.use_words = (memory.heap_cell[1] is not None
-                          and memory.globals_cell[1] is not None
                           and memory.stack_cell[1] is not None)
         # splice the stock encodings' compressibility decision
         # straight into the metadata templates; subclassed encodings
@@ -380,82 +383,37 @@ class _FuseCtx:
 
 # -- memory template fragments ----------------------------------------------
 
-# The legacy ``CPU._op_load``/``_op_store`` with ``HardBoundEngine.check``,
-# ``Memory.read``/``write`` and the metadata-engine word paths inlined:
-# same statement order, same counter increments, same trap
-# types/messages.  The segment check doubles as flat-arena routing;
-# unaligned words spill to the raw entry points.
+# The legacy ``CPU._op_load``/``_op_store`` with ``HardBoundEngine.check``
+# and the metadata-engine word paths inlined: same statement order,
+# same counter increments, same trap types/messages.  ``Memory.read`` /
+# ``write`` is inlined for one arena only, the one the operand form
+# predicts; every other address takes the legacy entry point itself.
 
-_HEAP = str(HEAP_BASE)
-_GLOB = str(GLOBAL_BASE)
-_STOP = str(STACK_TOP)
-
-
-def _word_read_lines(acc: str, stack_first: bool) -> List[str]:
-    """Merged segment check + flat-arena word read into ``v``.
-
-    The three segment ranges are disjoint, so the check order is
-    unobservable (same value, same ``MemoryFault`` otherwise);
-    frame-register addressing therefore probes the stack arena first
-    (``stack_first``), where the heap and globals compares would
-    almost always fail.
-    """
-    heap = [
-        "if %s <= ea and end <= _mem.brk:" % _HEAP,
-        "    v = _heap[1][(ea - %s) >> 2] if not ea & 3 "
-        "else _rr(ea, 4)" % _HEAP,
-    ]
-    glob = [
-        "if %s <= ea and end <= _gl:" % _GLOB,
-        "    v = _glob[1][(ea - %s) >> 2] if not ea & 3 "
-        "else _rr(ea, 4)" % _GLOB,
-    ]
-    stack = [
-        "if _sb <= ea and end <= %s:" % _STOP,
-        "    v = _stk[1][(ea - _sb) >> 2] if not ea & 3 "
-        "else _rr(ea, 4)",
-    ]
-    order = (stack + heap + glob) if stack_first \
-        else (heap + glob + stack)
-    lines = ["end = ea + 4"] + order[:2]
-    for branch in (order[2:4], order[4:6]):
-        lines.append("el" + branch[0])
-        lines.append(branch[1])
-    lines += ["else:", "    raise _mf(ea, %r)" % acc]
-    return lines
+#: per operand form (``frame``: an ``sp``/``fp`` base), the predicted
+#: arena's test for an aligned, mapped word and its word-view element.
+#: The test is ``Memory.check_mapped``'s compare for that segment, so
+#: an address that passes it is mapped and inside the arena's buffer.
+_ARENAS = {
+    False: ("if %d <= ea and ea + 4 <= _mem.brk and not ea & 3:"
+            % HEAP_BASE, "_heap[1][(ea - %d) >> 2]" % HEAP_BASE),
+    True: ("if _sb <= ea and ea <= %d and not ea & 3:" % (STACK_TOP - 4),
+           "_stk[1][(ea - _sb) >> 2]"),
+}
 
 
-def _word_write_lines(acc: str, stack_first: bool) -> List[str]:
-    """Merged segment check + flat-arena word write of ``v``."""
-    heap = [
-        "if %s <= ea and end <= _mem.brk:" % _HEAP,
-        "    if ea & 3:",
-        "        _rw(ea, 4, v)",
-        "    else:",
-        "        _heap[1][(ea - %s) >> 2] = v" % _HEAP,
-    ]
-    glob = [
-        "if %s <= ea and end <= _gl:" % _GLOB,
-        "    if ea & 3:",
-        "        _rw(ea, 4, v)",
-        "    else:",
-        "        _glob[1][(ea - %s) >> 2] = v" % _GLOB,
-    ]
-    stack = [
-        "if _sb <= ea and end <= %s:" % _STOP,
-        "    if ea & 3:",
-        "        _rw(ea, 4, v)",
-        "    else:",
-        "        _stk[1][(ea - _sb) >> 2] = v",
-    ]
-    order = (stack + heap + glob) if stack_first \
-        else (heap + glob + stack)
-    lines = ["end = ea + 4", "v = value[rd{i}]"] + order[:5]
-    for branch in (order[5:10], order[10:15]):
-        lines.append("el" + branch[0])
-        lines.extend(branch[1:])
-    lines += ["else:", "    raise _mf(ea, %r)" % acc]
-    return lines
+def _word_read_lines(frame: bool) -> List[str]:
+    """Word read into ``v``: the predicted arena inline, else
+    ``Memory.read`` (other segments, unaligned words, faults)."""
+    test, word = _ARENAS[frame]
+    return [test, "    v = " + word, "else:", "    v = _mr(ea, 4)"]
+
+
+def _word_write_lines(frame: bool) -> List[str]:
+    """Word write of ``v``: the predicted arena inline, else
+    ``Memory.write``."""
+    test, word = _ARENAS[frame]
+    return ["v = value[rd{i}]", test, "    %s = v" % word,
+            "else:", "    _mw(ea, 4, v)"]
 
 
 def _hb_check_lines(acc: str, si: bool, frame: bool,
@@ -570,9 +528,9 @@ def _word_lines(load: bool, form: str, frame: bool, hb: bool,
     if hb:
         lines += _hb_check_lines(acc, form == "si", frame, full)
     if load:
-        lines += _word_read_lines(acc, frame)
+        lines += _word_read_lines(frame)
     else:
-        lines += _word_write_lines(acc, frame)
+        lines += _word_write_lines(frame)
     # one append to the fast model's log, which charges the word
     # (and, with HardBound, its tag byte) when it drains
     lines.append(LOG_WORD)
@@ -740,28 +698,36 @@ def _xchg_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
 def _addsub_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
     """Figure 3A/B ``add``/``sub``: the first input's bounds when it
     has any, else the second's; an observer sees every result that
-    carries bounds."""
+    carries bounds.
+
+    An immediate has no bounds, and an unbounded register's are
+    (0, 0), so the immediate form copies the first input's bounds
+    unconditionally: the same registers as the legacy handler's
+    branch.
+    """
     rd, rs, rt = instr.rd, instr.rs, instr.rt
     observe = not ctx.observer_none
-    if rt is not None:
-        sign = "-" if instr.op is Op.SUB else "+"
-        shape = "addsubrr" + sign
-        params = [("rd", rd), ("rs", rs), ("rt", rt)]
-        first = "v = (value[rs{i}] %s value[rt{i}]) & %s" % (sign, _M32)
-        other = ["    rbase[rd{i}] = rbase[rt{i}]",
-                 "    rbound[rd{i}] = rbound[rt{i}]"]
-        if observe:
-            other += ["    if rbase[rd{i}] or rbound[rd{i}]:",
-                      "        _ob.on_pointer_arith(v)"]
-    else:
+    if rt is None:
         k = instr.imm or 0
         if instr.op is Op.SUB:
             k = -k
-        shape = "addsubri"
-        params = [("rd", rd), ("rs", rs), ("k", k)]
-        first = "v = (value[rs{i}] + k{i}) & " + _M32
-        other = ["    rbase[rd{i}] = 0", "    rbound[rd{i}] = 0"]
-    lines = [first,
+        lines = ["value[rd{i}] = (value[rs{i}] + k{i}) & " + _M32,
+                 "rbase[rd{i}] = rbase[rs{i}]",
+                 "rbound[rd{i}] = rbound[rs{i}]"]
+        if observe:
+            lines += ["if rbase[rd{i}] or rbound[rd{i}]:",
+                      "    _ob.on_pointer_arith(value[rd{i}])"]
+        return _Part("addsubri" + "o" * observe,
+                     [("rd", rd), ("rs", rs), ("k", k)], lines)
+    sign = "-" if instr.op is Op.SUB else "+"
+    shape = "addsubrr" + sign
+    params = [("rd", rd), ("rs", rs), ("rt", rt)]
+    other = ["    rbase[rd{i}] = rbase[rt{i}]",
+             "    rbound[rd{i}] = rbound[rt{i}]"]
+    if observe:
+        other += ["    if rbase[rd{i}] or rbound[rd{i}]:",
+                  "        _ob.on_pointer_arith(v)"]
+    lines = ["v = (value[rs{i}] %s value[rt{i}]) & %s" % (sign, _M32),
              "if rbase[rs{i}] or rbound[rs{i}]:",
              "    value[rd{i}] = v",
              "    rbase[rd{i}] = rbase[rs{i}]",
@@ -1082,8 +1048,7 @@ def _record(start: int, parts: List[_Part]) -> tuple:
 #: stop constructors the templates raise and ``to_signed``
 _ENV_CONSTANTS = {
     "_icpe": InvalidCodePointerError, "_be": BoundsError,
-    "_npe": NonPointerError, "_mf": MemoryFault,
-    "_dbz": DivideByZeroError, "_halt": HaltSignal,
+    "_npe": NonPointerError, "_dbz": DivideByZeroError, "_halt": HaltSignal,
     "_abort": AbortError, "_tsg": to_signed,
 }
 
@@ -1123,14 +1088,13 @@ def bind_env(cpu, ctx: _FuseCtx) -> dict:
     env = {
         "value": regs.value, "rbase": regs.base, "rbound": regs.bound,
         "_n": len(cpu.program.instrs), "_cpu": cpu,
-        # flat-arena fast path: the arena cells (stable across heap
-        # growth, see repro.machine.memory), the fixed segment bounds
-        # (only the heap break moves, so templates re-read it from
-        # ``_mem``) and the unaligned spill entry points
+        # the word templates' inline arenas: the heap and stack cells
+        # (stable across heap growth, see repro.machine.memory) and
+        # the stack's fixed base (only the heap break moves, so
+        # templates re-read it from ``_mem``); every other address
+        # goes through ``_mr`` / ``_mw``
         "_mem": memory, "_heap": memory.heap_cell,
-        "_glob": memory.globals_cell, "_stk": memory.stack_cell,
-        "_gl": memory.globals_limit, "_sb": memory.stack_base,
-        "_rr": memory.raw_read, "_rw": memory.raw_write,
+        "_stk": memory.stack_cell, "_sb": memory.stack_base,
         "_sbrk": memory.sbrk, "_mr": memory.read, "_mw": memory.write,
         "_rcs": memory.read_cstring, "_emit": cpu._emit,
         "_ob": cpu.observer,

@@ -750,9 +750,3 @@ class CPU:
             Op.PRINTC: self._op_printc, Op.PRINTS: self._op_prints,
             Op.HALT: self._op_halt, Op.ABORT: self._op_abort,
         }
-
-
-def run_program(program: Program, config: MachineConfig = None,
-                cache_params: CacheParams = None) -> RunResult:
-    """Assemble-and-go convenience: build a CPU and run to halt."""
-    return CPU(program, config, cache_params).run()

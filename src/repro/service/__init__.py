@@ -3,8 +3,8 @@
 The public surface (stable; ``tests/service/test_public_api.py``
 asserts it does not shrink):
 
-* :class:`Client` / :func:`connect` — the submission API, local or
-  over a daemon socket;
+* :func:`connect` / :class:`Client` — the submission API over a
+  daemon socket;
 * :class:`Service` / :class:`JobSpec` — the in-process dispatcher
   and its unit of work;
 * the failure types :class:`ServiceError`, :class:`ServiceClosed`,

@@ -1,24 +1,20 @@
-"""Client-side API of the simulation service.
+"""Client-side API of the simulation service's daemon.
 
-:class:`Client` presents one submission surface —
-``submit``/``submit_many``/``map``/``status``/``drain`` — over either
-backend:
+:func:`connect` returns a :class:`Client` whose
+``submit``/``submit_many``/``map``/``status``/``drain``/``stop``
+mirror the in-process :class:`~repro.service.dispatch.Service`, which
+in-process callers use directly.  Calls travel over the daemon's
+``AF_UNIX`` socket (:mod:`multiprocessing.connection`,
+HMAC-authenticated by the state dir's ``authkey`` file), so any
+process on the machine can feed the one warm fleet that
+``python -m repro.service start`` left running.
 
-* **local** (``Client(service=Service(...))``): calls delegate
-  straight to the in-process :class:`~repro.service.dispatch.Service`;
-* **remote** (``Client(address=..., authkey=...)`` or
-  :func:`connect`): calls travel over the daemon's ``AF_UNIX``
-  socket (:mod:`multiprocessing.connection`, HMAC-authenticated by
-  the state dir's ``authkey`` file), so any process on the machine
-  can feed the one warm fleet that ``python -m repro.service start``
-  left running.
-
-Remote futures are real :class:`concurrent.futures.Future` objects:
-the client registers each future under a token *before* the request
+Futures are real :class:`concurrent.futures.Future` objects: the
+client registers each future under a token *before* the request
 leaves the socket, so a result frame can never race its own
-registration.  Failures come back as the same exception types the
-local path raises (:class:`JobFailed`, :class:`JobTimeout`,
-:class:`ServiceClosed`).
+registration.  Failures come back as the same exception types
+:class:`~repro.service.dispatch.Service` raises (:class:`JobFailed`,
+:class:`JobTimeout`, :class:`ServiceClosed`).
 """
 
 from __future__ import annotations
@@ -32,8 +28,7 @@ from multiprocessing import connection as mpconnection
 from typing import Dict, List, Optional
 
 from repro.service.dispatch import (JobFailed, JobSpec, JobTimeout,
-                                    Service, ServiceClosed,
-                                    ServiceError)
+                                    ServiceClosed, ServiceError)
 
 #: default on-disk rendezvous directory for a daemon (socket, authkey, pid)
 STATE_DIR = ".repro-service"
@@ -47,30 +42,21 @@ def _rebuild_error(name: str, message: str) -> ServiceError:
 
 
 class Client:
-    """Uniform submission API over a local or remote service fleet."""
+    """Submission API over a daemon's socket (see :func:`connect`)."""
 
-    def __init__(self, service: Optional[Service] = None,
-                 address: Optional[str] = None,
-                 authkey: Optional[bytes] = None):
-        if (service is None) == (address is None):
-            raise ValueError(
-                "pass exactly one of service= (local) or address= "
-                "(remote daemon socket)")
-        self._service = service
-        self._conn = None
+    def __init__(self, address: str, authkey: bytes):
         self._futures: Dict[int, Future] = {}
         self._acks: Dict[int, list] = {}
         self._ack_ready: Dict[int, threading.Event] = {}
         self._next_token = itertools.count(1)
         self._lock = threading.Lock()
         self._closed = False
-        if address is not None:
-            self._conn = mpconnection.Client(
-                address, family="AF_UNIX", authkey=authkey)
-            self._reader = threading.Thread(
-                target=self._read_loop, name="repro-service-client",
-                daemon=True)
-            self._reader.start()
+        self._conn = mpconnection.Client(
+            address, family="AF_UNIX", authkey=authkey)
+        self._reader = threading.Thread(
+            target=self._read_loop, name="repro-service-client",
+            daemon=True)
+        self._reader.start()
 
     # -- submission ----------------------------------------------------------
 
@@ -78,15 +64,11 @@ class Client:
                timeout: Optional[float] = None) -> Future:
         spec = fn if isinstance(fn, JobSpec) else \
             JobSpec(fn, arg, key=key, timeout=timeout)
-        if self._service is not None:
-            return self._service.submit(spec)
         return self.submit_many([spec])[0]
 
     def submit_many(self, specs) -> List[Future]:
         specs = [spec if isinstance(spec, JobSpec) else JobSpec(*spec)
                  for spec in specs]
-        if self._service is not None:
-            return self._service.submit_many(specs)
         with self._lock:
             if self._closed:
                 raise ServiceClosed("client is closed")
@@ -113,26 +95,16 @@ class Client:
     # -- control -------------------------------------------------------------
 
     def status(self) -> dict:
-        if self._service is not None:
-            return self._service.status()
         return self._request("status", None)
 
     def ping(self) -> bool:
-        if self._service is not None:
-            return True
         return self._request("ping", None) == "pong"
 
     def drain(self) -> None:
-        if self._service is not None:
-            self._service.drain()
-            return
         self._request("drain", None)
 
     def stop(self) -> None:
-        """Ask a remote daemon to drain and exit (local: shutdown)."""
-        if self._service is not None:
-            self._service.shutdown()
-            return
+        """Ask the daemon to drain and exit."""
         self._request("stop", None)
 
     def close(self) -> None:
@@ -140,12 +112,11 @@ class Client:
             if self._closed:
                 return
             self._closed = True
-        if self._conn is not None:
-            # the reader owns the socket: closing it here while the
-            # reader blocks in recv() would free the fd for reuse by
-            # the next connection and desynchronize its stream, so
-            # just flag and wait for the reader's poll loop to exit
-            self._reader.join(5.0)
+        # the reader owns the socket: closing it here while the reader
+        # blocks in recv() would free the fd for reuse by the next
+        # connection and desynchronize its stream, so just flag and
+        # wait for the reader's poll loop to exit
+        self._reader.join(5.0)
 
     def __enter__(self) -> "Client":
         return self
@@ -153,12 +124,10 @@ class Client:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- remote plumbing -----------------------------------------------------
+    # -- socket plumbing -----------------------------------------------------
 
     def _request(self, kind: str, payload):
         with self._lock:
-            if self._conn is None:
-                raise ServiceError("no remote connection")
             req_id = next(self._next_token)
             event = threading.Event()
             self._ack_ready[req_id] = event

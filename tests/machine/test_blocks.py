@@ -10,8 +10,10 @@ both vs ``legacy`` in ``test_engine_differential``).
 
 import pytest
 
+from repro.fuzz.oracle import run_once
 from repro.harness.runner import compile_cached, run_workload
 from repro.isa import assemble
+from repro.layout import HEAP_BASE, NULL_GUARD, STACK_TOP
 from repro.machine import CPU, MachineConfig
 from repro.machine.blocks import (
     MAX_BLOCK_LEN,
@@ -257,6 +259,22 @@ class TestBlockExecution:
             MachineConfig(engine="warp")
 
 
+#: the slow-path grid's targets: name -> (lines leaving the word's
+#: address in r2, whether the words at and below it are mapped, whether
+#: a word one byte above it crosses its segment's end).  One sbrk maps
+#: 4096 heap bytes; the data segment holds four words at ``tbl``.
+SLOW_PATH_TARGETS = {
+    "globals": (["mov r2, =tbl", "add r2, r2, 4"], True, False),
+    "heap": (["mov r2, %d" % (HEAP_BASE + 64)], True, False),
+    "heap_end": (["mov r2, %d" % (HEAP_BASE + 4092)], True, True),
+    "past_brk": (["mov r2, %d" % (HEAP_BASE + 4096 + 64)], False, True),
+    "stack": (["mov r2, %d" % (STACK_TOP - 64)], True, False),
+    "stack_top": (["mov r2, %d" % (STACK_TOP - 4)], True, True),
+    "above_stack": (["mov r2, %d" % STACK_TOP], False, True),
+    "null_guard": (["mov r2, %d" % (NULL_GUARD - 64)], False, True),
+}
+
+
 class TestFusedMemoryTemplates:
     """The word memory templates: load/store bodies generated into
     the block closures (segment check + flat-arena access + tag probe
@@ -357,6 +375,46 @@ class TestFusedMemoryTemplates:
                              cpu.icount, cpu.pc)
         assert traps["blocks"] == traps["legacy"]
         assert traps["decoded"] == traps["legacy"]
+
+    @pytest.mark.parametrize("timing", (False, True),
+                             ids=("functional", "timed"))
+    @pytest.mark.parametrize("mode_fn", (MachineConfig.plain,
+                                         MachineConfig.hardbound),
+                             ids=("plain", "hardbound"))
+    @pytest.mark.parametrize("load", (True, False), ids=("load", "store"))
+    @pytest.mark.parametrize("offset", (0, 1), ids=("aligned", "plus1"))
+    @pytest.mark.parametrize("target", sorted(SLOW_PATH_TARGETS))
+    @pytest.mark.parametrize("base", ("fp", "r4"))
+    def test_word_outside_the_predicted_arena(self, base, target, offset,
+                                              load, mode_fn, timing):
+        """Each word template inlines one arena (the stack for an
+        ``fp`` base, the heap for a general register); every other
+        address — globals, the other arena, unaligned words, the
+        break, the null guard — goes through ``Memory.read`` /
+        ``write``, with the same value, trap, counters and image as
+        ``legacy``."""
+        lines, mapped, straddles = SLOW_PATH_TARGETS[target]
+        fill = ["mov r7, 0x44332211",
+                "setunsafe r3, r2",
+                "store [r3 + -4], r7",
+                "store [r3], r7"] if mapped else []
+        op = ["load r6, [%s + %d]" % (base, offset)]
+        if not load:
+            op = ["store [%s + %d], r5" % (base, offset)] + op
+        program = assemble("\n    ".join(
+            ["main:", "mov r1, 4096", "sbrk r1", "setbound r5, r1, 16"]
+            + lines + fill + ["setunsafe %s, r2" % base] + op
+            + ["halt r6", ".data",
+               "tbl: .word 0x11223344, 0x55667788, 0x99aabbcc, "
+               "0x7eeff00d"]))
+        outcomes = {engine: run_once(program, mode_fn(engine=engine,
+                                                      timing=timing))
+                    for engine in ENGINES}
+        legacy = outcomes["legacy"]
+        assert legacy.status == ("exit" if mapped and not
+                                 (offset and straddles) else "trap")
+        for engine in ENGINES[1:]:
+            assert legacy.diff_fields(outcomes[engine]) == [], engine
 
     def test_memory_templates_emitted(self):
         """The hot word shapes really fuse (no silent fallback)."""
@@ -869,6 +927,33 @@ class TestTemplateCoverage:
                 assert callable(fuser.compile(record)[0]), label
             contexts += 1
         assert contexts == 3 * 12
+
+    def test_word_templates_inline_one_predicted_arena(self):
+        """Under every context, an inline word template holds one
+        arena's word view: the stack's for an ``sp``/``fp`` base, the
+        heap's for any other."""
+        import repro.machine.blocks as blocks_mod
+        from repro.isa.opcodes import Op, REG_FP, REG_SP
+        program = assemble(EVERY_OP)
+        seen = set()
+        for label, config, observer in template_contexts():
+            cpu = CPU(program, config)
+            cpu.observer = observer
+            ctx = blocks_mod._FuseCtx(cpu)
+            for pc, instr in enumerate(program.instrs):
+                if instr.op not in (Op.LOAD, Op.STORE):
+                    continue
+                part = blocks_mod._template_part(instr, pc, ctx)
+                if "gen_" in part.shape:
+                    continue
+                views = [view for view in ("_heap[1]", "_stk[1]")
+                         if any(view in line for line in part.lines)]
+                frame = instr.rs in (REG_SP, REG_FP)
+                assert views == ["_stk[1]" if frame else "_heap[1]"], (
+                    label, part.shape)
+                seen.add((instr.op, ctx.hb_present, frame))
+        # loads and stores, plain and HardBound, frame or not
+        assert len(seen) == 8, seen
 
     def test_memory_models_share_a_plan_key(self):
         """Every functional ``blocks`` context has the template

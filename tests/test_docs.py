@@ -48,3 +48,15 @@ def test_architecture_timing_share_matches_the_record():
         "docs/ARCHITECTURE.md should quote `timing_share` once, as "
         "%s%% from results/BENCH_engine.json; it quotes %s"
         % (expected, quoted))
+
+
+def test_architecture_generated_source_matches_the_record():
+    record, doc = record_and_architecture()
+    quoted = re.findall(
+        r"`cold\.fuser_source_bytes`[^%]*?\sreads\s+([\d,]+)\s+bytes",
+        doc)
+    expected = "{:,}".format(record["cold"]["fuser_source_bytes"])
+    assert quoted == [expected], (
+        "docs/ARCHITECTURE.md should quote `cold.fuser_source_bytes` "
+        "once, as %s bytes from results/BENCH_engine.json; it quotes %s"
+        % (expected, quoted))
