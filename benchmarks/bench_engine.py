@@ -141,7 +141,7 @@ print(time.perf_counter() - t0)
 SOURCE_FAMILIES = (("hardbound_word", ("ldhb_", "sthb_")),
                    ("plain_word", ("ldpl_", "stpl_")),
                    ("addsub_imm", ("addsubri",)),
-                   ("generic_memory", ("ldgen_", "stgen_")))
+                   ("handler", ("h_",)))
 
 #: ``_COLD_PASS`` with ``blocks._compile_fuser`` wrapped to tally the
 #: fusers it compiles and their source, each part's share by template

@@ -19,6 +19,8 @@ that call chain would dominate the whole simulation.
   HardBound run, its tag byte; a *shadow* entry is the 8-byte shadow
   address itself (between ``SHADOW_SPACE_BASE`` and 2**32); a
   *generic* entry, at or above 2**32, encodes address, size and kind.
+  :func:`charger` charges word and shadow entries at once through an
+  ``access`` instead (the classic model's ``logger``).
 * **The drain.**  :attr:`FastMemorySystem.drain` replays the log in
   one generated loop, compiled once per process for each cache
   geometry and tag mapping, with every counter and MRU cell in a
@@ -406,6 +408,20 @@ def _make_ways(size: int, assoc: int, block: int) -> list:
     num_sets = size // (assoc * block)
     _ilog2(num_sets)  # validate power of two
     return [-1] * (num_sets * assoc)
+
+
+def charger(access, tag: Optional[Tuple[int, int]] = None):
+    """``charge(entry)``: a word or shadow log entry charged at once
+    through ``access``, as the drain charges it under ``tag`` (the
+    4-byte word, then its tag byte; the 8-byte shadow access)."""
+    def charge(entry: int) -> None:
+        if entry < SHADOW_SPACE_BASE:
+            access(entry, 4, False, "data")
+            if tag is not None:
+                access(tag[0] + (entry >> tag[1]), 1, False, "tag")
+        else:
+            access(entry, 8, False, "shadow")
+    return charge
 
 
 def _make_access(append):

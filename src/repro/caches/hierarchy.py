@@ -20,6 +20,7 @@ that are peers of the L1 (Figure 4).
 from __future__ import annotations
 
 import dataclasses
+from typing import Optional, Tuple
 
 from repro.caches.cache import Cache
 from repro.caches.stats import AccessStats
@@ -92,6 +93,14 @@ class MemorySystem:
                     stall += self.params.l2_miss_penalty
         ks.stall_cycles += stall
         return stall
+
+    def logger(self, tag: Optional[Tuple[int, int]] = None):
+        """The block templates' log lines, charged through
+        :meth:`access` as they come (:func:`repro.caches.fast.charger`),
+        not at a drain: the legacy handlers call :meth:`access`
+        directly, and LRU state depends on the order of charges."""
+        from repro.caches.fast import charger  # fast imports this module
+        return charger(self.access, tag)
 
     def reset_stats(self) -> None:
         """Zero all counters (cache contents are kept warm)."""

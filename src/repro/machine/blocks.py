@@ -1,12 +1,13 @@
 """Instruction templates and the basic-block fusion engine.
 
-Every instruction's semantics is written once, here, as a *template*:
-a few lines of Python source with the instruction's operands as
-parameters.  ``legacy`` (:meth:`repro.machine.cpu.CPU._run_legacy`)
-stays the independent executable spec; each template mirrors its
-legacy handler — same statement order, same counter increments, same
-trap types and messages — and the engine differential suite and the
-fuzz oracle check the two against each other.
+Every instruction has a *template*: a few lines of Python source
+with the instruction's operands as parameters.  ``legacy``
+(:meth:`repro.machine.cpu.CPU._run_legacy`) stays the independent
+executable spec; each inline template mirrors its legacy handler —
+same statement order, same counter increments, same trap types and
+messages — and every other template is one call of that handler.
+The engine differential suite and the fuzz oracle check the two
+against each other.
 
 Both template-driven engines run *fusers*, generated functions that
 execute a run of instructions in one call, on one run loop
@@ -38,21 +39,21 @@ over straight-line runs:
    (see :mod:`repro.machine.memory`).  Every other address — globals,
    the other arena, unaligned words, faults — calls ``Memory.read`` /
    ``write``, the legacy handler's own entry points.  The charge is one
-   append to the :class:`~repro.caches.fast.FastMemorySystem` log
-   (:data:`~repro.caches.fast.LOG_WORD`: the word, plus its tag byte
-   in a HardBound run), and an uncompressed pointer appends its
-   shadow access (:data:`~repro.caches.fast.LOG_SHADOW`); the run
-   loop drains the log (see :func:`execute_blocks`), so a memory op
-   costs one line of generated source whatever the cache geometry.
-   Every other memory shape —
-   sub-word sizes, index-only and absolute forms, ablated or
-   substituted metadata engines, the classic timing model, observers,
-   the temporal tracker — fuses through the *generic* template, which
-   calls the env-bound engine entry points in the legacy handler's
-   order.
+   ``_lg`` line whatever the cache geometry:
+   :data:`~repro.caches.fast.LOG_WORD` (the word, plus its tag byte in
+   a HardBound run), and :data:`~repro.caches.fast.LOG_SHADOW` for an
+   uncompressed pointer.  ``_lg`` appends to the
+   :class:`~repro.caches.fast.FastMemorySystem` log the run loop
+   drains (see :func:`execute_blocks`), charges the classic model at
+   once, or is a functional run's no-op sink (see :func:`bind_env`),
+   so every run of a context shares its fusers.
 
-   A functional run binds the charge names to no-op sinks (see
-   :func:`bind_env`), so it shares its fusers with the fast-timed run.
+   Every instruction the inline templates do not cover compiles to
+   one call of its legacy handler: sub-word loads and stores,
+   index-only and absolute forms, memory ops of ablated or
+   substituted metadata engines, ``setbound`` and ``add``/``sub``
+   under an observer or the temporal tracker, and ``markfree``,
+   ``sbrk``, printing and ``halt``/``abort`` always.
 
 3. **Fusion plans** — CFG discovery and template selection depend
    only on the program and the template-selection context, so their
@@ -109,7 +110,6 @@ from repro.layout import (
 )
 from repro.machine.config import ENGINE_DECODED
 from repro.machine.errors import (
-    AbortError,
     BoundsError,
     DivideByZeroError,
     HaltSignal,
@@ -318,36 +318,24 @@ class _Part:
 class _FuseCtx:
     """Build-time facts that select and specialize templates.
 
-    ``fuse_hb_mem`` / ``fuse_plain_mem`` hold exactly when the inline
-    word templates apply: the stock metadata engine (or none), the
-    flat word views, no temporal tracker, no observer, and either no
-    timing model or the fast model's log.  Every other
-    configuration runs its memory ops through the generic template.
-    No fact tells a functional run from a fast-timed one.
-
-    The remaining facts specialize the generic memory, ``setbound``,
-    ``add``/``sub`` and ``markfree`` templates, which call the
-    env-bound engine entry points (observer, temporal tracker,
-    metadata engine, classic timing model) in the legacy handlers'
-    order, so the equivalence holds for every configuration, ablations
-    and substituted engines included.
+    ``inline_mem`` holds exactly when the inline word templates apply:
+    the stock metadata engine with paper-default knobs and a stock
+    encoding (or no engine), the flat word views, and nothing
+    ``watched`` — no observer, no temporal tracker.  Under
+    ``watched``, ``setbound`` and ``add``/``sub`` call their legacy
+    handlers too, which feed the observer and the tracker.  No fact
+    tells the timing models or a functional run apart: every run
+    charges through ``_lg`` (see :func:`bind_env`).
     """
 
-    __slots__ = ("observer_none", "full_mode", "fuse_hb_mem",
-                 "fuse_plain_mem", "hb_present", "inline_check",
-                 "use_words", "has_temporal", "comp_expr", "comp_tag")
+    __slots__ = ("full_mode", "hb", "inline_mem", "watched",
+                 "comp_expr", "comp_tag")
 
     def __init__(self, cpu):
-        hb, memory, memsys = cpu.hb, cpu.memory, cpu.memsys
-        self.observer_none = cpu.observer is None
+        hb, memory = cpu.hb, cpu.memory
         self.full_mode = cpu.full_mode
-        self.hb_present = hb is not None
-        self.has_temporal = cpu.temporal is not None
-        # word-view access needs native little-endian casts on the
-        # two arenas the word templates inline (true everywhere but
-        # big-endian hosts)
-        self.use_words = (memory.heap_cell[1] is not None
-                          and memory.stack_cell[1] is not None)
+        self.hb = hb is not None
+        self.watched = cpu.observer is not None or cpu.temporal is not None
         # splice the stock encodings' compressibility decision
         # straight into the metadata templates; subclassed encodings
         # get None and never take the inline word templates
@@ -358,27 +346,23 @@ class _FuseCtx:
                                                       "v", "mb", "mbd")
             if self.comp_expr is not None:
                 self.comp_tag = "_c" + type(hb.encoding).__name__
-        # the stock engine with paper-default knobs and a stock
-        # encoding is inlined into the word templates; ablations and
-        # substituted engines/encodings take the generic template
-        self.inline_check = (type(hb) is HardBoundEngine
-                             and not hb.check_uop
-                             and not hb.check_access_extent
-                             and self.comp_expr is not None)
-        # the inline word templates charge the fast model's log (or a
-        # sink); the classic model takes the generic template
-        mem_ok = (self.use_words and not self.has_temporal
-                  and self.observer_none
-                  and (memsys is None
-                       or isinstance(memsys, FastMemorySystem)))
-        self.fuse_hb_mem = mem_ok and self.inline_check
-        self.fuse_plain_mem = mem_ok and hb is None
+        # word-view access needs native little-endian casts on the
+        # two arenas the word templates inline (true everywhere but
+        # big-endian hosts); ablations and substituted engines or
+        # encodings call the legacy handlers
+        self.inline_mem = (memory.heap_cell[1] is not None
+                           and memory.stack_cell[1] is not None
+                           and not self.watched
+                           and (hb is None
+                                or (type(hb) is HardBoundEngine
+                                    and not hb.check_uop
+                                    and not hb.check_access_extent
+                                    and self.comp_expr is not None)))
 
     def key(self) -> tuple:
         """Everything template selection depends on (the plan key)."""
-        return (self.observer_none, self.full_mode, self.fuse_hb_mem,
-                self.fuse_plain_mem, self.hb_present, self.inline_check,
-                self.use_words, self.has_temporal, self.comp_tag)
+        return (self.full_mode, self.hb, self.inline_mem, self.watched,
+                self.comp_tag)
 
 
 # -- memory template fragments ----------------------------------------------
@@ -531,8 +515,8 @@ def _word_lines(load: bool, form: str, frame: bool, hb: bool,
         lines += _word_read_lines(frame)
     else:
         lines += _word_write_lines(frame)
-    # one append to the fast model's log, which charges the word
-    # (and, with HardBound, its tag byte) when it drains
+    # one charge of the word (and, with HardBound, its tag byte): an
+    # append to the fast model's log, or the classic model's charger
     lines.append(LOG_WORD)
     if hb:
         meta_lines = _load_meta_lines if load else _store_meta_lines
@@ -544,112 +528,37 @@ def _word_lines(load: bool, form: str, frame: bool, hb: bool,
     return tuple(lines)
 
 
-@functools.lru_cache(maxsize=None)
-def _generic_lines(load: bool, form: str, size: int, frame: bool,
-                   checked: bool, full: bool, temporal: bool,
-                   observe: bool, hb: bool) -> tuple:
-    """Lines of the generic load/store template."""
-    acc = "read" if load else "write"
-    lines = [_EA_LINES[form]]
-    if checked:
-        # _mem_check inlined: pick the guarding register (base
-        # preferred, index as fallback), exempt meta-less frame
-        # accesses, hand everything else to the engine's check
-        if form == "si":
-            lines += [
-                "if rbase[rs{i}] or rbound[rs{i}]:",
-                "    sv = value[rs{i}]",
-                "    b = rbase[rs{i}]",
-                "    bd = rbound[rs{i}]",
-                "elif rbase[rt{i}] or rbound[rt{i}]:",
-                "    sv = value[rt{i}]",
-                "    b = rbase[rt{i}]",
-                "    bd = rbound[rt{i}]",
-                "else:",
-                "    sv = value[rs{i}]",
-                "    b = rbase[rs{i}]",
-                "    bd = rbound[rs{i}]",
-            ]
-        else:
-            lines += ["sv = value[rs{i}]",
-                      "b = rbase[rs{i}]",
-                      "bd = rbound[rs{i}]"]
-        call = "_hbc(sv, b, bd, ea, %d, %r, %s)" % (size, acc, full)
-        if frame:
-            lines += ["if b or bd:", "    " + call]
-        else:
-            lines.append(call)
-    if temporal:
-        lines.append("_tc(ea, %d)" % size)
-    if load:
-        lines.append("v = _mr(ea, %d)" % size)
-    else:
-        lines += ["v = value[rd{i}]", "_mw(ea, %d, v)" % size]
-    lines.append("_da(ea, %d, %s, 'data')" % (size, not load))
-    if observe:
-        lines.append("_ob.on_mem(ea, %d, %s)" % (size, not load))
-    if load:
-        if hb and size == 4:
-            lines += ["b, bd = _hblw(ea, v)",
-                      "value[rd{i}] = v",
-                      "rbase[rd{i}] = b",
-                      "rbound[rd{i}] = bd"]
-        else:
-            if hb:
-                lines.append("_hbls(ea)")
-            lines += ["value[rd{i}] = v",
-                      "rbase[rd{i}] = 0",
-                      "rbound[rd{i}] = 0"]
-    elif hb:
-        if size == 4:
-            lines.append("_hbsw(ea, v, rbase[rd{i}], rbound[rd{i}])")
-        else:
-            lines.append("_hbss(ea)")
-    return tuple(lines)
+def _handler_part(instr, *_) -> _Part:
+    """One call of the instruction's legacy handler, ``_h_<op>(ins)``;
+    a trap it raises passes through the fuser frame, whose line map
+    attributes it to this instruction."""
+    op = instr.op.value
+    return _Part("h_" + op, [("ins", instr)], ["_h_%s(ins{i})" % op])
 
 
 def _mem_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
-    """``load``/``store``: the inline word template where the context
-    allows it (``fuse_hb_mem`` / ``fuse_plain_mem``), else the generic
-    one.
-
-    The generic template covers every other shape — sub-word sizes,
-    index-only and absolute forms, ablated or substituted metadata
-    engines, the classic timing model, observers and the temporal
-    tracker — by calling the env-bound entry points (``memory.read``,
-    ``memsys.access``, ``hb.check``, ``hb.load_word_meta``, ...) in the
-    legacy handler's statement order, with the constant branches (is
-    an engine attached? an observer? word or sub-word?) resolved at
-    template-build time.
-    """
+    """``load``/``store``: the inline word template for a word through
+    a base register where the context allows it (``inline_mem``),
+    else the legacy handler (sub-word sizes, index-only and absolute
+    forms, ablated or substituted metadata engines, observers, the
+    temporal tracker)."""
+    rs = instr.rs
+    if instr.size != 4 or rs is None or not ctx.inline_mem:
+        return _handler_part(instr)
     load = instr.op is Op.LOAD
     ld = "ld" if load else "st"
-    rs, size = instr.rs, instr.size
     ea_params, form = _ea(instr)
     params = [("rd", instr.rd)] + ea_params
     frame = rs in (REG_SP, REG_FP)
-    if size == 4 and rs is not None:
-        if ctx.fuse_hb_mem:
-            return _Part(
-                "%shb_%s%d%d%s" % (ld, form, frame, ctx.full_mode,
-                                   ctx.comp_tag),
-                params,
-                _word_lines(load, form, frame, True, ctx.full_mode,
-                            ctx.comp_expr))
-        if ctx.fuse_plain_mem:
-            return _Part("%spl_%s%d" % (ld, form, frame), params,
-                         _word_lines(load, form, frame, False, False, ""))
-    checked = ctx.hb_present and rs is not None
-    observe = not ctx.observer_none
-    shape = "%sgen_%s%d%d%d%d%d%d" % (
-        ld, form, size, frame, checked, ctx.full_mode, ctx.has_temporal,
-        observe)
-    if ctx.hb_present:
-        shape += "h"
-    return _Part(shape, params,
-                 _generic_lines(load, form, size, frame, checked,
-                                ctx.full_mode, ctx.has_temporal,
-                                observe, ctx.hb_present))
+    if ctx.hb:
+        return _Part(
+            "%shb_%s%d%d%s" % (ld, form, frame, ctx.full_mode,
+                               ctx.comp_tag),
+            params,
+            _word_lines(load, form, frame, True, ctx.full_mode,
+                        ctx.comp_expr))
+    return _Part("%spl_%s%d" % (ld, form, frame), params,
+                 _word_lines(load, form, frame, False, False, ""))
 
 
 def _mov_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
@@ -697,46 +606,36 @@ def _xchg_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
 
 def _addsub_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
     """Figure 3A/B ``add``/``sub``: the first input's bounds when it
-    has any, else the second's; an observer sees every result that
-    carries bounds.
+    has any, else the second's; the legacy handler when ``watched``,
+    whose observer sees every result that carries bounds.
 
     An immediate has no bounds, and an unbounded register's are
     (0, 0), so the immediate form copies the first input's bounds
     unconditionally: the same registers as the legacy handler's
     branch.
     """
+    if ctx.watched:
+        return _handler_part(instr)
     rd, rs, rt = instr.rd, instr.rs, instr.rt
-    observe = not ctx.observer_none
     if rt is None:
         k = instr.imm or 0
         if instr.op is Op.SUB:
             k = -k
-        lines = ["value[rd{i}] = (value[rs{i}] + k{i}) & " + _M32,
-                 "rbase[rd{i}] = rbase[rs{i}]",
-                 "rbound[rd{i}] = rbound[rs{i}]"]
-        if observe:
-            lines += ["if rbase[rd{i}] or rbound[rd{i}]:",
-                      "    _ob.on_pointer_arith(value[rd{i}])"]
-        return _Part("addsubri" + "o" * observe,
-                     [("rd", rd), ("rs", rs), ("k", k)], lines)
+        return _Part("addsubri", [("rd", rd), ("rs", rs), ("k", k)],
+                     ["value[rd{i}] = (value[rs{i}] + k{i}) & " + _M32,
+                      "rbase[rd{i}] = rbase[rs{i}]",
+                      "rbound[rd{i}] = rbound[rs{i}]"])
     sign = "-" if instr.op is Op.SUB else "+"
-    shape = "addsubrr" + sign
-    params = [("rd", rd), ("rs", rs), ("rt", rt)]
-    other = ["    rbase[rd{i}] = rbase[rt{i}]",
-             "    rbound[rd{i}] = rbound[rt{i}]"]
-    if observe:
-        other += ["    if rbase[rd{i}] or rbound[rd{i}]:",
-                  "        _ob.on_pointer_arith(v)"]
-    lines = ["v = (value[rs{i}] %s value[rt{i}]) & %s" % (sign, _M32),
-             "if rbase[rs{i}] or rbound[rs{i}]:",
-             "    value[rd{i}] = v",
-             "    rbase[rd{i}] = rbase[rs{i}]",
-             "    rbound[rd{i}] = rbound[rs{i}]"]
-    if observe:
-        shape += "o"
-        lines.append("    _ob.on_pointer_arith(v)")
-    lines += ["else:", "    value[rd{i}] = v"] + other
-    return _Part(shape, params, lines)
+    return _Part("addsubrr" + sign, [("rd", rd), ("rs", rs), ("rt", rt)],
+                 ["v = (value[rs{i}] %s value[rt{i}]) & %s" % (sign, _M32),
+                  "if rbase[rs{i}] or rbound[rs{i}]:",
+                  "    value[rd{i}] = v",
+                  "    rbase[rd{i}] = rbase[rs{i}]",
+                  "    rbound[rd{i}] = rbound[rs{i}]",
+                  "else:",
+                  "    value[rd{i}] = v",
+                  "    rbase[rd{i}] = rbase[rt{i}]",
+                  "    rbound[rd{i}] = rbound[rt{i}]"])
 
 
 def _cmp_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
@@ -861,7 +760,11 @@ def _setcode_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
 
 
 def _setbound_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
-    """``setbound``, the legacy handler line for line."""
+    """``setbound``, the legacy handler line for line; the handler
+    itself when ``watched`` (it feeds the temporal tracker and the
+    observer)."""
+    if ctx.watched:
+        return _handler_part(instr)
     params = [("rd", instr.rd), ("rs", instr.rs)]
     lines = ["v = value[rs{i}]"]
     if instr.rt is not None:
@@ -878,53 +781,9 @@ def _setbound_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
         "rbound[rd{i}] = (v + sz) & %s" % _M32,
         "_cpu.setbound_count += 1",
     ]
-    if ctx.hb_present:
+    if ctx.hb:
         lines.append("_hbs.setbound_uops += 1")
-    if ctx.has_temporal:
-        lines.append("_tmp.mark_allocated(v, (v + sz) & %s)" % _M32)
-    if not ctx.observer_none:
-        lines.append("_ob.on_setbound(v, sz)")
-    shape = "setbound_%s%d%d%d" % (form, ctx.hb_present,
-                                   ctx.has_temporal,
-                                   not ctx.observer_none)
-    return _Part(shape, params, lines)
-
-
-def _markfree_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
-    """``markfree``: poison the freed range for the temporal tracker,
-    a no-op without one."""
-    if not ctx.has_temporal:
-        return _Part("markfree0", [], ["pass"])
-    if instr.rt is not None:
-        shape, size, src = "markfree_r", ("rt", instr.rt), "value[rt{i}]"
-    else:
-        shape, size, src = "markfree_i", ("k", instr.imm or 0), "k{i}"
-    return _Part(shape, [("rs", instr.rs), size],
-                 ["v = value[rs{i}]",
-                  "sz = " + src,
-                  "if sz > 0:",
-                  "    _tmp.mark_freed(v, (v + sz) & %s)" % _M32])
-
-
-def _sbrk_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
-    return _Part("sbrk", [("rd", instr.rd), ("rs", instr.rs)],
-                 ["v = _sbrk(_tsg(value[rs{i}]))",
-                  "value[rd{i}] = v",
-                  "rbase[rd{i}] = 0",
-                  "rbound[rd{i}] = 0"])
-
-
-#: output ops: the text each one emits
-_EMITS = {
-    Op.PRINT: '"%d\\n" % _tsg(value[rs{i}])',
-    Op.PRINTC: "chr(value[rs{i}] & 255)",
-    Op.PRINTS: "_rcs(value[rs{i}])",
-}
-
-
-def _emit_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
-    return _Part(instr.op.value, [("rs", instr.rs)],
-                 ["_emit(%s)" % _EMITS[instr.op]])
+    return _Part("setbound_%s%d" % (form, ctx.hb), params, lines)
 
 
 def _jmp_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
@@ -973,47 +832,36 @@ def _callr_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
                  [("rs", instr.rs), ("r", (pc + 1) & MASK32)], lines)
 
 
-#: stop ops: the exception each one raises
-_STOPS = {Op.HALT: "_halt", Op.ABORT: "_abort"}
-
-
-def _stop_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
-    """``halt`` / ``abort`` with the register's signed value or the
-    immediate as the code."""
-    raise_ = "raise %s(" % _STOPS[instr.op]
-    if instr.rs is not None:
-        return _Part(instr.op.value + "_r", [("rs", instr.rs)],
-                     [raise_ + "_tsg(value[rs{i}]))"])
-    return _Part(instr.op.value + "_i", [("k", instr.imm or 0)],
-                 [raise_ + "k{i})"])
-
-
-#: opcode -> template builder ``(instr, pc, ctx) -> _Part``
+#: opcode -> template builder ``(instr, pc, ctx) -> _Part``; the rare
+#: environment and stop ops always call their legacy handlers
 _TEMPLATES = {
     Op.LOAD: _mem_part, Op.STORE: _mem_part,
     Op.MOV: _mov_part, Op.LEA: _lea_part, Op.XCHG: _xchg_part,
     Op.ADD: _addsub_part, Op.SUB: _addsub_part,
     Op.DIV: _divmod_part, Op.MOD: _divmod_part,
     Op.SETCODE: _setcode_part, Op.SETBOUND: _setbound_part,
-    Op.MARKFREE: _markfree_part, Op.SBRK: _sbrk_part,
     Op.JMP: _jmp_part, Op.BEQZ: _branch_part, Op.BNEZ: _branch_part,
     Op.CALL: _call_part, Op.CALLR: _callr_part, Op.RET: _ret_part,
-    Op.HALT: _stop_part, Op.ABORT: _stop_part,
 }
 _TEMPLATES.update(dict.fromkeys(_CMP_RR, _cmp_part))
 _TEMPLATES.update(dict.fromkeys(_NP_RR_EXPR, _nonprop_part))
 _TEMPLATES.update(dict.fromkeys(_UNARY, _unary_part))
-_TEMPLATES.update(dict.fromkeys(_EMITS, _emit_part))
+_TEMPLATES.update(dict.fromkeys(
+    (Op.MARKFREE, Op.SBRK, Op.PRINT, Op.PRINTC, Op.PRINTS, Op.HALT,
+     Op.ABORT), _handler_part))
 
 
 def _template_part(instr, pc: int, ctx: _FuseCtx) -> _Part:
     """The template for the instruction at ``pc``.
 
     Every template mirrors its legacy ``CPU._op_*`` handler (same
-    statement order, same counter increments, same trap types); the
-    engine differential suite and the fuzz oracle check the
-    equivalence.  A part's parameter names carry no block offset: the
-    fuser compiler appends it, as it formats ``{i}`` in the lines.
+    statement order, same counter increments, same trap types), or is
+    one call of it; the engine differential suite and the fuzz oracle
+    check the equivalence.  Control flow never calls its handler:
+    legacy ``call``/``callr`` link from ``cpu.pc``, which a fuser does
+    not keep current.  A part's parameter names carry no block
+    offset: the fuser compiler appends it, as it formats ``{i}`` in
+    the lines.
     """
     return _TEMPLATES[instr.op](instr, pc, ctx)
 
@@ -1044,22 +892,12 @@ def _record(start: int, parts: List[_Part]) -> tuple:
             [value for part in parts for _, value in part.params])
 
 
-#: shared names bound to the same object in every run: the trap and
-#: stop constructors the templates raise and ``to_signed``
-_ENV_CONSTANTS = {
-    "_icpe": InvalidCodePointerError, "_be": BoundsError,
-    "_npe": NonPointerError, "_dbz": DivideByZeroError, "_halt": HaltSignal,
-    "_abort": AbortError, "_tsg": to_signed,
-}
-
 #: a functional run's ``_lg``: a C-level append to a deque that keeps
 #: nothing, so an inline word template's charge line costs one call
 _NO_LOG = collections.deque(maxlen=0).append
 
-
-def _no_access(addr: int, size: int, write: bool, kind: str) -> None:
-    """A functional run's ``_da``: the generic templates' charge."""
-
+#: every opcode and the shared name of its legacy handler
+_HANDLER_NAMES = tuple((op, "_h_" + op.value) for op in Op)
 
 #: the shared names in template source: the register arrays and every
 #: name that begins with ``_`` (template locals and operand parameters
@@ -1073,16 +911,13 @@ def bind_env(cpu, ctx: _FuseCtx) -> dict:
     Every fuser of a run, block or one-instruction, binds its shared
     names from this one map, so all of them share the *same* timing
     log, counter cells and memory arena cells.  Besides the register
-    arrays, arenas and metadata tables the inline templates touch,
-    the map holds every entry point the generic templates call in the
-    legacy handlers' order.  The charges ``_da`` (the model's
-    ``access``) and ``_lg`` (the fast model's log) go to no-op sinks
-    in a functional run, so its templates are the timed run's.  Any
-    other name whose engine this run lacks (metadata engine, temporal
-    tracker, ``_lg`` under the classic model) is left out: ``ctx``
-    never selects a template that references it, and binding one
-    would fail loudly.  ``ctx`` also decides what the fast model's
-    word entries charge.
+    arrays, arenas and metadata tables the inline templates touch, the
+    map holds every legacy handler as ``_h_<op>``.  The charge ``_lg``
+    is the timing model's ``logger``, or a no-op sink in a functional
+    run, so every run of a context shares its templates; ``ctx``
+    decides what a word entry charges.  A run without a metadata
+    engine leaves its names out: ``ctx`` never selects a template
+    that references them.
     """
     regs, memory, memsys = cpu.regs, cpu.memory, cpu.memsys
     env = {
@@ -1095,32 +930,24 @@ def bind_env(cpu, ctx: _FuseCtx) -> dict:
         # goes through ``_mr`` / ``_mw``
         "_mem": memory, "_heap": memory.heap_cell,
         "_stk": memory.stack_cell, "_sb": memory.stack_base,
-        "_sbrk": memory.sbrk, "_mr": memory.read, "_mw": memory.write,
-        "_rcs": memory.read_cstring, "_emit": cpu._emit,
-        "_ob": cpu.observer,
+        "_mr": memory.read, "_mw": memory.write,
+        # the trap constructors the templates raise
+        "_icpe": InvalidCodePointerError, "_be": BoundsError,
+        "_npe": NonPointerError, "_dbz": DivideByZeroError,
     }
-    env.update(_ENV_CONSTANTS)
-    if cpu.temporal is not None:
-        env["_tmp"] = cpu.temporal
-        env["_tc"] = cpu.temporal.check
+    dispatch = cpu._dispatch
+    env.update({name: dispatch[op] for op, name in _HANDLER_NAMES})
     hb = cpu.hb
     if hb is not None:
         meta = hb.meta._meta
         env.update(_hbs=hb.stats, _meta=meta, _mg=meta.get,
-                   _mp=meta.pop, _hbc=hb.check,
-                   _hblw=hb.load_word_meta, _hbls=hb.load_sub_meta,
-                   _hbsw=hb.store_word_meta, _hbss=hb.store_sub_meta)
-    env["_da"] = _no_access if memsys is None else memsys.access
-    # the inline word templates append to the fast model's log: a
-    # HardBound word entry charges the word and its tag byte, a plain
-    # one the word alone
-    if memsys is None:
-        env["_lg"] = _NO_LOG
-    elif isinstance(memsys, FastMemorySystem):
-        env["_lg"] = memsys.logger(
-            None if not ctx.inline_check
-            else (TAG4_BASE, TAG4_SHIFT) if hb.encoding.tag_bits == 4
-            else (TAG1_BASE, TAG1_SHIFT))
+                   _mp=meta.pop)
+    # a HardBound word entry charges the word and its tag byte, a
+    # plain one the word alone
+    env["_lg"] = _NO_LOG if memsys is None else memsys.logger(
+        None if not (ctx.hb and ctx.inline_mem)
+        else (TAG4_BASE, TAG4_SHIFT) if hb.encoding.tag_bits == 4
+        else (TAG1_BASE, TAG1_SHIFT))
     return env
 
 

@@ -102,7 +102,6 @@ class MachineConfig:
     stack_size: int = STACK_SIZE
     max_instructions: int = 200_000_000
     capture_output: bool = True
-    echo_output: bool = False
     #: Section 6.2 temporal extension: track freed heap words via the
     #: ``markfree`` hint and trap use-after-free / double-free.
     temporal: bool = False

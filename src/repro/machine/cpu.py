@@ -697,8 +697,6 @@ class CPU:
     def _emit(self, text: str) -> None:
         if self.config.capture_output:
             self.output.append(text)
-        if self.config.echo_output:
-            print(text, end="")
 
     def _op_print(self, instr) -> None:
         self._emit("%d\n" % to_signed(self.regs.value[instr.rs]))

@@ -2,8 +2,10 @@
 
 Random access streams (including tiny caches that force constant
 aliasing and eviction, spanning accesses, and the log entries the
-block templates append) are replayed against both models and every
-statistic is compared — across an associativity/size sweep, since the
+block templates append, fed through each model's ``logger``) are
+replayed against both models and every statistic is compared, also
+against the classic model charged access by access — across an
+associativity/size sweep, since the
 fast model's generated drain unrolls its way scans for ``assoc <= 4``
 and takes a distinct bounded-scan path above that.  The drain's
 known-front facts (TLB front sets, hot granules, the composite cell)
@@ -53,37 +55,57 @@ def replay(params, stream):
     return classic, fast
 
 
+def log_lines(model, tag):
+    """The exported log lines compiled over ``model.logger(tag)``:
+    ``(word(ea), shadow(key))``."""
+    namespace = {"_lg": model.logger(tag)}
+    exec("def word(ea):\n    %s\ndef shadow(key):\n    %s"
+         % (LOG_WORD, LOG_SHADOW), namespace)
+    return namespace["word"], namespace["shadow"]
+
+
 class Logged:
-    """A fast model fed the way the block templates feed it: the
-    exported log lines compiled over its ``logger``, next to the
-    classic model charged access by access."""
+    """The fast model and the classic one fed the way the block
+    templates feed them, the exported log lines compiled over each
+    model's ``logger``, next to a classic model charged access by
+    access."""
 
     def __init__(self, params, tag=TAG1):
-        self.tag = tag
         self.classic = MemorySystem(params)
         self.fast = FastMemorySystem(params)
-        namespace = {"_lg": self.fast.logger(tag)}
-        exec("def word(ea):\n    %s\ndef shadow(key):\n    %s"
-             % (LOG_WORD, LOG_SHADOW), namespace)
-        self._word, self._shadow = namespace["word"], namespace["shadow"]
+        self.logged = MemorySystem(params)
+        self.remap(tag)
+
+    def remap(self, tag):
+        """Feed the logged models under another tag mapping."""
+        self.tag = tag
+        self._lines = [log_lines(model, tag)
+                       for model in (self.fast, self.logged)]
 
     def word(self, addr):
         self.classic.access(addr, 4, False, "data")
         if self.tag is not None:
             base, shift = self.tag
             self.classic.access(base + (addr >> shift), 1, False, "tag")
-        self._word(addr)
+        for word, _ in self._lines:
+            word(addr)
 
     def shadow(self, addr):
         self.classic.access(shadow_base_addr(addr), 8, False, "shadow")
-        self._shadow(addr & ~3)
+        for _, shadow in self._lines:
+            shadow(addr & ~3)
 
     def access(self, addr, size, kind):
-        self.classic.access(addr, size, False, kind)
-        self.fast.access(addr, size, False, kind)
+        for model in (self.classic, self.fast, self.logged):
+            model.access(addr, size, False, kind)
+
+    def reset_stats(self):
+        for model in (self.classic, self.fast, self.logged):
+            model.reset_stats()
 
     def check(self):
         assert_same_stats(self.classic, self.fast)
+        assert self.logged.stats.as_dict() == self.classic.stats.as_dict()
 
 
 def random_stream(rng, n, addr_space, kinds=KINDS):
@@ -413,8 +435,7 @@ class TestKnownFront:
         model = Logged(ONE_SET, TAG1)
         model.word(0x10000)
         model.word(0x10000)
-        model.tag = TAG4
-        model.fast.logger(TAG4)
+        model.remap(TAG4)
         model.word(0x10000)
         model.check()
 
@@ -468,8 +489,7 @@ class TestKnownFront:
         for addr in (0x10000, 0x10400, 0x10000):
             model.word(addr)
         model.check()
-        model.classic.reset_stats()
-        model.fast.reset_stats()
+        model.reset_stats()
         for addr in (0x10400, 0x10000):
             model.word(addr)
         model.check()
@@ -518,8 +538,7 @@ class TestInterface:
         for _ in range(2):
             model.access(4096, 4, "data")
             model.word(8192)
-            model.classic.reset_stats()
-            model.fast.reset_stats()
+            model.reset_stats()
         model.access(4096, 4, "data")
         model.word(8192)
         model.check()

@@ -4,8 +4,8 @@ The blocks engine must be bit-identical to the other engines on every
 exit path — including traps raised mid-block, control transfers into
 the middle of a block, and instruction limits that would fire inside
 one.  The full-registry sweep at the bottom closes the equivalence
-chain over all nine Olden workloads (``blocks`` vs ``decoded`` here;
-both vs ``legacy`` in ``test_engine_differential``).
+chain over all nine Olden workloads (``blocks`` vs ``decoded`` vs
+``legacy``, timed).
 """
 
 import pytest
@@ -620,7 +620,7 @@ class TestFullCoverageTemplates:
 
     @pytest.mark.parametrize("timing", (False, True))
     def test_subword_traffic_identical(self, timing):
-        """Byte/halfword traffic through the fused generic templates
+        """Byte/halfword traffic through the fused handler calls
         matches every engine, stats included."""
         source = """
         int main() {
@@ -814,7 +814,7 @@ class TestFirstDispatchCompile:
         one fusion plan and one set of fusers, in either order: the
         second run compiles nothing.  The program takes the inline
         word templates (with a shadow charge under HardBound) and the
-        generic sub-word one."""
+        sub-word handler calls."""
         import weakref
 
         import repro.machine.blocks as blocks_mod
@@ -944,20 +944,22 @@ class TestTemplateCoverage:
                 if instr.op not in (Op.LOAD, Op.STORE):
                     continue
                 part = blocks_mod._template_part(instr, pc, ctx)
-                if "gen_" in part.shape:
+                if part.shape.startswith("h_"):
                     continue
                 views = [view for view in ("_heap[1]", "_stk[1]")
                          if any(view in line for line in part.lines)]
                 frame = instr.rs in (REG_SP, REG_FP)
                 assert views == ["_stk[1]" if frame else "_heap[1]"], (
                     label, part.shape)
-                seen.add((instr.op, ctx.hb_present, frame))
+                seen.add((instr.op, ctx.hb, frame))
         # loads and stores, plain and HardBound, frame or not
         assert len(seen) == 8, seen
 
     def test_memory_models_share_a_plan_key(self):
         """Every functional ``blocks`` context has the template
-        selection key of its fast-timed twin."""
+        selection key of its fast-timed ``blocks`` twin and of its
+        classic-timed ``decoded`` twin: template selection depends on
+        no timing model."""
         import repro.machine.blocks as blocks_mod
         program = assemble(EVERY_OP)
         keys = {}
@@ -969,8 +971,9 @@ class TestTemplateCoverage:
                       if label.endswith("blocks timing=False")]
         assert len(functional) == 12
         for label in functional:
-            timed = label.replace("timing=False", "timing=True")
-            assert keys[label] == keys[timed], label
+            for twin in ("blocks timing=True", "decoded timing=True"):
+                timed = label.replace("blocks timing=False", twin)
+                assert keys[label] == keys[timed], (label, twin)
 
 
 class TestInlineCompressibleExpr:
@@ -1012,19 +1015,21 @@ class TestInlineCompressibleExpr:
 class TestFullRegistryEquivalence:
     """Acceptance: bit-identity on the full Olden registry.
 
-    ``blocks`` vs ``decoded`` here on every workload, timed, so
-    cache/TLB counters are in play — and since ``blocks`` runs the
-    fast memory model and ``decoded`` the classic one, this also
-    proves the two models counter-identical on every workload.
-    ``blocks``/``decoded`` vs ``legacy`` on the sampled workloads plus
-    every trap scenario in ``test_engine_differential`` close the
-    chain to the reference interpreter.
+    ``blocks`` vs ``decoded`` vs ``legacy`` here on every workload,
+    timed, so cache/TLB counters are in play.  ``blocks`` and
+    ``decoded`` run the same templates, on the fast and the classic
+    memory model, so their pair checks fusion and proves the two
+    models counter-identical on one access stream; ``legacy``, on the
+    classic model, checks that the templates charge in the legacy
+    handlers' order.  Every trap scenario in
+    ``test_engine_differential`` closes the chain to the reference
+    interpreter.
     """
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_blocks_matches_decoded_timed(self, name):
         snaps = {}
-        for engine in ("decoded", "blocks"):
+        for engine in ENGINES:
             config = MachineConfig.hardbound(engine=engine,
                                              retain_cpu=True)
             r = run_workload(name, config)
@@ -1033,7 +1038,7 @@ class TestFullRegistryEquivalence:
                 r.stall_cycles, r.cycles, r.setbound_uops,
                 r.hb_stats.as_dict(), r.mem_stats.as_dict(),
                 r.cpu.memory.nonzero_pages())
-        assert snaps["blocks"] == snaps["decoded"]
+        assert snaps["blocks"] == snaps["decoded"] == snaps["legacy"]
 
     def test_plain_core_matches_decoded_timed(self):
         for name in ("em3d", "health"):

@@ -278,6 +278,35 @@ class TestTrapEquivalence:
         for engine in NEW_ENGINES:
             assert traps[engine] == traps["legacy"]
 
+    @pytest.mark.parametrize("mode_fn", (MachineConfig.plain,
+                                         MachineConfig.hardbound),
+                             ids=("plain", "hardbound"))
+    def test_subword_fault_mid_block_identical(self, mode_fn):
+        """A byte store past the heap break, in the middle of a block,
+        faults inside its legacy handler: the same trap, pc, count and
+        memory-system counters on every engine."""
+        from repro.isa import assemble
+        program = assemble("""
+        main:
+            mov r1, 64
+            sbrk r1
+            setbound r2, r1, 128
+            mov r3, 7
+            storeb [r2 + 100], r3
+            add r4, r3, 1
+            halt 0
+        """)
+        traps = {}
+        for engine in ENGINES:
+            cpu = CPU(program, mode_fn(engine=engine))
+            with pytest.raises(MemoryFault) as exc:
+                cpu.run()
+            traps[engine] = (str(exc.value), exc.value.pc, cpu.icount,
+                             cpu.pc, cpu.memsys.stats.as_dict())
+        assert traps["legacy"][1] == 4
+        for engine in NEW_ENGINES:
+            assert traps[engine] == traps["legacy"]
+
     def test_bad_return_identical(self):
         """The fused ret template raises the same code-pointer trap."""
         from repro.isa import assemble
@@ -323,10 +352,13 @@ class TestTemporalEquivalence:
         for engine in NEW_ENGINES:
             assert traps[engine] == traps["legacy"]
 
+    @pytest.mark.parametrize("timing", (False, True))
     @pytest.mark.parametrize("size", ("r3", "16"))
-    def test_markfree_forms_identical(self, size):
+    def test_markfree_forms_identical(self, size, timing):
         """``markfree`` with a register or an immediate size poisons
-        the same range on every engine."""
+        the same range on every engine, and the load's trap, raised
+        inside its legacy handler mid-block, leaves the same state
+        under either timing model."""
         from repro.isa import assemble
         from repro.machine.errors import UseAfterFreeError
         program = assemble("""
@@ -335,6 +367,7 @@ class TestTemporalEquivalence:
             sbrk r1
             setbound r2, r1, 16
             mov r3, 16
+            store [r2 + 4], r3
             markfree r2, %s
             load r4, [r2 + 4]
             halt 0
@@ -342,9 +375,11 @@ class TestTemporalEquivalence:
         traps = {}
         for engine in ENGINES:
             cpu = CPU(program, MachineConfig.hardbound(
-                timing=False, temporal=True, engine=engine))
+                timing=timing, temporal=True, engine=engine))
             with pytest.raises(UseAfterFreeError) as exc:
                 cpu.run()
-            traps[engine] = (str(exc.value), exc.value.pc, cpu.icount)
+            stats = cpu.memsys.stats.as_dict() if timing else None
+            traps[engine] = (str(exc.value), exc.value.pc, cpu.icount,
+                             cpu.pc, stats)
         for engine in NEW_ENGINES:
             assert traps[engine] == traps["legacy"]

@@ -60,3 +60,14 @@ def test_architecture_generated_source_matches_the_record():
         "docs/ARCHITECTURE.md should quote `cold.fuser_source_bytes` "
         "once, as %s bytes from results/BENCH_engine.json; it quotes %s"
         % (expected, quoted))
+
+
+def test_architecture_service_ratio_matches_the_record():
+    record, doc = record_and_architecture()
+    quoted = re.findall(
+        r"`service_warm_vs_cold\.ratio`[^`]*?\sreads\s+(\d+\.\d+)x", doc)
+    expected = "%.2f" % record["service_warm_vs_cold"]["ratio"]
+    assert quoted == [expected], (
+        "docs/ARCHITECTURE.md should quote `service_warm_vs_cold.ratio` "
+        "once, as %sx from results/BENCH_engine.json; it quotes %s"
+        % (expected, quoted))
