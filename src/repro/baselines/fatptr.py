@@ -12,9 +12,8 @@ track exactly the per-pointer bounds):
 * every bounds check costs :data:`CHECK_UOPS` explicit µops (two
   compares and a branch, CCured's ``CHECK_SEQ``);
 * every pointer load/store moves two extra metadata words through the
-  regular cache hierarchy (SoftBound-style disjoint table at
-  ``SOFT_SHADOW_BASE``, which keeps struct layout intact — the paper
-  notes CCured's own inline layout is strictly less compatible);
+  regular cache hierarchy: the fat pointer's inline base/bound, charged
+  as the double word adjacent to the pointer (``addr + WORD``);
 * every ``setbound`` costs :data:`SETBOUND_EXTRA_UOPS` extra µops to
   materialize the metadata in software registers;
 * there is no tag space and no hardware compression — pointer-ness is

@@ -39,7 +39,7 @@ import dataclasses
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.isa.assembler import assemble
-from repro.layout import PAGE_SHIFT, STACK_SIZE, STACK_TOP
+from repro.layout import PAGE_SHIFT, STACK_BASE
 from repro.machine.config import MachineConfig
 from repro.machine.cpu import CPU
 from repro.machine.errors import InstructionLimitExceeded, Trap
@@ -49,7 +49,7 @@ ENGINES = ("legacy", "decoded", "blocks")
 
 #: first page of the stack region; pages at or above it hold dead
 #: call residue and are excluded from optimize-pair comparisons
-STACK_PAGE = (STACK_TOP - STACK_SIZE) >> PAGE_SHIFT
+STACK_PAGE = STACK_BASE >> PAGE_SHIFT
 
 
 @dataclasses.dataclass

@@ -48,7 +48,6 @@ from repro.machine.config import (
 from repro.obs.events import EventLog
 # re-exported: every cell key reads it through this module
 from repro.obs.manifest import code_digest
-from repro.obs.metrics import REGISTRY
 from repro.workloads.registry import WORKLOADS
 
 #: environment knob: workers append their obs JSONL event streams to
@@ -192,18 +191,13 @@ def _sweep_cache_summary(cache: Optional[ResultCache],
                          before: Dict[str, int]) -> Dict[str, int]:
     """One sweep's cache traffic: delta vs. the pre-sweep snapshot.
 
-    The deltas also feed the process-wide obs metrics registry
-    (``harness.cache.*``), so long-lived callers can diff registry
-    snapshots across sweeps, and — when ``REPRO_OBS`` streams this
-    sweep — land as a ``sweep_summary`` event after the workers'
-    run events.
+    When ``REPRO_OBS`` streams this sweep, the deltas land as a
+    ``sweep_summary`` event after the workers' run events.
     """
     if cache is None:
         return {"hits": 0, "misses": 0, "writes": 0}
     summary = {name: count - before.get(name, 0)
                for name, count in cache.stats().items()}
-    for name, count in summary.items():
-        REGISTRY.inc("harness.cache.%s" % name, count)
     path = os.environ.get(OBS_ENV)
     if path:
         log = EventLog(path)

@@ -10,7 +10,7 @@ lets programs store them in data memory safely.
 
 from __future__ import annotations
 
-from repro.isa.opcodes import Op, reg_name
+from repro.isa.opcodes import reg_name
 
 
 class Instruction:
@@ -59,20 +59,6 @@ class Instruction:
         self.label = label
 
     # -- convenience -----------------------------------------------------
-
-    def is_memory(self) -> bool:
-        """True for LOAD/STORE."""
-        return self.op is Op.LOAD or self.op is Op.STORE
-
-    def has_base_register(self) -> bool:
-        """True when the memory operand uses a base register.
-
-        Absolute-addressed accesses (``load rd, [0x1234]``) have no
-        base register; they model a compiler-generated direct access to
-        a statically-sized object and are exempt from the non-pointer
-        check (the compiler proved them safe, Section 3.2).
-        """
-        return self.rs is not None
 
     def mem_operand_str(self) -> str:
         """Render the memory operand as ``[rs + rt*scale + disp]``."""

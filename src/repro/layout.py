@@ -28,8 +28,8 @@ HEAP_BASE = 0x0100_0000
 #: Stack top; the stack grows downward from here.
 STACK_TOP = 0x0800_0000
 
-#: Default stack reservation (for bounding ``sp`` at program start).
-STACK_SIZE = 0x0010_0000
+#: Bottom of the fixed 1 MB stack reservation ``[STACK_BASE, STACK_TOP)``.
+STACK_BASE = STACK_TOP - 0x0010_0000
 
 #: Base of the interleaved base/bound shadow space (Section 4.1):
 #: ``base(a)  = SHADOW_SPACE_BASE + a*2``
@@ -41,14 +41,6 @@ TAG1_BASE = 0x8000_0000
 
 #: 4-bit-per-word external compressed tag space (Section 4.3).
 TAG4_BASE = 0x9000_0000
-
-#: Validity bitmap used only by the red-zone tripwire baseline.
-REDZONE_BITMAP_BASE = 0xA000_0000
-
-#: Disjoint metadata table used only by the software fat-pointer
-#: (CCured/SoftBound-style) baseline; laid out like the hardware shadow
-#: space but accessed by *explicit* instructions.
-SOFT_SHADOW_BASE = 0xB000_0000
 
 
 def shadow_base_addr(addr: int) -> int:
@@ -83,11 +75,6 @@ def tag4_addr(addr: int) -> int:
     One nibble per word: one tag byte covers 8 bytes of data.
     """
     return TAG4_BASE + (addr >> TAG4_SHIFT)
-
-
-def page_of(addr: int) -> int:
-    """Page number containing ``addr``."""
-    return addr >> PAGE_SHIFT
 
 
 def to_signed(value: int) -> int:

@@ -101,6 +101,7 @@ from repro.layout import (
     HEAP_BASE,
     MASK32,
     MAXINT,
+    STACK_BASE,
     STACK_TOP,
     TAG1_BASE,
     TAG1_SHIFT,
@@ -375,8 +376,8 @@ class _FuseCtx:
 
 #: per operand form (``frame``: an ``sp``/``fp`` base), the predicted
 #: arena's test for an aligned, mapped word and its word-view element.
-#: The test is ``Memory.check_mapped``'s compare for that segment, so
-#: an address that passes it is mapped and inside the arena's buffer.
+#: The test is ``Memory``'s segment compare for that arena, so an
+#: address that passes it is mapped and inside the arena's buffer.
 _ARENAS = {
     False: ("if %d <= ea and ea + 4 <= _mem.brk and not ea & 3:"
             % HEAP_BASE, "_heap[1][(ea - %d) >> 2]" % HEAP_BASE),
@@ -896,13 +897,22 @@ def _record(start: int, parts: List[_Part]) -> tuple:
 #: nothing, so an inline word template's charge line costs one call
 _NO_LOG = collections.deque(maxlen=0).append
 
-#: every opcode and the shared name of its legacy handler
-_HANDLER_NAMES = tuple((op, "_h_" + op.value) for op in Op)
-
 #: the shared names in template source: the register arrays and every
 #: name that begins with ``_`` (template locals and operand parameters
 #: never do)
 _ENV_NAME = re.compile(r"\b(?:value|rbase|rbound|_\w+)\b")
+
+
+class _Env(dict):
+    """A run's shared-name map.  A legacy handler ``_h_<op>`` is
+    bound from the CPU's dispatch table the first time a fuser asks
+    for it: a run's fusers call a handful of the opcodes' handlers."""
+
+    __slots__ = ("dispatch",)
+
+    def __missing__(self, name: str):
+        handler = self[name] = self.dispatch[Op(name[3:])]
+        return handler
 
 
 def bind_env(cpu, ctx: _FuseCtx) -> dict:
@@ -912,7 +922,7 @@ def bind_env(cpu, ctx: _FuseCtx) -> dict:
     names from this one map, so all of them share the *same* timing
     log, counter cells and memory arena cells.  Besides the register
     arrays, arenas and metadata tables the inline templates touch, the
-    map holds every legacy handler as ``_h_<op>``.  The charge ``_lg``
+    map resolves each legacy handler as ``_h_<op>``.  The charge ``_lg``
     is the timing model's ``logger``, or a no-op sink in a functional
     run, so every run of a context shares its templates; ``ctx``
     decides what a word entry charges.  A run without a metadata
@@ -920,7 +930,7 @@ def bind_env(cpu, ctx: _FuseCtx) -> dict:
     that references them.
     """
     regs, memory, memsys = cpu.regs, cpu.memory, cpu.memsys
-    env = {
+    env = _Env({
         "value": regs.value, "rbase": regs.base, "rbound": regs.bound,
         "_n": len(cpu.program.instrs), "_cpu": cpu,
         # the word templates' inline arenas: the heap and stack cells
@@ -929,14 +939,13 @@ def bind_env(cpu, ctx: _FuseCtx) -> dict:
         # templates re-read it from ``_mem``); every other address
         # goes through ``_mr`` / ``_mw``
         "_mem": memory, "_heap": memory.heap_cell,
-        "_stk": memory.stack_cell, "_sb": memory.stack_base,
+        "_stk": memory.stack_cell, "_sb": STACK_BASE,
         "_mr": memory.read, "_mw": memory.write,
         # the trap constructors the templates raise
         "_icpe": InvalidCodePointerError, "_be": BoundsError,
         "_npe": NonPointerError, "_dbz": DivideByZeroError,
-    }
-    dispatch = cpu._dispatch
-    env.update({name: dispatch[op] for op, name in _HANDLER_NAMES})
+    })
+    env.dispatch = cpu._dispatch
     hb = cpu.hb
     if hb is not None:
         meta = hb.meta._meta

@@ -5,8 +5,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 
-from repro.layout import STACK_SIZE
-
 #: Execution-engine names accepted by :attr:`MachineConfig.engine`.
 ENGINE_DECODED = "decoded"
 ENGINE_LEGACY = "legacy"
@@ -99,9 +97,7 @@ class MachineConfig:
     obs_events: object = None
     obs_label: str = ""
     retain_cpu: bool = False
-    stack_size: int = STACK_SIZE
     max_instructions: int = 200_000_000
-    capture_output: bool = True
     #: Section 6.2 temporal extension: track freed heap words via the
     #: ``markfree`` hint and trap use-after-free / double-free.
     temporal: bool = False

@@ -27,7 +27,6 @@ from repro.hardbound.engine import HardBoundEngine
 from repro.isa.opcodes import Op, REG_FP, REG_RA, REG_SP
 from repro.isa.program import Program
 from repro.layout import (
-    GLOBAL_BASE,
     MASK32,
     MAXINT,
     STACK_TOP,
@@ -158,7 +157,7 @@ class CPU:
         self.program = program
         self.config = config or MachineConfig()
         self.regs = RegisterFile()
-        self.memory = Memory(self.config.stack_size)
+        self.memory = Memory()
         self.memory.load_image(program.data_image)
         self.output: List[str] = []
         self.icount = 0
@@ -694,18 +693,15 @@ class CPU:
         regs.value[instr.rd] = old
         regs.clear_meta(instr.rd)
 
-    def _emit(self, text: str) -> None:
-        if self.config.capture_output:
-            self.output.append(text)
-
     def _op_print(self, instr) -> None:
-        self._emit("%d\n" % to_signed(self.regs.value[instr.rs]))
+        self.output.append("%d\n" % to_signed(self.regs.value[instr.rs]))
 
     def _op_printc(self, instr) -> None:
-        self._emit(chr(self.regs.value[instr.rs] & 0xFF))
+        self.output.append(chr(self.regs.value[instr.rs] & 0xFF))
 
     def _op_prints(self, instr) -> None:
-        self._emit(self.memory.read_cstring(self.regs.value[instr.rs]))
+        self.output.append(
+            self.memory.read_cstring(self.regs.value[instr.rs]))
 
     def _op_halt(self, instr) -> None:
         if instr.rs is not None:

@@ -133,21 +133,6 @@ class AbortError(Trap):
         self.code = code
 
 
-class SoftwareCheckError(Trap):
-    """A *software* bounds check failed (baseline instrumentation).
-
-    Raised via ``abort`` codes by the software-checking baselines so
-    that tests can distinguish software detection from the HardBound
-    hardware trap.
-    """
-
-    kind = "software-check"
-
-    def __init__(self, code: int, pc: Optional[int] = None):
-        super().__init__("software bounds check failed (code %d)" % code, pc)
-        self.code = code
-
-
 class InstructionLimitExceeded(SimError):
     """The configured instruction budget ran out (runaway program)."""
 

@@ -50,6 +50,3 @@ class MetadataStore:
     def pointer_count(self) -> int:
         """Number of pointer-tagged words currently in memory."""
         return len(self._meta)
-
-    def clear_all(self) -> None:
-        self._meta.clear()

@@ -1,4 +1,4 @@
-"""Run-level observability: counters, phase timers, event traces.
+"""Run-level observability: phase timers, event traces, manifests.
 
 The simulator's engine ladder is fast enough that the next regressions
 will be *silent* — a cold fusion-plan cache or a probe-shape miss
@@ -7,8 +7,6 @@ introspection substrate that makes such regressions attributable after
 the fact:
 
 ``repro.obs.metrics``
-    A process-wide :class:`~repro.obs.metrics.MetricsRegistry` of
-    cheap always-on counters with snapshot/diff semantics, plus
     :class:`~repro.obs.metrics.PhaseTimers` — monotonic wall-clock
     accumulators the engines charge per pipeline phase (decode,
     CFG/fusion, probe compilation, execution).
@@ -34,13 +32,11 @@ the fact:
 
 from repro.obs.events import EventLog, read_events
 from repro.obs.manifest import run_manifest
-from repro.obs.metrics import REGISTRY, MetricsRegistry, PhaseTimers
+from repro.obs.metrics import PhaseTimers
 
 __all__ = [
     "EventLog",
     "read_events",
     "run_manifest",
-    "REGISTRY",
-    "MetricsRegistry",
     "PhaseTimers",
 ]

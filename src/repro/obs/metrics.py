@@ -1,74 +1,16 @@
-"""Always-on counters and monotonic phase timers.
+"""Monotonic phase timers.
 
-Two small primitives, both designed so the *hot path* pays nothing
-it was not already paying:
-
-* :class:`MetricsRegistry` — a flat name → number map with
-  snapshot/diff semantics.  Incrementing is one dict operation;
-  there are no locks (CPython dict ops are atomic enough for the
-  in-process counting done here, and the sharded harness keeps one
-  registry per worker process).  The module-level :data:`REGISTRY`
-  is the process-wide instance the harness feeds (sweep cache
-  hits/misses/writes, cells run).
-
-* :class:`PhaseTimers` — wall-clock accumulators charged at *phase
-  granularity* (a run has a handful of phase transitions, never one
-  per instruction), following the low-overhead statistical-counter
-  rule: keep the increment local and cheap, pay aggregation costs at
-  read time.
+:class:`PhaseTimers` — wall-clock accumulators charged at *phase
+granularity* (a run has a handful of phase transitions, never one per
+instruction), so the *hot path* pays nothing it was not already
+paying.  This follows the low-overhead statistical-counter rule: keep
+the increment local and cheap, pay aggregation costs at read time.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
 from typing import Dict
-
-
-class MetricsRegistry:
-    """Flat registry of named counters with snapshot/diff semantics.
-
-    Counter names are dotted strings (``"sweep.cache.hits"``).
-    Values are plain ints or floats; a counter springs into existence
-    at first increment.
-    """
-
-    __slots__ = ("counters",)
-
-    def __init__(self):
-        self.counters: Dict[str, float] = {}
-
-    def inc(self, name: str, n: float = 1) -> None:
-        """Add ``n`` to ``name`` (creating it at 0)."""
-        counters = self.counters
-        counters[name] = counters.get(name, 0) + n
-
-    def get(self, name: str, default: float = 0) -> float:
-        return self.counters.get(name, default)
-
-    def snapshot(self) -> Dict[str, float]:
-        """A point-in-time copy of every counter."""
-        return dict(self.counters)
-
-    def diff(self, before: Dict[str, float]) -> Dict[str, float]:
-        """Deltas of the live counters against a prior snapshot.
-
-        Only counters that changed (or appeared) since ``before``
-        are included — the natural unit for "what did this sweep
-        do".
-        """
-        out: Dict[str, float] = {}
-        for name, value in self.counters.items():
-            delta = value - before.get(name, 0)
-            if delta:
-                out[name] = delta
-        return out
-
-    def reset(self) -> None:
-        self.counters.clear()
-
-
-#: the process-wide registry (harness cache statistics land here)
-REGISTRY = MetricsRegistry()
 
 
 class _Phase:

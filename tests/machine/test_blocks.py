@@ -337,7 +337,7 @@ class TestFusedMemoryTemplates:
 
     @pytest.mark.parametrize("timing", (False, True))
     def test_unaligned_word_spills_identically(self, timing):
-        """Unaligned fused words take the raw_* spill path."""
+        """Unaligned fused words go through ``Memory.read``/``write``."""
         program = assemble("""
         main:
             mov r1, 4096
@@ -691,6 +691,22 @@ loop:
 """
 
 
+#: handler-only ops (sbrk, a sub-word store and load, halt) and a dead
+#: print
+HANDLER_OPS = """
+main:
+    mov r1, 4096
+    sbrk r1
+    mov r2, 7
+    storeb [r1 + 1], r2
+    loadb r4, [r1 + 1]
+    jmp done
+    print r4
+done:
+    halt r4
+"""
+
+
 def slow_compiles(monkeypatch, nap):
     """Fresh fuser cache; every fuser compile sleeps ``nap`` s."""
     import time
@@ -751,6 +767,39 @@ class TestFirstDispatchCompile:
         cpu.run()
         assert cpu.fuser_compiles is None
         assert cpu.fuser_source_bytes is None
+
+    def test_handlers_bind_on_first_use(self, monkeypatch):
+        """``bind_env`` binds no legacy handler up front; a run's map
+        holds ``_h_<op>``, taken from the CPU's dispatch table, for
+        exactly the handlers of the fusers it binds.  From a cold
+        fuser cache that is the fusers the run dispatches."""
+        import repro.machine.blocks as blocks_mod
+        from repro.isa.opcodes import Op
+        envs = []
+        real = blocks_mod.bind_env
+
+        def spy(cpu, ctx):
+            env = real(cpu, ctx)
+            assert not [name for name in env if name.startswith("_h_")]
+            envs.append(env)
+            return env
+
+        monkeypatch.setattr(blocks_mod, "bind_env", spy)
+        program = assemble(HANDLER_OPS)
+        for engine in ("blocks", "decoded"):
+            monkeypatch.setattr(blocks_mod, "_fuse_cache", {})
+            del envs[:]
+            cpu = CPU(program, MachineConfig.plain(timing=False,
+                                                   engine=engine))
+            assert cpu.run().exit_code == 7
+            (env,) = envs
+            bound = {name for name in env if name.startswith("_h_")}
+            # sub-word load and store, sbrk and halt run; the print
+            # after the jmp never does
+            assert bound == {"_h_sbrk", "_h_store", "_h_load",
+                             "_h_halt"}, engine
+            for name in bound:
+                assert env[name] is cpu._dispatch[Op(name[3:])]
 
     @staticmethod
     def run_slow(monkeypatch, engine, nap=0.05):

@@ -1,10 +1,9 @@
-"""Flat-bytearray memory: mapping discipline, raw access, segments.
+"""Flat-bytearray memory: the three segment arenas and their mapping.
 
-The mapping-discipline and raw-access semantics are those of the
-original sparse paged store; the flat-heap cases at the bottom pin
-the arena mechanics (doubling growth, cell stability, old-page-
-boundary spans, guard-region traps) to the same observable
-behaviour.
+``Memory`` holds the globals, heap and stack segments and nothing
+else: a program access is legal only inside one of them, and the
+mapping discipline, byte order and page snapshots are pinned here
+against the observable behaviour every engine relies on.
 """
 
 import pytest
@@ -14,28 +13,40 @@ from repro.layout import (
     GLOBAL_BASE,
     HEAP_BASE,
     PAGE_SIZE,
+    SHADOW_SPACE_BASE,
+    STACK_BASE,
     STACK_TOP,
 )
 from repro.machine import Memory, MemoryFault
-
-STACK_SIZE = 0x10000
+from repro.machine.memory import NATIVE_LE, _grow_cell, _make_cell
 
 
 def make(image=b""):
-    mem = Memory(STACK_SIZE)
+    mem = Memory()
     mem.load_image(image)
     return mem
 
 
-def any_scan(mem):
-    """Reference snapshot: every mapped page read back through
-    raw_read_bytes and kept when ``any()`` of its bytes is set."""
-    out = {}
-    for no in mem.mapped_pages():
-        page = mem.raw_read_bytes(no * PAGE_SIZE, PAGE_SIZE)
-        if any(page):
-            out[no] = page
-    return out
+def reference_scan(mem):
+    """Reference snapshot: every non-zero byte of the three arena
+    buffers, gathered into zero-filled 4 KB pages."""
+    pages = {}
+    for buf, _, base, _ in (mem.globals_cell, mem.heap_cell,
+                            mem.stack_cell):
+        for off, byte in enumerate(buf):
+            if byte:
+                addr = base + off
+                page = pages.setdefault(addr // PAGE_SIZE,
+                                        bytearray(PAGE_SIZE))
+                page[addr % PAGE_SIZE] = byte
+    return {no: bytes(page) for no, page in pages.items()}
+
+
+def test_public_surface():
+    assert {name for name in dir(Memory) if not name.startswith("_")
+            and callable(getattr(Memory, name))} == {
+        "read", "write", "read_cstring", "load_image", "sbrk",
+        "nonzero_pages"}
 
 
 class TestMappingDiscipline:
@@ -66,139 +77,121 @@ class TestMappingDiscipline:
     def test_stack_reservation(self):
         mem = make()
         mem.write(STACK_TOP - 4, 4, 1)
-        mem.write(STACK_TOP - STACK_SIZE, 4, 2)
+        mem.write(STACK_BASE, 4, 2)
         with pytest.raises(MemoryFault):
-            mem.write(STACK_TOP - STACK_SIZE - 4, 4, 3)
+            mem.write(STACK_BASE - 4, 4, 3)
 
     def test_access_straddling_segment_end_faults(self):
         mem = make(b"\x00" * 6)
         with pytest.raises(MemoryFault):
             mem.read(GLOBAL_BASE + 4, 4)   # last 2 bytes unmapped
 
-    def test_segments_reporting(self):
-        mem = make(b"xy")
-        segs = mem.segments()
-        assert segs[0] == (GLOBAL_BASE, GLOBAL_BASE + 2)
-        assert segs[1] == (HEAP_BASE, HEAP_BASE)
-        assert segs[2] == (STACK_TOP - STACK_SIZE, STACK_TOP)
 
-
-class TestRawAccess:
+class TestByteOrder:
     def test_little_endian(self):
-        mem = make()
-        mem.raw_write(0x5000, 4, 0x11223344)
-        assert mem.raw_read(0x5000, 1) == 0x44
-        assert mem.raw_read(0x5001, 1) == 0x33
-        assert mem.raw_read(0x5002, 2) == 0x1122
+        mem = make(b"\x00" * 8)
+        mem.write(GLOBAL_BASE, 4, 0x11223344)
+        assert mem.read(GLOBAL_BASE, 1) == 0x44
+        assert mem.read(GLOBAL_BASE + 1, 1) == 0x33
+        assert mem.read(GLOBAL_BASE + 2, 2) == 0x1122
 
-    def test_cross_page_access(self):
-        mem = make()
-        addr = 0x6000 - 2   # straddles a page boundary
-        mem.raw_write(addr, 4, 0xAABBCCDD)
-        assert mem.raw_read(addr, 4) == 0xAABBCCDD
-
-    def test_unmapped_reads_zero(self):
-        mem = make()
-        assert mem.raw_read(0x123456, 4) == 0
-
-    def test_bulk_bytes(self):
-        mem = make()
-        blob = bytes(range(200))
-        mem.raw_write_bytes(0x7F00, blob)   # crosses a page
-        assert mem.raw_read_bytes(0x7F00, 200) == blob
+    def test_word_straddling_a_page_in_each_arena(self):
+        mem = make(b"\x00" * (PAGE_SIZE * 2))
+        mem.sbrk(PAGE_SIZE * 2)
+        for base in (GLOBAL_BASE, HEAP_BASE, STACK_BASE):
+            addr = base + PAGE_SIZE - 2
+            mem.write(addr, 4, 0xAABBCCDD)
+            assert mem.read(addr, 4) == 0xAABBCCDD
+            assert mem.read(base + PAGE_SIZE, 2) == 0xAABB
+            pages = mem.nonzero_pages()
+            assert pages[addr // PAGE_SIZE][-2:] == b"\xdd\xcc"
+            assert pages[addr // PAGE_SIZE + 1][:2] == b"\xbb\xaa"
 
     def test_write_masks_to_size(self):
-        mem = make()
-        mem.raw_write(0x5000, 1, 0x1FF)
-        assert mem.raw_read(0x5000, 1) == 0xFF
-        assert mem.raw_read(0x5001, 1) == 0
-
-    def test_read_cstring(self):
-        mem = make()
-        mem.raw_write_bytes(0x5000, b"hello\0world")
-        assert mem.read_cstring(0x5000) == "hello"
+        mem = make(b"\x00" * 8)
+        mem.write(GLOBAL_BASE, 1, 0x1FF)
+        assert mem.read(GLOBAL_BASE, 1) == 0xFF
+        assert mem.read(GLOBAL_BASE + 1, 1) == 0
+        mem.write(GLOBAL_BASE + 4, 2, -1)
+        assert mem.read(GLOBAL_BASE + 4, 4) == 0xFFFF
 
 
-@given(addr=st.integers(0x5000, 0x9000),
+@given(addr=st.integers(GLOBAL_BASE, GLOBAL_BASE + 3 * PAGE_SIZE - 4),
        size=st.sampled_from([1, 2, 4]),
        value=st.integers(0, 0xFFFFFFFF))
-def test_raw_roundtrip(addr, size, value):
-    mem = make()
-    mem.raw_write(addr, size, value)
-    assert mem.raw_read(addr, size) == value & ((1 << (8 * size)) - 1)
+def test_roundtrip(addr, size, value):
+    mem = make(bytes(3 * PAGE_SIZE))
+    mem.write(addr, size, value)
+    assert mem.read(addr, size) == value & ((1 << (8 * size)) - 1)
 
 
-@given(writes=st.lists(
-    st.tuples(st.integers(0, PAGE_SIZE * 3 - 1), st.integers(0, 255)),
-    max_size=100))
-def test_byte_writes_match_dict_model(writes):
-    mem = make()
+@given(base=st.sampled_from([GLOBAL_BASE, HEAP_BASE, STACK_BASE]),
+       writes=st.lists(st.tuples(st.integers(0, PAGE_SIZE * 3 - 1),
+                                 st.integers(0, 255)),
+                       max_size=100))
+def test_byte_writes_match_dict_model(base, writes):
+    mem = make(bytes(PAGE_SIZE * 3))
+    mem.sbrk(PAGE_SIZE * 3)
     model = {}
-    base = 0x8000
     for offset, value in writes:
-        mem.raw_write(base + offset, 1, value)
+        mem.write(base + offset, 1, value)
         model[offset] = value
     for offset, value in model.items():
-        assert mem.raw_read(base + offset, 1) == value
+        assert mem.read(base + offset, 1) == value
+
+
+class TestReadCString:
+    def test_reads_to_the_nul(self):
+        mem = make(b"hello\0world")
+        assert mem.read_cstring(GLOBAL_BASE) == "hello"
+        assert mem.read_cstring(GLOBAL_BASE + 6) == "world"
+        assert mem.read_cstring(GLOBAL_BASE, limit=3) == "hel"
+
+    def test_reads_stale_bytes_past_a_shrunken_break(self):
+        """Unchecked, like ``prints``: the heap buffer keeps the bytes
+        past a shrunken break, and the string reads them."""
+        mem = make()
+        mem.sbrk(64)
+        for i, byte in enumerate(b"stale\0"):
+            mem.write(HEAP_BASE + 32 + i, 1, byte)
+        mem.sbrk(-64)
+        with pytest.raises(MemoryFault):
+            mem.read(HEAP_BASE + 32, 1)
+        assert mem.read_cstring(HEAP_BASE + 32) == "stale"
+
+    def test_reads_zero_outside_every_segment(self):
+        mem = make(b"abc")
+        for addr in (0, GLOBAL_BASE - 8, SHADOW_SPACE_BASE, STACK_TOP,
+                     # inside the globals reservation, past its buffer
+                     GLOBAL_BASE + len(mem.globals_cell[0])):
+            assert mem.read_cstring(addr) == ""
+
+    def test_stops_at_the_end_of_the_stack_reservation(self):
+        mem = make()
+        mem.write(STACK_TOP - 2, 2, 0x6968)    # "hi", then STACK_TOP
+        assert mem.read_cstring(STACK_TOP - 2) == "hi"
 
 
 class TestFlatHeap:
-    """Flat-arena edge cases: the behaviours the paged store gave for
-    free and the flat store must preserve."""
+    """Arena mechanics: doubling growth, cell stability, guard-region
+    traps and page snapshots."""
 
-    def test_bulk_bytes_span_old_page_boundaries(self):
-        """raw_*_bytes across 4KB boundaries inside each arena."""
-        mem = make(b"\x00" * (PAGE_SIZE * 2))
-        blob = bytes((7 * i) & 0xFF for i in range(PAGE_SIZE + 64))
-        # globals arena, straddling the first page boundary
-        mem.raw_write_bytes(GLOBAL_BASE + PAGE_SIZE - 32, blob)
-        assert mem.raw_read_bytes(GLOBAL_BASE + PAGE_SIZE - 32,
-                                  len(blob)) == blob
-        # heap arena
-        mem.sbrk(PAGE_SIZE * 3)
-        mem.raw_write_bytes(HEAP_BASE + PAGE_SIZE - 100, blob)
-        assert mem.raw_read_bytes(HEAP_BASE + PAGE_SIZE - 100,
-                                  len(blob)) == blob
-        # stack arena
-        stack_addr = STACK_TOP - STACK_SIZE + PAGE_SIZE - 8
-        mem.raw_write_bytes(stack_addr, blob)
-        assert mem.raw_read_bytes(stack_addr, len(blob)) == blob
-
-    def test_bulk_bytes_span_arena_and_fallback(self):
-        """A range crossing from the null-guard gap into globals."""
-        blob = bytes(range(200))
-        mem = make(b"\x00" * 256)
-        mem.raw_write_bytes(GLOBAL_BASE - 100, blob)
-        assert mem.raw_read_bytes(GLOBAL_BASE - 100, len(blob)) == blob
-
-    def test_raw_read_spanning_segment_boundaries(self):
-        """A raw word straddling two arenas is assembled from both,
-        even when alignment padding (or an overshooting doubling)
-        leaves spare capacity past the reserved range."""
-        mem = make()
-        # fill the globals arena right up to its reserved range so
-        # its capacity reaches the heap boundary
-        mem.raw_write_bytes(HEAP_BASE - 1, b"\x00")
-        mem.raw_write(HEAP_BASE, 1, 0xAB)
-        assert mem.raw_read(HEAP_BASE - 2, 4) == 0xAB0000
-        # capacity never claims the next segment's address space
-        assert len(mem.globals_cell[0]) <= \
-            ((HEAP_BASE - GLOBAL_BASE + 7) & ~7)
-        # same at the top of the stack (fallback pages above it)
-        mem.raw_write(STACK_TOP, 1, 0xCD)
-        assert mem.raw_read(STACK_TOP - 2, 4) == 0xCD0000
-
-    def test_unaligned_stack_base_snapshot(self):
-        """A page straddling the fallback/stack boundary (non-page-
-        aligned stack_size) is assembled from both stores."""
-        mem = Memory(0x10001)
-        sb = mem.stack_base
-        assert sb % PAGE_SIZE != 0
-        mem.raw_write(sb, 1, 0x11)          # stack arena byte
-        mem.raw_write(sb - 1, 1, 0x22)      # fallback byte, same page
-        page = mem.nonzero_pages()[sb >> 12]
-        assert page[sb % PAGE_SIZE] == 0x11
-        assert page[(sb - 1) % PAGE_SIZE] == 0x22
+    def test_grow_cell_clamps_to_reserved_range(self):
+        reserve = 3 * PAGE_SIZE + 4
+        cell = _make_cell(0x1000, 8, 0x1000 + reserve)
+        cell[0][:8] = b"ABCDEFGH"
+        _grow_cell(cell, 40)
+        # the doubling seed exceeds the reservation: clamped to it,
+        # rounded up to a whole double word
+        assert len(cell[0]) == (reserve + 7) & ~7
+        assert cell[0][:8] == b"ABCDEFGH"
+        if NATIVE_LE:
+            assert len(cell[1]) == len(cell[0]) // 4
+            assert cell[1][0] == int.from_bytes(b"ABCD", "little")
+        _grow_cell(cell, 1 << 20)
+        assert len(cell[0]) == (reserve + 7) & ~7
+        _grow_cell(cell, 16)                   # never shrinks
+        assert len(cell[0]) == (reserve + 7) & ~7
 
     def test_sbrk_growth_across_a_doubling(self):
         mem = make()
@@ -236,18 +229,17 @@ class TestFlatHeap:
         assert int.from_bytes(cell[0][0:4], "little") == 42
 
     def test_sbrk_into_stack_reservation_traps(self):
-        """Split arenas cannot alias heap and stack storage the way
-        the unified page store did, so crossing stack_base traps
-        instead of silently overlapping; the break is unchanged."""
+        """Heap and stack are separate arenas, so a break that would
+        cross ``STACK_BASE`` traps; the break is unchanged."""
         mem = make()
         with pytest.raises(MemoryFault) as exc:
-            mem.sbrk(STACK_TOP - STACK_SIZE - HEAP_BASE + 4)
+            mem.sbrk(STACK_BASE - HEAP_BASE + 4)
         assert exc.value.access == "sbrk"
         assert mem.brk == HEAP_BASE
         assert mem.sbrk(64) == HEAP_BASE     # normal growth unaffected
 
     def test_sbrk_shrink_keeps_bytes(self):
-        """Like persistent pages: shrink + regrow re-exposes data."""
+        """Shrink + regrow re-exposes the old data."""
         mem = make()
         mem.sbrk(64)
         mem.write(HEAP_BASE + 32, 4, 99)
@@ -262,7 +254,7 @@ class TestFlatHeap:
         (0xFFC, "write"),                        # null guard, last word
         (HEAP_BASE - 4, "read"),                 # globals/heap gap
         (HEAP_BASE, "write"),                    # heap before any sbrk
-        (STACK_TOP - STACK_SIZE - 4, "write"),   # below the stack
+        (STACK_BASE - 4, "write"),               # below the stack
         (STACK_TOP, "read"),                     # above the stack
     ])
     def test_guard_region_traps_match_paged_model(self, addr, access):
@@ -279,7 +271,7 @@ class TestFlatHeap:
             "memory fault: %s of unmapped 0x%08x" % (access, addr))
 
     def test_unaligned_word_in_each_segment(self):
-        """Unaligned checked words spill to raw_* and round-trip."""
+        """Unaligned checked words round-trip in every arena."""
         mem = make(b"\x00" * 64)
         mem.sbrk(64)
         for base in (GLOBAL_BASE, HEAP_BASE, STACK_TOP - 64):
@@ -291,47 +283,47 @@ class TestFlatHeap:
         mem = make(b"\x01\x00\x02")
         mem.sbrk(16)
         mem.write(HEAP_BASE + 8, 4, 5)
-        mem.raw_write(0x5000, 1, 9)              # fallback page
         pages = mem.nonzero_pages()
         assert pages[GLOBAL_BASE >> 12][0] == 1
         assert pages[HEAP_BASE >> 12][8] == 5
-        assert pages[0x5][0] == 9
         for page in pages.values():
             assert len(page) == PAGE_SIZE
-        assert pages == any_scan(mem)
+        assert pages == reference_scan(mem)
 
         # a page whose only non-zero byte is its last one
-        last = STACK_TOP - STACK_SIZE + 2 * PAGE_SIZE - 1
+        last = STACK_BASE + 2 * PAGE_SIZE - 1
         mem.write(last, 1, 0x80)
         # a page written non-zero and then zeroed again
-        mem.raw_write(0x7000, 4, 0xFFFFFFFF)
-        mem.raw_write(0x7000, 4, 0)
+        mem.write(STACK_BASE + 5 * PAGE_SIZE, 4, 0xFFFFFFFF)
+        mem.write(STACK_BASE + 5 * PAGE_SIZE, 4, 0)
         pages = mem.nonzero_pages()
         assert pages[last >> 12][-1] == 0x80
         assert not any(pages[last >> 12][:-1])
-        assert 0x7 in mem.mapped_pages()
-        assert 0x7 not in pages
-        assert pages == any_scan(mem)
-
-        # pages straddling the fallback/stack boundary
-        # (the layout of test_unaligned_stack_base_snapshot)
-        mem = Memory(0x10001)
-        sb = mem.stack_base
-        mem.raw_write(sb, 1, 0x11)
-        mem.raw_write(sb - 1, 1, 0x22)
-        assert mem.nonzero_pages() == any_scan(mem)
+        assert (STACK_BASE >> 12) + 5 not in pages
+        assert pages == reference_scan(mem)
 
         # a heap grown past one doubling, with non-zero bytes on the
-        # last page of its break and of its buffer
+        # last page of its break and past a shrunken break
         mem = make()
         seed = len(mem.heap_cell[0])
         mem.sbrk(seed + PAGE_SIZE)
-        cap = len(mem.heap_cell[0])
-        assert cap >= 2 * seed
+        assert len(mem.heap_cell[0]) >= 2 * seed
         mem.write(mem.brk - 1, 1, 0x33)
-        mem.raw_write(HEAP_BASE + cap - 4, 4, 0x44556677)
+        stale = mem.brk - 2 * PAGE_SIZE
+        mem.write(stale, 4, 0x44556677)
+        mem.sbrk(-3 * PAGE_SIZE)
         pages = mem.nonzero_pages()
-        assert pages[(mem.brk - 1) >> 12][-1] == 0x33
-        assert pages[(HEAP_BASE + cap - 1) >> 12][-1] == 0x44
-        assert len(mem.heap_cell[0]) == cap
-        assert pages == any_scan(mem)
+        assert pages[(HEAP_BASE + seed + PAGE_SIZE - 1) >> 12][-1] == 0x33
+        assert pages[stale >> 12][stale % PAGE_SIZE] == 0x77
+        assert pages == reference_scan(mem)
+
+    def test_nonzero_pages_pads_a_partial_last_page(self):
+        mem = make()
+        cell = mem.globals_cell
+        cell[0] = bytearray(PAGE_SIZE + 8)     # a synthetic short buffer
+        cell[0][PAGE_SIZE + 3] = 0x5A
+        pages = mem.nonzero_pages()
+        page = pages[(GLOBAL_BASE >> 12) + 1]
+        assert len(page) == PAGE_SIZE
+        assert page[3] == 0x5A and not any(page[4:])
+        assert (GLOBAL_BASE >> 12) not in pages

@@ -15,7 +15,7 @@ import pytest
 
 from repro.fuzz.rng import fuzz_rng, seed_banner
 from repro.isa import assemble
-from repro.layout import PAGE_SHIFT, STACK_SIZE, STACK_TOP
+from repro.layout import PAGE_SHIFT, STACK_BASE
 from repro.machine import CPU, DivideByZeroError, MachineConfig
 from repro.minic.driver import compile_program, compile_to_asm
 from repro.minic.optimizer import optimize_asm
@@ -24,7 +24,7 @@ ENGINES = ("legacy", "decoded", "blocks")
 
 #: first page of the stack region; pages at or above hold dead
 #: residue after main returns and are excluded from the comparison
-STACK_PAGE = (STACK_TOP - STACK_SIZE) >> PAGE_SHIFT
+STACK_PAGE = STACK_BASE >> PAGE_SHIFT
 
 
 def ops(text):

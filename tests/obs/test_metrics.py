@@ -1,45 +1,8 @@
-"""Counters and phase timers."""
+"""Phase timers."""
 
 import pytest
 
-from repro.obs.metrics import REGISTRY, MetricsRegistry, PhaseTimers
-
-
-class TestMetricsRegistry:
-    def test_counters_spring_into_existence(self):
-        reg = MetricsRegistry()
-        assert reg.get("a") == 0
-        assert reg.get("a", default=7) == 7
-        reg.inc("a")
-        reg.inc("a", 2)
-        assert reg.get("a") == 3
-
-    def test_snapshot_is_a_copy(self):
-        reg = MetricsRegistry()
-        reg.inc("a")
-        snap = reg.snapshot()
-        reg.inc("a")
-        assert snap == {"a": 1}
-        assert reg.get("a") == 2
-
-    def test_diff_reports_only_changed_counters(self):
-        reg = MetricsRegistry()
-        reg.inc("stale", 5)
-        reg.inc("hot", 1)
-        before = reg.snapshot()
-        reg.inc("hot", 3)
-        reg.inc("fresh", 2)
-        assert reg.diff(before) == {"hot": 3, "fresh": 2}
-
-    def test_reset_clears_everything(self):
-        reg = MetricsRegistry()
-        reg.inc("a")
-        reg.reset()
-        assert reg.snapshot() == {}
-
-    def test_module_registry_is_shared(self):
-        from repro.obs import metrics
-        assert metrics.REGISTRY is REGISTRY
+from repro.obs.metrics import PhaseTimers
 
 
 class TestPhaseTimers:

@@ -71,3 +71,14 @@ def test_architecture_service_ratio_matches_the_record():
         "docs/ARCHITECTURE.md should quote `service_warm_vs_cold.ratio` "
         "once, as %sx from results/BENCH_engine.json; it quotes %s"
         % (expected, quoted))
+
+
+def test_readme_quotes_no_hand_typed_speedup():
+    """README points to ARCHITECTURE's record-tied table instead of
+    typing measured speedups (``measured ~4.2x``) that go stale."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        quoted = re.findall(r"~\s*\d+(?:\.\d+)?x\b", fh.read())
+    assert not quoted, (
+        "README.md should quote no measured speedup; point to "
+        "docs/ARCHITECTURE.md's \"Where the time goes\" table instead "
+        "(it quotes %s)" % quoted)
