@@ -20,9 +20,19 @@ in host load hits both sides alike.  Each run lasts the benchmark's
 ``run_seconds``.  The report prints every pair's values, then per
 metric the two medians, the base's quartiles and how many pairs the
 head won.  The better direction of each metric is read from
-``BENCHMARK.json``; a tie counts for neither side.  ``--trace`` runs
-perfbench's per-layer mode (``--trace 1``) instead of the end-to-end
-one.
+``BENCHMARK.json``; a tie counts for neither side.  Each end-to-end
+metric also gets a verdict, by the first rule that holds:
+
+* ``gain``: the head won at least 9 pairs in 10, and its median beats
+  the base's by more than the base's interquartile range;
+* ``worse``: the head's median is worse than the base's by more than
+  the metric's ``bound`` (a fraction of the base median);
+* ``unresolved``: the base's interquartile range is wider than the
+  bound (a fraction of the base median), too wide to tell;
+* ``same``: every other case.
+
+``--trace`` runs perfbench's per-layer mode (``--trace 1``) instead of
+the end-to-end one; per-layer metrics carry no bound and no verdict.
 
 Exit status: 0 when every run reported, 1 when a run failed or
 returned an incorrect result (the pairs that did report are still
@@ -119,6 +129,28 @@ def summarize(pairs: list, better: str) -> dict:
     }
 
 
+def bounds(spec: dict) -> dict:
+    """``{metric: bound}`` of the end-to-end metrics."""
+    return {entry["name"]: entry["bound"]
+            for entry in spec.get("end_to_end", [])}
+
+
+def verdict(s: dict, better: str, bound: float) -> str:
+    """``gain``, ``worse``, ``unresolved`` or ``same`` for one metric's
+    summary (see the module docstring for the rule)."""
+    sign = 1 if better == "higher" else -1
+    gap = sign * (s["head_median"] - s["base_median"])
+    iqr = s["base_q3"] - s["base_q1"]
+    scale = abs(s["base_median"])
+    if 10 * s["head_wins"] >= 9 * s["n"] and gap > iqr:
+        return "gain"
+    if -gap > bound * scale:
+        return "worse"
+    if iqr > bound * scale:
+        return "unresolved"
+    return "same"
+
+
 def values(report: dict) -> dict:
     return {name: entry["value"]
             for name, entry in report["metrics"].items()}
@@ -137,6 +169,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = benchmark_spec()
     better = directions(spec)
+    bound = bounds(spec)
     failed = 0
     pairs = {}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
@@ -168,13 +201,17 @@ def main(argv=None) -> int:
                 if name in head:
                     pairs.setdefault(name, []).append(
                         (base[name], head[name]))
-    print("%-20s %12s %12s %25s %9s"
-          % ("metric", "base med", "head med", "base q1..q3", "head won"))
+    print("%-20s %12s %12s %25s %9s  %s"
+          % ("metric", "base med", "head med", "base q1..q3", "head won",
+             "verdict"))
     for name, metric_pairs in pairs.items():
-        s = summarize(metric_pairs, better.get(name, "lower"))
-        print("%-20s %12.6g %12.6g %12.6g..%-12.6g %4d/%d"
+        direction = better.get(name, "lower")
+        s = summarize(metric_pairs, direction)
+        print("%-20s %12.6g %12.6g %12.6g..%-12.6g %4d/%-4d %s"
               % (name, s["base_median"], s["head_median"], s["base_q1"],
-                 s["base_q3"], s["head_wins"], s["n"]))
+                 s["base_q3"], s["head_wins"], s["n"],
+                 verdict(s, direction, bound[name]) if name in bound
+                 else ""))
     return 1 if failed else 0
 
 

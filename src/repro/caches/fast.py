@@ -28,7 +28,7 @@ that call chain would dominate the whole simulation.
   ``reset_stats`` and ``exits`` drain first, and the block run loop
   drains every ``DRAIN_EVERY`` instructions and on every exit.
 
-Each LRU structure is one flat ``keys`` list indexed by
+Each LRU structure is one flat ``keys`` way table indexed by
 ``set_index * assoc + way``, with the ways of every set kept in
 **recency order** (most recently used at way 0) — the exact order the
 ``OrderedDict`` sets of :class:`~repro.caches.cache.Cache` maintain
@@ -40,6 +40,9 @@ recently used) with the same shift.  Empty ways hold ``-1`` (no real
 key is negative) and drift to the back, so they fill before any
 resident block is evicted.  Way scans are unrolled for
 ``assoc <= 4``; larger associativities take a bounded ``for`` scan.
+The TLB, L1 and tag-cache tables are lists; the L2 table, touched
+only on L1 misses and 131,072 slots at the default 4 MB, is an
+``array("q")``, which the cyclic garbage collector does not walk.
 
 **Known-front facts.**  Since a front-way hit changes no state, the
 drain skips every access the cache state already proves is one.  It
@@ -84,6 +87,7 @@ whole workloads).
 from __future__ import annotations
 
 import dataclasses
+from array import array
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
@@ -400,14 +404,15 @@ def _drain_factory(params: tuple, tag: Optional[Tuple[int, int]]):
     return namespace["_make"]
 
 
-def _make_ways(size: int, assoc: int, block: int) -> list:
+def _make_ways(size: int, assoc: int, block: int, empty=None):
     """Flat way table for one structure (``num_sets * assoc`` slots,
-    every way empty)."""
+    every way empty): ``empty``, one empty way, repeated; a list by
+    default, an ``array`` for a table the collector need not walk."""
     if size % (assoc * block):
         raise ValueError("size must be a multiple of assoc*block")
     num_sets = size // (assoc * block)
     _ilog2(num_sets)  # validate power of two
-    return [-1] * (num_sets * assoc)
+    return (empty or [-1]) * (num_sets * assoc)
 
 
 def charger(access, tag: Optional[Tuple[int, int]] = None):
@@ -461,7 +466,8 @@ class FastMemorySystem:
             "_l1k": _make_ways(p.l1_size, p.l1_assoc, p.block),
             "_tck": _make_ways(p.tag_cache_size, p.tag_cache_assoc,
                                p.block),
-            "_l2k": _make_ways(p.l2_size, p.l2_assoc, p.block),
+            "_l2k": _make_ways(p.l2_size, p.l2_assoc, p.block,
+                               array("q", [-1])),
         }
         for kind, (ctr, pages) in self._kinds.items():
             self._objects["_%sct" % _prefix(kind)] = ctr

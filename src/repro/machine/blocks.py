@@ -35,10 +35,11 @@ over straight-line runs:
    timing charge and the pointer-metadata load/store.  The access
    inlines one arena, the one the operand form predicts (the stack
    for an ``sp``/``fp`` base, the heap for every other): one compare
-   proves an aligned word mapped inside it and selects its word view
-   (see :mod:`repro.machine.memory`).  Every other address — globals,
-   the other arena, unaligned words, faults — calls ``Memory.read`` /
-   ``write``, the legacy handler's own entry points.  The charge is one
+   proves an aligned word mapped inside its backed part and selects
+   its word view (see :mod:`repro.machine.memory`).  Every other
+   address — globals, the other arena, unaligned words, stack words
+   below the backed part, faults — calls ``Memory.read`` / ``write``,
+   the legacy handler's own entry points.  The charge is one
    ``_lg`` line whatever the cache geometry:
    :data:`~repro.caches.fast.LOG_WORD` (the word, plus its tag byte in
    a HardBound run), and :data:`~repro.caches.fast.LOG_SHADOW` for an
@@ -101,7 +102,6 @@ from repro.layout import (
     HEAP_BASE,
     MASK32,
     MAXINT,
-    STACK_BASE,
     STACK_TOP,
     TAG1_BASE,
     TAG1_SHIFT,
@@ -120,6 +120,7 @@ from repro.machine.errors import (
     NonPointerError,
     Trap,
 )
+from repro.machine.memory import NATIVE_LE
 from repro.metadata.encodings import inline_compressible_expr
 
 #: opcodes that end a basic block (transfer or stop control)
@@ -333,7 +334,7 @@ class _FuseCtx:
                  "comp_expr", "comp_tag")
 
     def __init__(self, cpu):
-        hb, memory = cpu.hb, cpu.memory
+        hb = cpu.hb
         self.full_mode = cpu.full_mode
         self.hb = hb is not None
         self.watched = cpu.observer is not None or cpu.temporal is not None
@@ -351,8 +352,7 @@ class _FuseCtx:
         # two arenas the word templates inline (true everywhere but
         # big-endian hosts); ablations and substituted engines or
         # encodings call the legacy handlers
-        self.inline_mem = (memory.heap_cell[1] is not None
-                           and memory.stack_cell[1] is not None
+        self.inline_mem = (NATIVE_LE
                            and not self.watched
                            and (hb is None
                                 or (type(hb) is HardBoundEngine
@@ -376,13 +376,16 @@ class _FuseCtx:
 
 #: per operand form (``frame``: an ``sp``/``fp`` base), the predicted
 #: arena's test for an aligned, mapped word and its word-view element.
-#: The test is ``Memory``'s segment compare for that arena, so an
-#: address that passes it is mapped and inside the arena's buffer.
+#: The heap test is ``Memory``'s segment compare; the stack test
+#: compares against the arena's current base (``_stk[2]``), the part
+#: of the reservation already backed.  An address that passes either
+#: is mapped and inside the arena's buffer; a stack word below the
+#: backed part takes ``Memory.read``/``write``, which backs it.
 _ARENAS = {
     False: ("if %d <= ea and ea + 4 <= _mem.brk and not ea & 3:"
             % HEAP_BASE, "_heap[1][(ea - %d) >> 2]" % HEAP_BASE),
-    True: ("if _sb <= ea and ea <= %d and not ea & 3:" % (STACK_TOP - 4),
-           "_stk[1][(ea - _sb) >> 2]"),
+    True: ("if _stk[2] <= ea and ea <= %d and not ea & 3:"
+           % (STACK_TOP - 4), "_stk[1][(ea - _stk[2]) >> 2]"),
 }
 
 
@@ -934,12 +937,12 @@ def bind_env(cpu, ctx: _FuseCtx) -> dict:
         "value": regs.value, "rbase": regs.base, "rbound": regs.bound,
         "_n": len(cpu.program.instrs), "_cpu": cpu,
         # the word templates' inline arenas: the heap and stack cells
-        # (stable across heap growth, see repro.machine.memory) and
-        # the stack's fixed base (only the heap break moves, so
-        # templates re-read it from ``_mem``); every other address
-        # goes through ``_mr`` / ``_mw``
+        # (stable across growth, see repro.machine.memory; templates
+        # re-read the heap break from ``_mem`` and the stack's backed
+        # base from its cell); every other address goes through
+        # ``_mr`` / ``_mw``
         "_mem": memory, "_heap": memory.heap_cell,
-        "_stk": memory.stack_cell, "_sb": STACK_BASE,
+        "_stk": memory.stack_cell,
         "_mr": memory.read, "_mw": memory.write,
         # the trap constructors the templates raise
         "_icpe": InvalidCodePointerError, "_be": BoundsError,

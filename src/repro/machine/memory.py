@@ -2,10 +2,13 @@
 
 Memory is byte addressable and little endian.  Globals, heap and
 stack are each one flat ``bytearray`` arena, addressed by subtracting
-the segment base.  The heap arena doubles its capacity on
-:meth:`Memory.sbrk`, so growth is amortized O(1) and never moves the
-*cell* the execution engines bind; their word templates index a
-``memoryview`` cast to native 32-bit words on little-endian hosts.
+the arena's base.  The heap arena doubles its capacity on
+:meth:`Memory.sbrk`, and the stack arena, seeded with the page below
+``STACK_TOP``, doubles downward the first time a mapped access falls
+below its backed part, so growth is amortized O(1), a run backs only
+the stack it touches, and neither moves the *cell* the execution
+engines bind; their word templates index a ``memoryview`` cast to
+native 32-bit words on little-endian hosts.
 
 Program accesses are legal only inside the globals segment, the heap
 below the current program break, or the fixed stack reservation
@@ -38,6 +41,10 @@ NATIVE_LE = sys.byteorder == "little"
 #: initial heap arena capacity (doubles on demand)
 _HEAP_SEED = 1 << 16
 
+#: initial stack arena: the page below ``STACK_TOP`` (doubles
+#: downward on demand)
+_STACK_SEED = PAGE_SIZE
+
 #: one all-zero page: ``page != _ZERO_PAGE`` tests a whole page with
 #: a single memcmp instead of a byte-by-byte ``any()``
 _ZERO_PAGE = bytes(PAGE_SIZE)
@@ -50,17 +57,27 @@ def _make_cell(base: int, capacity: int, reserve_end: int) -> list:
     the cell *contents* in place, so fusers holding the cell always
     see the current buffer.  ``word-view`` is a ``memoryview`` cast
     to 32-bit native words (``None`` on big-endian hosts, where the
-    cast would not be little endian).  ``reserve_end`` bounds the
-    arena's *address* ownership: the buffer never grows past it.
+    cast would not be little endian).  ``base`` is the address of the
+    buffer's first byte (the stack's moves down as it grows), and
+    ``reserve_end`` bounds the arena's *address* ownership: the
+    buffer never grows past it.
     """
     capacity = (capacity + 7) & ~7
-    buf = bytearray(capacity)
-    word_view = memoryview(buf).cast("I") if NATIVE_LE else None
-    return [buf, word_view, base, reserve_end]
+    return _install([None, None, base, reserve_end], bytearray(capacity))
+
+
+def _install(cell: list, buf: bytearray) -> list:
+    """Make ``buf`` the cell's buffer, with a fresh word view."""
+    if cell[1] is not None:
+        cell[1].release()
+    cell[0] = buf
+    cell[1] = memoryview(buf).cast("I") if NATIVE_LE else None
+    return cell
 
 
 def _grow_cell(cell: list, need: int) -> None:
-    """Grow a cell's arena to at least ``need`` bytes by doubling.
+    """Grow a cell's arena upward to at least ``need`` bytes by
+    doubling.
 
     The doubling is clamped to the cell's reserved range (plus
     alignment padding) so a growth near the segment boundary cannot
@@ -76,10 +93,24 @@ def _grow_cell(cell: list, need: int) -> None:
     new_cap = min(new_cap, (cell[3] - cell[2] + 7) & ~7)
     new_buf = bytearray(new_cap)
     new_buf[:capacity] = buf
-    if cell[1] is not None:
-        cell[1].release()
-    cell[0] = new_buf
-    cell[1] = memoryview(new_buf).cast("I") if NATIVE_LE else None
+    _install(cell, new_buf)
+
+
+def _grow_stack(cell: list, addr: int) -> None:
+    """Back the stack arena down to ``addr`` by doubling, clamped to
+    the reservation ``[STACK_BASE, STACK_TOP)``.
+
+    The heap's rule mirrored: the backed bytes move to the top of the
+    new buffer, and the cell's base moves down by the growth.
+    """
+    buf = cell[0]
+    size = len(buf)
+    new_size = size
+    while STACK_TOP - new_size > addr:
+        new_size *= 2
+    new_size = min(new_size, STACK_TOP - STACK_BASE)
+    _install(cell, bytearray(new_size - size) + buf)
+    cell[2] = STACK_TOP - new_size
 
 
 class Memory:
@@ -88,6 +119,8 @@ class Memory:
     by :meth:`sbrk`).  Each arena reserves the addresses up to the
     next segment's base: globals ``[GLOBAL_BASE, HEAP_BASE)``, heap
     ``[HEAP_BASE, STACK_BASE)``, stack ``[STACK_BASE, STACK_TOP)``.
+    The stack arena backs ``[stack_cell[2], STACK_TOP)``, the top of
+    its reservation.
     """
 
     def __init__(self):
@@ -98,8 +131,8 @@ class Memory:
         #: on every access
         self.globals_cell = _make_cell(GLOBAL_BASE, 0, HEAP_BASE)
         self.heap_cell = _make_cell(HEAP_BASE, _HEAP_SEED, STACK_BASE)
-        self.stack_cell = _make_cell(STACK_BASE, STACK_TOP - STACK_BASE,
-                                     STACK_TOP)
+        self.stack_cell = _make_cell(STACK_TOP - _STACK_SEED,
+                                     _STACK_SEED, STACK_TOP)
         self._cells = (self.globals_cell, self.heap_cell,
                        self.stack_cell)
 
@@ -139,8 +172,8 @@ class Memory:
 
         The null guard lies below every segment.  A mapped access lies
         inside its arena's buffer: :meth:`sbrk` grows the heap to the
-        break, :meth:`load_image` sizes the globals, and the stack is
-        fully backed.
+        break, :meth:`load_image` sizes the globals, and a stack access
+        below the backed part grows the stack arena down to it.
         """
         end = addr + size
         if GLOBAL_BASE <= addr and end <= self.globals_limit:
@@ -148,7 +181,10 @@ class Memory:
         if HEAP_BASE <= addr and end <= self.brk:
             return self.heap_cell
         if STACK_BASE <= addr and end <= STACK_TOP:
-            return self.stack_cell
+            cell = self.stack_cell
+            if addr < cell[2]:
+                _grow_stack(cell, addr)
+            return cell
         raise MemoryFault(addr, access)
 
     def read(self, addr: int, size: int) -> int:
@@ -168,10 +204,10 @@ class Memory:
     def read_cstring(self, addr: int, limit: int = 1 << 16) -> str:
         """The NUL-terminated latin-1 string at ``addr`` (``prints``).
 
-        Unchecked, like the legacy handler it serves: a byte inside a
-        segment's reservation reads from that arena's buffer (stale
-        heap bytes past a shrunken break included), and a byte past
-        the buffer or outside every reservation reads as zero.
+        Unchecked, like the legacy handler it serves: a byte an arena
+        backs reads from its buffer (stale heap bytes past a shrunken
+        break included), and every other byte, unbacked stack bytes
+        included, reads as zero without backing anything.
         """
         out = []
         for at in range(addr, addr + limit):

@@ -13,7 +13,13 @@ import pytest
 from repro.fuzz.oracle import run_once
 from repro.harness.runner import compile_cached, run_workload
 from repro.isa import assemble
-from repro.layout import HEAP_BASE, NULL_GUARD, STACK_TOP
+from repro.layout import (
+    HEAP_BASE,
+    NULL_GUARD,
+    PAGE_SIZE,
+    STACK_BASE,
+    STACK_TOP,
+)
 from repro.machine import CPU, MachineConfig
 from repro.machine.blocks import (
     MAX_BLOCK_LEN,
@@ -260,18 +266,30 @@ class TestBlockExecution:
 
 
 #: the slow-path grid's targets: name -> (lines leaving the word's
-#: address in r2, whether the words at and below it are mapped, whether
-#: a word one byte above it crosses its segment's end).  One sbrk maps
-#: 4096 heap bytes; the data segment holds four words at ``tbl``.
+#: address in r2, whether the word at it is mapped, whether a word one
+#: byte above it crosses its segment's end, whether the words at and
+#: below it are filled through r3 first).  One sbrk maps 4096 heap
+#: bytes; the data segment holds four words at ``tbl``.  A fresh
+#: ``Memory`` backs one stack page below ``STACK_TOP``: a stack target
+#: below it that is not filled first is backed by the op under test,
+#: and for an ``fp`` base that op is the stack word template itself,
+#: which backs the arena mid-block.
 SLOW_PATH_TARGETS = {
-    "globals": (["mov r2, =tbl", "add r2, r2, 4"], True, False),
-    "heap": (["mov r2, %d" % (HEAP_BASE + 64)], True, False),
-    "heap_end": (["mov r2, %d" % (HEAP_BASE + 4092)], True, True),
-    "past_brk": (["mov r2, %d" % (HEAP_BASE + 4096 + 64)], False, True),
-    "stack": (["mov r2, %d" % (STACK_TOP - 64)], True, False),
-    "stack_top": (["mov r2, %d" % (STACK_TOP - 4)], True, True),
-    "above_stack": (["mov r2, %d" % STACK_TOP], False, True),
-    "null_guard": (["mov r2, %d" % (NULL_GUARD - 64)], False, True),
+    "globals": (["mov r2, =tbl", "add r2, r2, 4"], True, False, True),
+    "heap": (["mov r2, %d" % (HEAP_BASE + 64)], True, False, True),
+    "heap_end": (["mov r2, %d" % (HEAP_BASE + 4092)], True, True, True),
+    "past_brk": (["mov r2, %d" % (HEAP_BASE + 4096 + 64)], False, True,
+                 False),
+    "stack": (["mov r2, %d" % (STACK_TOP - 64)], True, False, True),
+    "stack_top": (["mov r2, %d" % (STACK_TOP - 4)], True, True, True),
+    "stack_low": (["mov r2, %d" % (STACK_TOP - 2 * PAGE_SIZE + 64)],
+                  True, False, True),
+    "stack_seam": (["mov r2, %d" % (STACK_TOP - PAGE_SIZE - 4)], True,
+                   False, False),
+    "stack_base": (["mov r2, %d" % STACK_BASE], True, False, False),
+    "above_stack": (["mov r2, %d" % STACK_TOP], False, True, False),
+    "null_guard": (["mov r2, %d" % (NULL_GUARD - 64)], False, True,
+                   False),
 }
 
 
@@ -389,15 +407,15 @@ class TestFusedMemoryTemplates:
                                               load, mode_fn, timing):
         """Each word template inlines one arena (the stack for an
         ``fp`` base, the heap for a general register); every other
-        address — globals, the other arena, unaligned words, the
-        break, the null guard — goes through ``Memory.read`` /
-        ``write``, with the same value, trap, counters and image as
-        ``legacy``."""
-        lines, mapped, straddles = SLOW_PATH_TARGETS[target]
+        address — globals, the other arena, unaligned words, stack
+        words below the backed part, the break, the null guard — goes
+        through ``Memory.read`` / ``write``, with the same value,
+        trap, counters and image as ``legacy``."""
+        lines, mapped, straddles, filled = SLOW_PATH_TARGETS[target]
         fill = ["mov r7, 0x44332211",
                 "setunsafe r3, r2",
                 "store [r3 + -4], r7",
-                "store [r3], r7"] if mapped else []
+                "store [r3], r7"] if filled else []
         op = ["load r6, [%s + %d]" % (base, offset)]
         if not load:
             op = ["store [%s + %d], r5" % (base, offset)] + op
@@ -415,6 +433,32 @@ class TestFusedMemoryTemplates:
                                  (offset and straddles) else "trap")
         for engine in ENGINES[1:]:
             assert legacy.diff_fields(outcomes[engine]) == [], engine
+
+    @pytest.mark.parametrize("timing", (False, True))
+    def test_stack_growth_mid_block_rebases_the_stack_template(self,
+                                                               timing):
+        """An ``fp`` word below the backed stack backs the arena down
+        to ``STACK_BASE`` inside a fused block; the frame words after
+        it, above and below the old base, index the grown arena."""
+        program = assemble("""
+        main:
+            mov r5, 1234
+            store [sp + -4], r5
+            mov r2, %d
+            setunsafe fp, r2
+            store [fp + 8], r5
+            load r6, [sp + -4]
+            load r7, [fp + 8]
+            add r6, r6, r7
+            halt r6
+        """ % STACK_BASE)
+        for mode_fn in (MachineConfig.hardbound, MachineConfig.plain):
+            out = self.run_all(program, mode_fn, timing)
+            assert out[0] == 2468
+        cpu = CPU(program, MachineConfig.hardbound(timing=timing))
+        cpu.run()
+        assert len(cpu.memory.stack_cell[0]) == STACK_TOP - STACK_BASE
+        assert cpu.memory.stack_cell[2] == STACK_BASE
 
     def test_memory_templates_emitted(self):
         """The hot word shapes really fuse (no silent fallback)."""

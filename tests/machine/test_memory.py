@@ -87,6 +87,104 @@ class TestMappingDiscipline:
             mem.read(GLOBAL_BASE + 4, 4)   # last 2 bytes unmapped
 
 
+class TestOnDemandStack:
+    """The stack arena backs the page below ``STACK_TOP`` and grows
+    downward by doubling on the first mapped access below its backed
+    part, clamped to the reservation ``[STACK_BASE, STACK_TOP)``."""
+
+    def test_fresh_memory_backs_one_stack_page(self):
+        mem = Memory()
+        assert len(mem.stack_cell[0]) == PAGE_SIZE
+        assert mem.stack_cell[2] == STACK_TOP - PAGE_SIZE
+        if NATIVE_LE:
+            assert len(mem.stack_cell[1]) == PAGE_SIZE // 4
+
+    def test_growth_doubles_down_to_the_access(self):
+        mem = make()
+        mem.write(STACK_TOP - PAGE_SIZE, 4, 1)       # backed: no growth
+        assert len(mem.stack_cell[0]) == PAGE_SIZE
+        assert mem.read(STACK_TOP - PAGE_SIZE - 4, 4) == 0
+        assert len(mem.stack_cell[0]) == 2 * PAGE_SIZE
+        mem.write(STACK_TOP - 3 * PAGE_SIZE, 1, 7)
+        assert len(mem.stack_cell[0]) == 4 * PAGE_SIZE
+        assert mem.stack_cell[2] == STACK_TOP - 4 * PAGE_SIZE
+        assert mem.read(STACK_TOP - PAGE_SIZE, 4) == 1
+
+    def test_word_straddling_the_backed_base_grows(self):
+        mem = make()
+        mem.write(STACK_TOP - PAGE_SIZE - 2, 4, 0xCAFEF00D)
+        assert len(mem.stack_cell[0]) == 2 * PAGE_SIZE
+        assert mem.read(STACK_TOP - PAGE_SIZE, 2) == 0xCAFE
+        assert mem.read(STACK_TOP - PAGE_SIZE - 2, 2) == 0xF00D
+
+    def test_write_at_stack_base_backs_the_reservation(self):
+        mem = make()
+        cell = mem.stack_cell
+        mem.write(STACK_TOP - 4, 4, 0x11223344)
+        mem.write(STACK_TOP - PAGE_SIZE, 1, 0x55)
+        mem.write(STACK_BASE, 4, 0x66778899)
+        assert mem.stack_cell is cell
+        assert len(cell[0]) == STACK_TOP - STACK_BASE
+        assert cell[2] == STACK_BASE
+        # the top page's bytes moved to the top of the new buffer
+        assert mem.read(STACK_TOP - 4, 4) == 0x11223344
+        assert mem.read(STACK_TOP - PAGE_SIZE, 1) == 0x55
+        assert mem.read(STACK_BASE, 4) == 0x66778899
+        if NATIVE_LE:
+            # the word view is re-cast over the new buffer
+            assert cell[1][(STACK_TOP - 4 - STACK_BASE) >> 2] == 0x11223344
+            assert cell[1][0] == 0x66778899
+        mem.write(STACK_BASE + 8, 4, 1)                # no further growth
+        assert len(cell[0]) == STACK_TOP - STACK_BASE
+
+    @pytest.mark.parametrize("access", ("read", "write"))
+    def test_below_the_reservation_still_faults(self, access):
+        for grown in (False, True):
+            mem = make()
+            if grown:
+                mem.write(STACK_BASE, 4, 1)
+            with pytest.raises(MemoryFault) as exc:
+                if access == "read":
+                    mem.read(STACK_BASE - 4, 4)
+                else:
+                    mem.write(STACK_BASE - 4, 4, 1)
+            assert str(exc.value) == (
+                "memory fault: %s of unmapped 0x%08x"
+                % (access, STACK_BASE - 4))
+            # a fault backs nothing, nor does a word straddling the
+            # reservation's floor
+            with pytest.raises(MemoryFault):
+                mem.read(STACK_BASE - 2, 4)
+            assert len(mem.stack_cell[0]) == (
+                STACK_TOP - STACK_BASE if grown else PAGE_SIZE)
+
+    def test_read_cstring_reads_zero_below_the_backed_part(self):
+        mem = make()
+        # the backed buffer's last byte: a negative index below the
+        # backed part would wrap to it
+        mem.write(STACK_TOP - 1, 1, ord("x"))
+        for addr in (STACK_TOP - PAGE_SIZE - 1, STACK_BASE):
+            assert mem.read_cstring(addr) == ""
+        # a string running up into the backed part reads from it
+        mem.write(STACK_TOP - PAGE_SIZE, 1, ord("y"))
+        assert mem.read_cstring(STACK_TOP - PAGE_SIZE) == "y"
+        assert len(mem.stack_cell[0]) == PAGE_SIZE     # backs nothing
+
+    def test_nonzero_pages_after_a_growth(self):
+        mem = make()
+        mem.write(STACK_TOP - 4, 4, 0xA5A5A5A5)
+        mem.write(STACK_TOP - 5 * PAGE_SIZE + 12, 4, 0x01020304)
+        assert len(mem.stack_cell[0]) == 8 * PAGE_SIZE
+        pages = mem.nonzero_pages()
+        assert set(pages) >= {(STACK_TOP >> 12) - 1,
+                              (STACK_TOP >> 12) - 5}
+        assert pages == reference_scan(mem)
+        mem.write(STACK_BASE + PAGE_SIZE - 1, 1, 0x80)
+        pages = mem.nonzero_pages()
+        assert pages[(STACK_BASE >> 12)][-1] == 0x80
+        assert pages == reference_scan(mem)
+
+
 class TestByteOrder:
     def test_little_endian(self):
         mem = make(b"\x00" * 8)
